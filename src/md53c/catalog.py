@@ -72,6 +72,8 @@ class FamilySpec:
             if have != (name in want):
                 verb = "missing" if name in want else "unexpected"
                 raise InvalidParams(f"{self.family}: {verb} parameter {name}")
+        if not all(math.isfinite(v) for v in self.params()):
+            raise InvalidParams(f"{self.family}: parameters must be finite")
         f = self.family
         if f == "F1":
             if self.lambda1 in (0.0, 1.0) or self.lambda2 in (0.0, 1.0):

@@ -74,8 +74,9 @@ class RunConfig:
     def validate(self):
         if self.samples < 1 or self.md_samples < 1:
             raise InvalidParams("samples must be >= 1")
-        if min(self.tol_rank, self.tol_leaf, self.tol_map) <= 0.0:
-            raise InvalidParams("tolerances must be positive")
+        tols = (self.tol_rank, self.tol_leaf, self.tol_map)
+        if not all(math.isfinite(t) and t > 0.0 for t in tols):
+            raise InvalidParams("tolerances must be finite and positive")
         if self.format not in ("json", "text"):
             raise InvalidParams("format must be 'json' or 'text'")
 
@@ -90,14 +91,21 @@ class RunConfig:
         }
 
 
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"not finite: {text!r}")
+    return v
+
+
 def _parse_point(text):
     parts = text.split(",")
     if len(parts) != 5:
         raise InvalidParams("point must be 5 comma-separated reals: a,b,c,d,e")
     try:
-        return np.array([float(v) for v in parts])
+        return np.array([_finite(v) for v in parts])
     except ValueError:
-        raise InvalidParams(f"point has a non-numeric coordinate: {text!r}")
+        raise InvalidParams(f"point needs finite numeric coordinates: {text!r}")
 
 
 def _parse_word(text):
@@ -107,9 +115,9 @@ def _parse_word(text):
     for step in text.split(","):
         try:
             i, t = step.split(":")
-            word.append((int(i), float(t)))
+            word.append((int(i), _finite(t)))
         except ValueError:
-            raise InvalidParams(f"flow word steps look like i:t, got {step!r}")
+            raise InvalidParams(f"flow word steps look like i:t with finite t, got {step!r}")
     return word
 
 
@@ -118,9 +126,9 @@ def _parse_pair(text, what):
     if len(parts) != 2:
         raise InvalidParams(f"{what} must be two comma-separated values")
     try:
-        return float(parts[0]), float(parts[1])
+        return _finite(parts[0]), _finite(parts[1])
     except ValueError:
-        raise InvalidParams(f"{what} has a non-numeric entry: {text!r}")
+        raise InvalidParams(f"{what} needs finite numeric entries: {text!r}")
 
 
 def _parse_delta0(text):
@@ -675,8 +683,11 @@ def _json_default(obj):
 
 def _emit(payload, config):
     if config.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          default=_json_default) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                              default=_json_default) + "\n"
+        except ValueError:
+            raise DomainError("the result overflowed: the payload holds a non-finite value")
     else:
         text = _render_text(payload)
     if config.output in (None, "-"):
@@ -774,7 +785,12 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        payload, code = _DISPATCH[args.command](config, args)
+        # an overflow surfaces as a non-finite payload value, which _emit
+        # reports as an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, code = _DISPATCH[args.command](config, args)
+        _emit({"schema": 1, "command": args.command,
+               "config": config.to_json(), **payload}, config)
     except (InvalidParams, DomainError, UnsupportedMap, UnsupportedExpr) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -783,9 +799,6 @@ def main(argv=None):
                    "config": config.to_json()}
         _emit(payload, config)
         return 1
-    payload = {"schema": 1, "command": args.command,
-               "config": config.to_json(), **payload}
-    _emit(payload, config)
     return int(code)
 
 

@@ -7,12 +7,13 @@ coordinate and a is the time along the X2 coadjoint flow.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import build_algebra
+from .catalog import ad2_block, build_algebra
 from .errors import InvalidParams
 from .lie_core import ad_matrix, derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
 
@@ -57,7 +58,49 @@ def _phi(lam, a):
     # (1 - e^{lam a}) / lam, continued to -a at lam = 0
     if lam == 0.0:
         return -a
-    return -math.expm1(lam * a) / lam
+    return -np.expm1(lam * a) / lam
+
+
+@functools.lru_cache(maxsize=64)
+def _block(spec):
+    # ad2_block once per family member: the chart and the candidate times
+    # read it on every call
+    m = ad2_block(spec)
+    m.flags.writeable = False
+    return m
+
+
+def _chart(spec, base, b, a):
+    """The point reached from each row of ``base`` (shape (..., 5)) by the X2
+    coadjoint flow for time ``a``, with the free second coordinate set to
+    ``b``; ``b`` and ``a`` broadcast against the rows.
+
+    (gamma, delta, sigma) moves by exp(a M^T) for the ad_X2 block M.  For
+    families 1..7 M is upper triangular and each coupling joins two equal
+    rates, so a coupling adds a polynomial factor in a; for family 8 the
+    (gamma, delta) pair rotates and scales as a complex number.
+    """
+    al, _, g, d, s = base.T
+    m = _block(spec)
+    if spec.family == "F8":
+        rot = cmath.exp(1j * spec.phi)
+        w = g + 1j * d
+        w2 = w * np.exp(a / rot)
+        x = al - (np.conj(w) * (np.exp(a * rot) - 1.0) / rot).real
+        z, t = w2.real, w2.imag
+    else:
+        x = al + _phi(m[0, 0], a) * g
+        z = np.exp(m[0, 0] * a) * g
+        t = d
+        if m[1, 2]:
+            s = s + m[1, 2] * a * (d + 0.5 * m[0, 1] * a * g)
+        if m[0, 1]:
+            t = d + m[0, 1] * a * g
+        t = np.exp(m[1, 1] * a) * t
+    out = np.empty(np.broadcast(x, b).shape + (5,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, b, z, t
+    out[..., 4] = np.exp(m[2, 2] * a) * s
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,50 +120,7 @@ class OrbitChart:
     def eval(self, b, a):
         if self.dim == 0:
             return np.array(self.base)
-        al, _, g, d, s = self.base
-        fam = self.spec.family
-        if fam == "F1":
-            l1, l2 = self.spec.lambda1, self.spec.lambda2
-            return np.array([
-                al + _phi(l1, a) * g, b,
-                math.exp(l1 * a) * g, math.exp(l2 * a) * d, math.exp(a) * s,
-            ])
-        if fam == "F2":
-            e = math.exp(a)
-            return np.array([al + _phi(1.0, a) * g, b, e * g, e * d, math.exp(self.spec.lam * a) * s])
-        if fam == "F3":
-            l = self.spec.lam
-            e = math.exp(a)
-            return np.array([al + _phi(l, a) * g, b, math.exp(l * a) * g, e * d, e * s])
-        if fam == "F4":
-            e = math.exp(a)
-            return np.array([al + _phi(1.0, a) * g, b, e * g, e * d, e * s])
-        if fam == "F5":
-            l = self.spec.lam
-            e = math.exp(a)
-            return np.array([
-                al + _phi(l, a) * g, b,
-                math.exp(l * a) * g, e * d, a * e * d + e * s,
-            ])
-        if fam == "F6":
-            e = math.exp(a)
-            return np.array([
-                al + _phi(1.0, a) * g, b,
-                e * g, a * e * g + e * d, math.exp(self.spec.lam * a) * s,
-            ])
-        if fam == "F7":
-            e = math.exp(a)
-            return np.array([
-                al + _phi(1.0, a) * g, b,
-                e * g, a * e * g + e * d, 0.5 * a * a * e * g + a * e * d + e * s,
-            ])
-        # F8: the (gamma, delta) pair rotates and scales as a complex number
-        l, ph = self.spec.lam, self.spec.phi
-        w = complex(g, d)
-        rot = cmath.exp(1j * ph)
-        w2 = w * cmath.exp(a / rot)
-        alpha2 = al - (w.conjugate() * (cmath.exp(a * rot) - 1.0) / rot).real
-        return np.array([alpha2, b, w2.real, w2.imag, math.exp(l * a) * s])
+        return _chart(self.spec, np.array(self.base), b, a)
 
 
 def orbit_chart(spec, F, tol=1e-9):
@@ -134,96 +134,93 @@ def orbit_chart(spec, F, tol=1e-9):
     return OrbitChart(spec, tuple(float(x) for x in F), 0 if point else 2)
 
 
-def _leaf_time_candidates(spec, p, q, eps):
-    """Candidate flow times a with exp(a M^T) f_p = f_q, read off from the
-    coordinates that evolve as plain exponentials."""
-    fam = spec.family
-    out = []
+def _leaf_times(spec, pq, eps_pq):
+    """Candidate flow times a with exp(a M^T) f_p = f_q for the stacked
+    points pq = (p, q) of shape (2, N, 5), one column per coordinate that
+    evolves as a plain exponential: NaN in the rows where that coordinate is
+    unusable, and columns unusable in every row are left out.
 
-    def pure(i, rate):
-        # coordinate i scales by e^{rate a}; usable when both values are
-        # nonzero with equal sign
-        vp, vq = p[i], q[i]
-        if abs(vp) > eps and abs(vq) > eps and vp * vq > 0.0 and rate != 0.0:
-            out.append(math.log(vq / vp) / rate)
-
-    if fam == "F1":
-        pure(2, spec.lambda1)
-        pure(3, spec.lambda2)
-        pure(4, 1.0)
-    elif fam == "F2":
-        pure(2, 1.0)
-        pure(3, 1.0)
-        pure(4, spec.lam)
-    elif fam == "F3":
-        pure(3, 1.0)
-        pure(4, 1.0)
-        pure(2, spec.lam)
-    elif fam == "F4":
-        pure(2, 1.0)
-        pure(3, 1.0)
-        pure(4, 1.0)
-    elif fam == "F5":
-        pure(3, 1.0)
-        if abs(p[3]) <= eps and abs(q[3]) <= eps:
-            pure(4, 1.0)
-        pure(2, spec.lam)
-    elif fam == "F6":
-        pure(2, 1.0)
-        pure(4, spec.lam)
-        if abs(p[2]) <= eps and abs(q[2]) <= eps:
-            pure(3, 1.0)
-    elif fam == "F7":
-        pure(2, 1.0)
-        if abs(p[2]) <= eps and abs(q[2]) <= eps:
-            pure(3, 1.0)
-            if abs(p[3]) <= eps and abs(q[3]) <= eps:
-                pure(4, 1.0)
+    A coordinate is usable when it is nonzero with equal signs at both
+    points, each measured against its own point's scale, and is pure when
+    every coordinate that couples into it vanishes at both points.
+    """
+    m = _block(spec)
+    vp, vq = pq[..., 2:]
+    big_p, big_q = np.abs(pq[..., 2:]) > eps_pq[..., None]
+    usable = big_p & big_q & (vp * vq > 0.0)
+    if spec.family == "F8":
+        # (gamma, delta) rotates as one complex coordinate, handled below
+        rates = np.array([0.0, 0.0, m[2, 2]])
     else:
-        pure(4, spec.lam)
-        wp, wq = complex(p[2], p[3]), complex(q[2], q[3])
-        if abs(wp) > eps and abs(wq) > eps:
-            c = math.cos(spec.phi)
-            if abs(c) > 1e-12:
-                out.append(math.log(abs(wq) / abs(wp)) / c)
-            else:
-                # phi = pi/2: the flow is periodic in a, the principal angle
-                # is the only candidate needed
-                out.append(-cmath.phase(wq / wp))
-    return out
+        rates = m.diagonal()
+        zero = ~big_p & ~big_q
+        if m[0, 1]:
+            # gamma feeds delta
+            usable[:, 1] &= zero[:, 0]
+        if m[1, 2]:
+            # delta feeds sigma, and so does gamma when it feeds delta
+            usable[:, 2] &= zero[:, 1] & (zero[:, 0] | (m[0, 1] == 0.0))
+    usable &= rates != 0.0
+    times = np.where(usable, np.log(vq / vp) / rates, np.nan)[:, usable.any(axis=0)]
+    if spec.family != "F8":
+        return times.T
+    wp, wq = vp[:, 0] + 1j * vp[:, 1], vq[:, 0] + 1j * vq[:, 1]
+    c = math.cos(spec.phi)
+    if abs(c) > 1e-12:
+        a = np.log(np.abs(wq) / np.abs(wp)) / c
+    else:
+        # phi = pi/2: the flow is periodic in a, the principal angle is the
+        # only candidate needed
+        a = -np.angle(wq / wp)
+    ok = (np.abs(wp) > eps_pq[0]) & (np.abs(wq) > eps_pq[1])
+    return [np.where(ok, a, np.nan), *times.T]
 
 
 def same_leaf(spec, p, q, tol=1e-8):
-    """True when p and q lie on the same coadjoint orbit.
+    """True when p and q lie on the same coadjoint orbit; for (N, 5) stacks
+    of points, a boolean array with one entry per row.
 
     Solves for the flow time from a pure-exponential coordinate, then checks
     all five coordinates against the chart through p with relative
-    tolerance tol.
+    tolerance tol.  Whether a point is a point orbit, and which coordinates
+    are usable, is decided at that point's own scale.
     """
     spec.validate()
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != (5,) or q.shape != (5,):
+    if p.shape != q.shape or p.shape[-1:] != (5,) or p.ndim > 2:
         raise InvalidParams("points must have 5 coordinates")
-    scale = max(1.0, float(np.abs(p).max()), float(np.abs(q).max()))
-    eps = tol * scale
-    p_point = float(np.linalg.norm(p[2:])) <= eps
-    q_point = float(np.linalg.norm(q[2:])) <= eps
-    if p_point or q_point:
-        # point orbits: same leaf means same point
-        return p_point and q_point and bool(np.all(np.abs(p - q) <= eps))
-    if spec.family in ("F3", "F5") and spec.lam == 0.0 \
-            and max(abs(p[3]), abs(p[4])) <= eps:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _same_leaf(spec, p.reshape(-1, 5), q.reshape(-1, 5), tol)
+    return bool(out[0]) if p.ndim == 1 else out
+
+
+def _same_leaf(spec, p, q, tol):
+    pq = np.concatenate((p, q)).reshape(2, -1, 5)
+    # each point's own scale decides whether it is a point orbit and which of
+    # its coordinates count as zero
+    eps_pq = tol * np.maximum(1.0, np.abs(pq).max(axis=2))
+    eps = eps_pq.max(axis=0)
+    point = np.sqrt(np.square(pq[..., 2:]).sum(axis=2)) <= eps_pq
+    # point orbits: same leaf means same point
+    decided = point[0] | point[1]
+    out = point.all(axis=0) & (np.abs(p - q) <= eps[:, None]).all(axis=1)
+    if spec.family in ("F3", "F5") and spec.lam == 0.0:
         # frozen (gamma, 0, 0) slice: the orbit is the whole (alpha, beta)
         # plane over that gamma
-        return bool(max(abs(q[3]), abs(q[4])) <= eps and abs(p[2] - q[2]) <= eps)
-    chart = OrbitChart(spec, tuple(float(x) for x in p))
-    for a in _leaf_time_candidates(spec, p, q, eps):
-        r = chart.eval(float(q[1]), a)
+        flat = np.abs(pq[..., 3:]).max(axis=2) <= eps_pq
+        frozen = ~decided & flat[0]
+        out |= frozen & flat[1] & (np.abs(p[:, 2] - q[:, 2]) <= eps)
+        decided |= frozen
+    for a in _leaf_times(spec, pq, eps_pq):
+        if decided.all():
+            break
+        r = _chart(spec, p, q[:, 1], a)
         bound = tol * np.maximum(1.0, np.maximum(np.abs(q), np.abs(r)))
-        if np.all(np.abs(q - r) <= bound):
-            return True
-    return False
+        hit = ~decided & (np.abs(q - r) <= bound).all(axis=1)
+        out |= hit
+        decided |= hit
+    return out
 
 
 @dataclass

@@ -1,0 +1,229 @@
+"""The array kernels against their single-point calls: same_leaf and the
+equivalence maps on (N, 5) stacks give, row for row, what one point at a time
+gives, and raise for the same inputs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from md53c import foliation
+from md53c.catalog import build_algebra, default_grid, family_spec
+from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
+from md53c.errors import DomainError, InvalidParams, UnsupportedMap
+from md53c.foliation import apply_equivalence, equivalence_map, verify_classification
+
+GRID = default_grid()
+MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _zero_patterns(rng, pts, share=0.4):
+    # set (gamma, delta, sigma) entries exactly to zero in some rows, keeping
+    # at least one nonzero so every row stays on a two-dimensional orbit
+    for row in pts:
+        if rng.random() < share:
+            k = int(rng.integers(0, 3))
+            row[2 + k] = 0.0
+            if rng.random() < 0.5:
+                row[2 + (k + 1) % 3] = 0.0
+    return pts
+
+
+def _pairs(rng, spec, n):
+    """Rows of p and q that hit every same_leaf branch: chart points on one
+    orbit, alpha-shifted points, point orbits, exact zero patterns and, for
+    the half-plane families, the frozen (gamma, 0, 0) slice."""
+    p = _zero_patterns(rng, rng.uniform(0.1, 2.0, (n, 5)) * rng.choice([-1.0, 1.0], (n, 5)))
+    q = np.empty_like(p)
+    for i in range(n):
+        chart = orbit_chart(spec, p[i])
+        q[i] = chart.eval(float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        kind = rng.random()
+        if kind < 0.25:
+            q[i, 0] += rng.uniform(0.1, 1.0)
+        elif kind < 0.35:
+            p[i, 2:] = 0.0
+            if rng.random() < 0.5:
+                q[i] = p[i]
+        elif kind < 0.45:
+            p[i, 3:] = 0.0
+            q[i] = [rng.uniform(-2, 2), rng.uniform(-2, 2), p[i, 2], 0.0, 0.0]
+    return p, q
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=60, deadline=None)
+def test_stacked_same_leaf_matches_rows(seed, spec):
+    rng = np.random.default_rng(seed)
+    p, q = _pairs(rng, spec, 24)
+    for a, b in ((p, q), (q, p)):
+        got = same_leaf(spec, a, b)
+        assert got.shape == (len(a),) and got.dtype == bool
+        assert list(got) == [same_leaf(spec, x, y) for x, y in zip(a, b)]
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=60, deadline=None)
+def test_flow_words_stay_on_the_leaf(seed, spec):
+    rng = np.random.default_rng(seed)
+    sc = build_algebra(spec)
+    p = rng.uniform(-2.0, 2.0, (12, 5))
+    q = np.array([
+        coadjoint_flow(sc, f, [(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
+                               for _ in range(int(rng.integers(1, 7)))])
+        for f in p
+    ])
+    assert same_leaf(spec, p, q).all()
+    assert same_leaf(spec, q, p).all()
+    # alpha shifted well above the tolerance at the point's own scale
+    off = q.copy()
+    off[:, 0] += rng.uniform(0.1, 1.0, len(q)) * np.maximum(1.0, np.abs(q).max(axis=1))
+    assert not same_leaf(spec, p, off).any()
+    assert not same_leaf(spec, off, p).any()
+
+
+def _map_points(rng, spec, n):
+    pts = _zero_patterns(rng, rng.uniform(0.05, 2.0, (n, 5)) * rng.choice([-1.0, 1.0], (n, 5)))
+    if spec.family == "F7":
+        # rows on the seams t = z log|z| (u = 0 forward) and t = 0 (inverse)
+        z = pts[: n // 4, 2]
+        z[z == 0.0] = 0.5
+        pts[: n // 4, 3] = z * np.log(np.abs(z))
+    return pts
+
+
+@given(seeds, st.sampled_from(MAPPED))
+@settings(max_examples=60, deadline=None)
+def test_stacked_maps_match_rows(seed, spec):
+    rng = np.random.default_rng(seed)
+    emap = equivalence_map(spec)
+    pts = _map_points(rng, spec, 32)
+    for direction in ("fwd", "inv"):
+        stacked = apply_equivalence(emap, pts, direction)
+        rows = np.array([apply_equivalence(emap, p, direction) for p in pts])
+        assert stacked.shape == pts.shape
+        # vectorized and one-element transcendental loops may round apart in
+        # the last bits; the exact-zero branches must agree exactly
+        scale = np.maximum(1.0, np.abs(rows).max(axis=1, keepdims=True))
+        assert np.all(np.abs(stacked - rows) <= 1e-14 * scale)
+        assert np.array_equal(stacked == 0.0, rows == 0.0)
+    back = apply_equivalence(emap, apply_equivalence(emap, pts), "inv")
+    assert np.all(np.isfinite(back))
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=30, deadline=None)
+def test_map_errors_match_rows(seed, spec):
+    rng = np.random.default_rng(seed)
+    emap = equivalence_map(spec)
+    pts = _map_points(rng, spec, 8)
+    outside = rng.random(8) < 0.2
+    pts[outside, 2:] = 0.0
+
+    def raised(p):
+        try:
+            apply_equivalence(emap, p)
+        except (DomainError, UnsupportedMap) as e:
+            return type(e)
+        return None
+
+    # a lone point outside V raises DomainError before the map is looked up
+    halfplane = UnsupportedMap if spec.family in ("F3", "F5") and spec.lam == 0.0 else None
+    assert [raised(p) for p in pts] == [DomainError if o else halfplane for o in outside]
+    assert raised(pts) is (DomainError if outside.any() else halfplane)
+
+
+def test_stack_shapes_rejected():
+    spec = family_spec("F4")
+    emap = equivalence_map(spec)
+    with pytest.raises(InvalidParams):
+        same_leaf(spec, np.zeros((3, 5)), np.zeros((2, 5)))
+    with pytest.raises(InvalidParams):
+        same_leaf(spec, np.zeros((2, 2, 5)), np.zeros((2, 2, 5)))
+    with pytest.raises(InvalidParams):
+        apply_equivalence(emap, np.ones((3, 4)))
+    with pytest.raises(InvalidParams):
+        apply_equivalence(emap, np.ones((3, 5)), "sideways")
+    assert same_leaf(spec, np.zeros((0, 5)), np.zeros((0, 5))).shape == (0,)
+
+
+def test_f8_principal_angle_stack():
+    spec = family_spec("F8", 1.0, math.pi / 2)
+    chart = orbit_chart(spec, np.array([0.3, -0.7, 1.1, 0.4, 0.8]))
+    q = np.array([chart.eval(0.5, a) for a in (-1.4, -0.2, 0.0, 0.9, 1.5)])
+    p = np.repeat(q[:1], len(q), axis=0)
+    assert same_leaf(spec, p, q).all()
+    q[:, 0] += 0.5
+    assert not same_leaf(spec, p, q).any()
+
+
+def _scalar_classification(spec, n, seed, tol):
+    """The one-sample-at-a-time classification loop, kept as the oracle for
+    the batched check: same stream, same order, same failure entries."""
+    emap = equivalence_map(spec)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(n):
+        base = foliation._sample_base(rng, spec)
+        chart = orbit_chart(spec, base)
+        b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
+        a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
+        p, q = chart.eval(b1, a1), chart.eval(b2, a2)
+        hp = apply_equivalence(emap, p)
+        if not same_leaf(emap.target, hp, apply_equivalence(emap, q), tol):
+            failures.append({"kind": "positive", "p": list(p), "q": list(q)})
+        off = math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))
+        base2 = base.copy()
+        base2[0] += off
+        r = orbit_chart(spec, base2).eval(b3, a3)
+        if same_leaf(emap.target, hp, apply_equivalence(emap, r), tol):
+            failures.append({"kind": "negative", "p": list(p), "q": list(r)})
+        rt = base
+        for _ in range(40):
+            if foliation._roundtrip_safe(spec, rt):
+                break
+            rt = foliation._sample_base(rng, spec)
+        back = apply_equivalence(emap, apply_equivalence(emap, rt), "inv")
+        if np.abs(back - rt).max() > 1e-9 * max(1.0, np.abs(rt).max()):
+            failures.append({"kind": "roundtrip", "p": list(rt), "back": list(back)})
+    return failures
+
+
+def _assert_same_failures(got, want):
+    assert [f["kind"] for f in got] == [f["kind"] for f in want]
+    for g, w in zip(got, want):
+        for key in set(g) - {"kind"}:
+            np.testing.assert_allclose(g[key], w[key], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [s for s in MAPPED if s.family != "F4"][::3],
+                         ids=lambda s: s.label())
+def test_batched_classification_matches_scalar_loop(spec):
+    emap = equivalence_map(spec)
+    rep = verify_classification((spec, emap.target), n=30, seed=41, tol=1e-6)
+    assert rep.failures == [] == _scalar_classification(spec, 30, 41, 1e-6)
+
+
+@pytest.mark.parametrize("broken,kinds", [
+    # a forward map that drops x sends gamma != 0 pairs off their leaf
+    # (positive failures), merges gamma = 0 pairs with their alpha-shifted
+    # twins (negative failures), and never inverts (round-trip failures)
+    ("fwd", {"positive", "negative", "roundtrip"}),
+    # an inverse shifted in x fails only the round trips
+    ("inv", {"roundtrip"}),
+])
+def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkeypatch):
+    spec = family_spec("F2", 2.0)
+    fwd, inv = foliation._MAPS["F2"]
+    if broken == "fwd":
+        maps = (lambda sp, x, y, z, t, s: fwd(sp, 0.0 * x, y, z, t, s), inv)
+    else:
+        maps = (fwd, lambda sp, x, y, z, t, s: inv(sp, x + 1e-6, y, z, t, s))
+    monkeypatch.setitem(foliation._MAPS, "F2", maps)
+    rep = verify_classification((spec, family_spec("F4")), n=40, seed=5, tol=1e-6)
+    want = _scalar_classification(spec, 40, 5, 1e-6)
+    assert {f["kind"] for f in want} == kinds
+    _assert_same_failures(rep.failures, want)

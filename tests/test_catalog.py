@@ -58,6 +58,18 @@ def test_invalid_parameters(family, args):
         family_spec(family, *args)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters(bad):
+    with pytest.raises(InvalidParams):
+        family_spec("F1", bad, 2.0)
+    with pytest.raises(InvalidParams):
+        family_spec("F2", bad)
+    with pytest.raises(InvalidParams):
+        family_spec("F8", bad, 1.0)
+    with pytest.raises(InvalidParams):
+        family_spec("F8", 1.0, bad)
+
+
 def test_wrong_arity_and_unknown_family():
     with pytest.raises(InvalidParams):
         family_spec("F1", 2.0)

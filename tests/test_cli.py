@@ -123,6 +123,47 @@ def test_bad_config_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-leaf", "--tol-map"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):
+    # a NaN rank tolerance used to pass every rank check and write NaN
+    out = tmp_path / "out.json"
+    assert main(["verify-md", "--md-samples", "50", flag, value, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_finite_tolerance_from_env_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("MD53C_TOL_LEAF", "nan")
+    assert main(["catalog"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--family", "F2", "--lambda", "nan", "--point", "1,2,3,4,5"],
+    ["--family", "F8", "--lambda", "1", "--phi", "inf", "--point", "1,2,3,4,5"],
+    ["--family", "F4", "--point", "1,2,nan,4,5"],
+    ["--family", "F4", "--point", "1,2,3,4,-inf"],
+    ["--family", "F4", "--point", "1,2,3,4,5", "--word", "2:0.5,1:nan"],
+    ["--family", "F4", "--point", "1,2,3,4,5", "--eval", "inf,0.5"],
+    ["--family", "F4", "--point", "1,2,3,4,5", "--eval", "0.5,nan"],
+])
+def test_orbit_non_finite_input_rejected(extra, capsys):
+    assert main(["orbit", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_orbit_overflow_is_an_error(tmp_path, capsys):
+    # a finite input whose chart value overflows: exit 2, never NaN or
+    # Infinity in the JSON
+    out = tmp_path / "out.json"
+    args = ["orbit", "--family", "F4", "--point", "1,0,1,0,0", "--eval", "0,1000"]
+    assert main([*args, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: the result overflowed")
+
+
 def test_output_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

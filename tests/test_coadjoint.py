@@ -123,6 +123,22 @@ def test_same_leaf_basic():
     assert not same_leaf(F1_23, start, off)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_same_leaf_across_scales(steps):
+    # three X2 steps of 2.4 scale delta by about 1e9 and sigma by about 1e-3;
+    # the points differ in scale by more than 1/tol, so each point's zero
+    # tests must use its own scale, not the larger one
+    spec = family_spec("F1", -0.5, -3.0)
+    p = np.array([0.3, -0.2, 0.7, 0.5, -0.4])
+    q = coadjoint_flow(build_algebra(spec), p, [(2, 2.4)] * steps)
+    assert same_leaf(spec, p, q)
+    assert same_leaf(spec, q, p)
+    off = p.copy()
+    off[0] += 0.1
+    assert not same_leaf(spec, off, q)
+    assert not same_leaf(spec, q, off)
+
+
 def test_same_leaf_point_orbits():
     fixed = [1.0, 2.0, 0.0, 0.0, 0.0]
     assert same_leaf(F1_23, fixed, fixed)
@@ -138,6 +154,26 @@ def test_same_leaf_halfplane_slices():
         assert same_leaf(spec, p, [9.0, 4.0, 1.2, 0.0, 0.0])
         assert not same_leaf(spec, p, [9.0, 4.0, 1.3, 0.0, 0.0])
         assert not same_leaf(spec, p, [9.0, 4.0, 1.2, 0.1, 0.0])
+
+
+def test_same_leaf_conditional_candidates():
+    # a Jordan-coupled coordinate gives the flow time only where the
+    # coordinates feeding it vanish: sigma for F5(0) with delta = 0 (gamma
+    # is frozen), delta for F6 and F7 with gamma = 0, sigma for F7 with
+    # gamma = delta = 0
+    cases = [
+        (family_spec("F5", 0.0), [0.3, -0.5, 1.2, 0.0, 0.7]),
+        (family_spec("F6", 2.0), [0.3, -0.5, 0.0, 0.9, 0.0]),
+        (family_spec("F7"), [0.3, -0.5, 0.0, 0.0, -0.7]),
+        (family_spec("F7"), [0.3, -0.5, 0.0, 0.4, -0.7]),
+    ]
+    for spec, base in cases:
+        chart = orbit_chart(spec, base)
+        for a in (-1.2, 0.4, 1.5):
+            q = chart.eval(2.0, a)
+            assert same_leaf(spec, base, q) and same_leaf(spec, q, base), (spec.label(), a)
+            q[0] += 0.3
+            assert not same_leaf(spec, base, q), (spec.label(), a)
 
 
 def test_same_leaf_transitive_sample():
