@@ -7,159 +7,18 @@ K-theory and index invariant of the associated leaf-space C*-algebras with
 exact integer arithmetic.
 """
 
-from .catalog import (
-    FAMILIES,
-    FamilySpec,
-    ad2_block,
-    build_algebra,
-    default_grid,
-    family_spec,
-    jordan_signature,
-    list_catalog,
-)
-from .coadjoint import (
-    MDReport,
-    OrbitChart,
-    coadjoint_flow,
-    kirillov_form_rank,
-    md_property_check,
-    orbit_chart,
-    orbit_dimension,
-    same_leaf,
-)
-from .errors import (
-    DomainError,
-    InconsistentInput,
-    InvalidParams,
-    UnsupportedExpr,
-    UnsupportedMap,
-)
-from .foliation import (
-    CheckReport,
-    EquivalenceMap,
-    InvariantF1,
-    InvariantF2U,
-    InvariantF2W,
-    apply_equivalence,
-    equivalence_map,
-    fibration_check,
-    in_V,
-    leaf_invariant,
-    printed_u_submersion,
-    rho_apply,
-    verify_classification,
-)
-from .ktheory import (
-    AbGroup,
-    B_CROSSED,
-    B_FIBRATION,
-    CrossedByRn,
-    DELTA0_DEFAULT,
-    DisjointUnion,
-    Euclid,
-    ExtensionClass,
-    ExtReport,
-    Functions,
-    HalfLine,
-    J_DESCRIPTOR,
-    MIDDLE_DESCRIPTOR,
-    Point,
-    Product,
-    Punctured,
-    SixTermInput,
-    SixTermSolution,
-    Sphere,
-    StableFunctions,
-    ZMat,
-    descriptor_k_groups,
-    hom_kernel_cokernel,
-    index_invariant,
-    scenario_input,
-    six_term_solve,
-    smith_normal_form,
-    space_k_groups,
-)
-from .lie_core import (
-    StructureConstants,
-    ad_matrix,
-    bracket,
-    derived_subalgebra,
-    jacobi_defect,
-    mat_exp,
-    numeric_rank,
-)
+from . import catalog, coadjoint, errors, foliation, ktheory, lie_core
+from .catalog import *  # noqa: F401,F403
+from .coadjoint import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .foliation import *  # noqa: F401,F403
+from .ktheory import *  # noqa: F401,F403
+from .lie_core import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FAMILIES",
-    "FamilySpec",
-    "ad2_block",
-    "build_algebra",
-    "default_grid",
-    "family_spec",
-    "jordan_signature",
-    "list_catalog",
-    "MDReport",
-    "OrbitChart",
-    "coadjoint_flow",
-    "kirillov_form_rank",
-    "md_property_check",
-    "orbit_chart",
-    "orbit_dimension",
-    "same_leaf",
-    "DomainError",
-    "InconsistentInput",
-    "InvalidParams",
-    "UnsupportedExpr",
-    "UnsupportedMap",
-    "CheckReport",
-    "EquivalenceMap",
-    "InvariantF1",
-    "InvariantF2U",
-    "InvariantF2W",
-    "apply_equivalence",
-    "equivalence_map",
-    "fibration_check",
-    "in_V",
-    "leaf_invariant",
-    "printed_u_submersion",
-    "rho_apply",
-    "verify_classification",
-    "AbGroup",
-    "B_CROSSED",
-    "B_FIBRATION",
-    "CrossedByRn",
-    "DELTA0_DEFAULT",
-    "DisjointUnion",
-    "Euclid",
-    "ExtensionClass",
-    "ExtReport",
-    "Functions",
-    "HalfLine",
-    "J_DESCRIPTOR",
-    "MIDDLE_DESCRIPTOR",
-    "Point",
-    "Product",
-    "Punctured",
-    "SixTermInput",
-    "SixTermSolution",
-    "Sphere",
-    "StableFunctions",
-    "ZMat",
-    "descriptor_k_groups",
-    "hom_kernel_cokernel",
-    "index_invariant",
-    "scenario_input",
-    "six_term_solve",
-    "smith_normal_form",
-    "space_k_groups",
-    "StructureConstants",
-    "ad_matrix",
-    "bracket",
-    "derived_subalgebra",
-    "jacobi_defect",
-    "mat_exp",
-    "numeric_rank",
-    "__version__",
-]
+    name
+    for module in (catalog, coadjoint, errors, foliation, ktheory, lie_core)
+    for name in module.__all__
+] + ["__version__"]

@@ -5,17 +5,12 @@ Every family has basis X1..X5 with
 
     [X1, X2] = X3,   [X1, G1] = 0,   G1 = span{X3, X4, X5} commutative,
 
-and ad_X2 restricted to G1 given by the family's 3x3 matrix below.  The
-families are:
-
-    F1(l1, l2)  diag(l1, l2, 1)        l1, l2 not in {0, 1}, l1 != l2
-    F2(l)       diag(1, 1, l)          l not in {0, 1}
-    F3(l)       diag(l, 1, 1)          l != 1
-    F4          identity
-    F5(l)       [[l,0,0],[0,1,1],[0,0,1]]   l != 1
-    F6(l)       [[1,1,0],[0,1,0],[0,0,l]]   l not in {0, 1}
-    F7          [[1,1,0],[0,1,1],[0,0,1]]
-    F8(l, phi)  [[cos,-sin,0],[sin,cos,0],[0,0,l]]   l != 0, phi in (0, pi)
+and ad_X2 restricted to G1 given by the family's 3x3 matrix.  The table
+``_FAMILIES`` is the one place a family is defined: its parameters and their
+spellings, their constraints, the matrix, the catalog notes, the default-grid
+values, and the type representative its foliation maps onto (F4 for
+families 1..7, F8(1, pi/2) for family 8).  Everything else about a family is
+derived from its record.
 """
 
 import math
@@ -37,19 +32,98 @@ __all__ = [
     "jordan_signature",
 ]
 
-FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8")
 
-# which named parameters each family takes
-_PARAMS = {
-    "F1": ("lambda1", "lambda2"),
-    "F2": ("lam",),
-    "F3": ("lam",),
-    "F4": (),
-    "F5": ("lam",),
-    "F6": ("lam",),
-    "F7": (),
-    "F8": ("lam", "phi"),
+@dataclass(frozen=True)
+class _Family:
+    """One family.  The callables take the parameters in ``params`` order."""
+
+    params: tuple  # (FamilySpec attribute, JSON key and CLI flag) per parameter
+    block: object  # the ad_X2 block, as rows
+    action: str  # the block in words, for the catalog payload
+    grid: tuple  # parameter tuples of the default grid
+    allowed: object = lambda *params: True
+    constraints: str = ""  # what ``allowed`` requires, in words
+    target: tuple = ("F4",)  # family and parameters of the type representative
+    # at lambda = 0 the leaves are half-planes and the map onto the
+    # representative, which uses the exponent 1/lambda, has no formula
+    halfplane: bool = False
+
+
+_FAMILIES = {
+    "F1": _Family(
+        params=(("lambda1", "lambda1"), ("lambda2", "lambda2")),
+        block=lambda l1, l2: np.diag([l1, l2, 1.0]),
+        action="diag(lambda1, lambda2, 1)",
+        grid=((-2.0, 3.0), (0.5, 2.0), (-0.5, -3.0)),
+        allowed=lambda l1, l2: l1 not in (0.0, 1.0) and l2 not in (0.0, 1.0) and l1 != l2,
+        constraints="lambda1, lambda2 outside {0, 1} and distinct",
+    ),
+    "F2": _Family(
+        params=(("lam", "lambda"),),
+        block=lambda lam: np.diag([1.0, 1.0, lam]),
+        action="diag(1, 1, lambda)",
+        grid=tuple((lam,) for lam in (-2.0, -0.5, 0.5, 2.0, 3.0)),
+        allowed=lambda lam: lam not in (0.0, 1.0),
+        constraints="lambda outside {0, 1}",
+    ),
+    "F3": _Family(
+        params=(("lam", "lambda"),),
+        block=lambda lam: np.diag([lam, 1.0, 1.0]),
+        action="diag(lambda, 1, 1)",
+        grid=tuple((lam,) for lam in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0)),
+        allowed=lambda lam: lam != 1.0,
+        constraints="lambda != 1 (zero allowed)",
+        halfplane=True,
+    ),
+    "F4": _Family(params=(), block=lambda: np.eye(3), action="identity", grid=((),)),
+    "F5": _Family(
+        params=(("lam", "lambda"),),
+        block=lambda lam: [[lam, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+        action="diag(lambda, 1, 1) with a nilpotent unit above the repeated 1",
+        grid=tuple((lam,) for lam in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0)),
+        allowed=lambda lam: lam != 1.0,
+        constraints="lambda != 1",
+        halfplane=True,
+    ),
+    "F6": _Family(
+        params=(("lam", "lambda"),),
+        block=lambda lam: [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, lam]],
+        action="diag(1, 1, lambda) with a nilpotent unit above the repeated 1",
+        grid=tuple((lam,) for lam in (-2.0, -0.5, 0.5, 2.0, 3.0)),
+        allowed=lambda lam: lam not in (0.0, 1.0),
+        constraints="lambda outside {0, 1}",
+    ),
+    "F7": _Family(
+        params=(),
+        block=lambda: [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+        action="full 3x3 Jordan block at 1",
+        grid=((),),
+    ),
+    "F8": _Family(
+        params=(("lam", "lambda"), ("phi", "phi")),
+        block=lambda lam, phi: [[math.cos(phi), -math.sin(phi), 0.0],
+                                [math.sin(phi), math.cos(phi), 0.0],
+                                [0.0, 0.0, lam]],
+        action="rotation by phi on the first two coordinates, lambda on the third",
+        grid=tuple((lam, phi) for lam in (-1.0, 1.0, 2.0)
+                   for phi in (math.pi / 6, math.pi / 2, 3 * math.pi / 4)),
+        allowed=lambda lam, phi: lam != 0.0 and 0.0 < phi < math.pi,
+        constraints="lambda != 0, phi strictly between 0 and pi",
+        target=("F8", 1.0, math.pi / 2),
+    ),
 }
+
+FAMILIES = tuple(_FAMILIES)
+
+# every parameter attribute with its JSON key and CLI flag, in a fixed order
+_SPELLING = {attr: key for fam in _FAMILIES.values() for attr, key in fam.params}
+
+
+def _family(name):
+    fam = _FAMILIES.get(name)
+    if fam is None:
+        raise InvalidParams(f"unknown family {name!r}")
+    return fam
 
 
 @dataclass(frozen=True)
@@ -64,44 +138,36 @@ class FamilySpec:
     phi: float = None
 
     def validate(self):
-        if self.family not in FAMILIES:
-            raise InvalidParams(f"unknown family {self.family!r}")
-        want = _PARAMS[self.family]
-        for name in ("lambda1", "lambda2", "lam", "phi"):
-            have = getattr(self, name) is not None
-            if have != (name in want):
-                verb = "missing" if name in want else "unexpected"
-                raise InvalidParams(f"{self.family}: {verb} parameter {name}")
-        if not all(math.isfinite(v) for v in self.params()):
+        fam = _family(self.family)
+        want = dict(fam.params)
+        for attr, key in _SPELLING.items():
+            if (getattr(self, attr) is not None) != (attr in want):
+                verb = "missing" if attr in want else "unexpected"
+                raise InvalidParams(f"{self.family}: {verb} parameter {key}")
+        params = self.params()
+        if not all(math.isfinite(v) for v in params):
             raise InvalidParams(f"{self.family}: parameters must be finite")
-        f = self.family
-        if f == "F1":
-            if self.lambda1 in (0.0, 1.0) or self.lambda2 in (0.0, 1.0):
-                raise InvalidParams("F1 requires lambda1, lambda2 outside {0, 1}")
-            if self.lambda1 == self.lambda2:
-                raise InvalidParams("F1 requires lambda1 != lambda2")
-        elif f in ("F2", "F6") and self.lam in (0.0, 1.0):
-            raise InvalidParams(f"{f} requires lambda outside {{0, 1}}")
-        elif f in ("F3", "F5") and self.lam == 1.0:
-            raise InvalidParams(f"{f} requires lambda != 1")
-        elif f == "F8":
-            if self.lam == 0.0:
-                raise InvalidParams("F8 requires lambda != 0")
-            if not 0.0 < self.phi < math.pi:
-                raise InvalidParams("F8 requires phi strictly inside (0, pi)")
+        if not fam.allowed(*params):
+            raise InvalidParams(f"{self.family} requires {fam.constraints}")
         return self
 
+    @property
+    def is_halfplane(self):
+        """True for the members whose leaves are half-planes (F3 and F5 at
+        lambda = 0), which no equivalence map covers."""
+        return _FAMILIES[self.family].halfplane and self.lam == 0.0
+
     def params(self):
-        return tuple(getattr(self, n) for n in _PARAMS[self.family])
+        return tuple(getattr(self, attr) for attr, _ in _FAMILIES[self.family].params)
 
     def label(self):
-        if not _PARAMS[self.family]:
+        if not _FAMILIES[self.family].params:
             return self.family
         return f"{self.family}({', '.join(f'{v:g}' for v in self.params())})"
 
     def to_json(self):
         out = {"family": self.family}
-        for attr, key in (("lambda1", "lambda1"), ("lambda2", "lambda2"), ("lam", "lambda"), ("phi", "phi")):
+        for attr, key in _SPELLING.items():
             v = getattr(self, attr)
             if v is not None:
                 out[key] = float(v)
@@ -109,13 +175,7 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, d):
-        return family_spec(
-            d["family"],
-            lambda1=d.get("lambda1"),
-            lambda2=d.get("lambda2"),
-            lam=d.get("lambda"),
-            phi=d.get("phi"),
-        )
+        return family_spec(d["family"], **{attr: d.get(key) for attr, key in _SPELLING.items()})
 
 
 def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
@@ -124,43 +184,25 @@ def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
     Positional parameters follow the family signature:
     family_spec("F1", -2, 3), family_spec("F6", 0.5), family_spec("F8", 2, math.pi/6).
     """
+    given = {"lambda1": lambda1, "lambda2": lambda2, "lam": lam, "phi": phi}
     if args:
-        names = _PARAMS.get(family, ())
+        names = [attr for attr, _ in _family(family).params]
         if len(args) != len(names):
             raise InvalidParams(f"{family} takes {len(names)} parameter(s), got {len(args)}")
-        given = dict(zip(names, args))
-        lambda1 = given.get("lambda1", lambda1)
-        lambda2 = given.get("lambda2", lambda2)
-        lam = given.get("lam", lam)
-        phi = given.get("phi", phi)
+        given.update(zip(names, args))
+    given = {k: None if v is None else float(v) for k, v in given.items()}
+    return FamilySpec(family, **given).validate()
 
-    def as_float(v):
-        return None if v is None else float(v)
 
-    fs = FamilySpec(family, as_float(lambda1), as_float(lambda2), as_float(lam), as_float(phi))
-    return fs.validate()
+def _representative(family):
+    """The type representative that the family's foliation maps onto."""
+    return family_spec(*_FAMILIES[family].target)
 
 
 def ad2_block(spec):
     """The 3x3 matrix of ad_X2 on the derived ideal span{X3, X4, X5}."""
     spec.validate()
-    f = spec.family
-    if f == "F1":
-        return np.diag([spec.lambda1, spec.lambda2, 1.0])
-    if f == "F2":
-        return np.diag([1.0, 1.0, spec.lam])
-    if f == "F3":
-        return np.diag([spec.lam, 1.0, 1.0])
-    if f == "F4":
-        return np.eye(3)
-    if f == "F5":
-        return np.array([[spec.lam, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    if f == "F6":
-        return np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, spec.lam]])
-    if f == "F7":
-        return np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    c, s = math.cos(spec.phi), math.sin(spec.phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, spec.lam]])
+    return np.array(_FAMILIES[spec.family].block(*spec.params()), dtype=float)
 
 
 def build_algebra(spec):
@@ -177,23 +219,7 @@ def build_algebra(spec):
 
 def default_grid():
     """The fixed verification grid used by the batch checks and the CLI."""
-    grid = []
-    for l1, l2 in ((-2.0, 3.0), (0.5, 2.0), (-0.5, -3.0)):
-        grid.append(family_spec("F1", l1, l2))
-    for lam in (-2.0, -0.5, 0.5, 2.0, 3.0):
-        grid.append(family_spec("F2", lam))
-    for lam in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0):
-        grid.append(family_spec("F3", lam))
-    grid.append(family_spec("F4"))
-    for lam in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0):
-        grid.append(family_spec("F5", lam))
-    for lam in (-2.0, -0.5, 0.5, 2.0, 3.0):
-        grid.append(family_spec("F6", lam))
-    grid.append(family_spec("F7"))
-    for lam in (-1.0, 1.0, 2.0):
-        for phi in (math.pi / 6, math.pi / 2, 3 * math.pi / 4):
-            grid.append(family_spec("F8", lam, phi))
-    return grid
+    return [family_spec(name, *params) for name, fam in _FAMILIES.items() for params in fam.grid]
 
 
 def list_catalog(grid=None):

@@ -205,7 +205,7 @@ def _same_leaf(spec, p, q, tol):
     # point orbits: same leaf means same point
     decided = point[0] | point[1]
     out = point.all(axis=0) & (np.abs(p - q) <= eps[:, None]).all(axis=1)
-    if spec.family in ("F3", "F5") and spec.lam == 0.0:
+    if spec.is_halfplane:
         # frozen (gamma, 0, 0) slice: the orbit is the whole (alpha, beta)
         # plane over that gamma
         flat = np.abs(pq[..., 3:]).max(axis=2) <= eps_pq

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "InvalidParams",
+    "DomainError",
+    "UnsupportedMap",
+    "InconsistentInput",
+    "UnsupportedExpr",
+]
+
 
 class InvalidParams(ValueError):
     """Family parameters violate the catalog constraints."""

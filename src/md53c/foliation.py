@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import family_spec
+from .catalog import _representative, family_spec
 from .coadjoint import _chart, orbit_chart, same_leaf
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
@@ -251,19 +251,33 @@ def _h8_inv(spec, x, y, z, t, s):
     return (x0, y, w.real, w.imag, _pw_inv(s, spec.lam))
 
 
+def _h8_seams(spec, z, t, s):
+    # w and s, then the distances of arg w and of the image angle from the
+    # principal-argument cut at pi, the latter read as 0 when the image angle
+    # lies past the cut; log|w| is read as 0 at w = 0, where the first
+    # quantity already fails
+    w = complex(z, t)
+    arg = cmath.phase(w)
+    th2 = (complex(math.log(abs(w) or 1.0), arg) * (-1j * cmath.exp(1j * spec.phi))).imag
+    return (abs(w), s, math.pi - abs(arg), max(0.0, math.pi - abs(th2)))
+
+
 def _h4_id(spec, x, y, z, t, s):
     return (x, y, z, t, s)
 
 
+# Per family: the forward map, its inverse, and the quantities of a point
+# (z, t, s) that vanish on the seams of the maps' piecewise branches.
 _MAPS = {
-    "F1": (_h1_fwd, _h1_inv),
-    "F2": (_h2_fwd, _h2_inv),
-    "F3": (_h3_fwd, _h3_inv),
-    "F4": (_h4_id, _h4_id),
-    "F5": (_h5_fwd, _h5_inv),
-    "F6": (_h6_fwd, _h6_inv),
-    "F7": (_h7_fwd, _h7_inv),
-    "F8": (_h8_fwd, _h8_inv),
+    "F1": (_h1_fwd, _h1_inv, lambda spec, z, t, s: (z, t)),
+    "F2": (_h2_fwd, _h2_inv, lambda spec, z, t, s: (s,)),
+    "F3": (_h3_fwd, _h3_inv, lambda spec, z, t, s: (z,)),
+    "F4": (_h4_id, _h4_id, lambda spec, z, t, s: ()),
+    "F5": (_h5_fwd, _h5_inv, lambda spec, z, t, s: (z, t)),
+    "F6": (_h6_fwd, _h6_inv, lambda spec, z, t, s: (z, s)),
+    # u = t - z log|z| is the straightened t of h7 (log|z| read as 0 at z = 0)
+    "F7": (_h7_fwd, _h7_inv, lambda spec, z, t, s: (z, t, t - z * math.log(abs(z) or 1.0))),
+    "F8": (_h8_fwd, _h8_inv, _h8_seams),
 }
 
 
@@ -277,20 +291,13 @@ class EquivalenceMap:
 
     @property
     def name(self):
-        n = self.source.family[1]
-        params = self.source.params()
-        if not params:
-            return f"h{n}"
-        return f"h{n}({', '.join(f'{v:g}' for v in params)})"
+        # h1(-2, 3) for the map of F1(-2, 3)
+        return "h" + self.source.label()[1:]
 
 
 def equivalence_map(spec):
     spec.validate()
-    if spec.family == "F8":
-        target = family_spec("F8", 1.0, math.pi / 2)
-    else:
-        target = family_spec("F4")
-    return EquivalenceMap(spec, target)
+    return EquivalenceMap(spec, _representative(spec.family))
 
 
 def apply_equivalence(emap, p, direction="fwd"):
@@ -302,14 +309,14 @@ def apply_equivalence(emap, p, direction="fwd"):
     if not np.all(in_V(p)):
         raise DomainError("point lies outside V: (z, t, s) = 0")
     src = emap.source
-    if src.family in ("F3", "F5") and src.lam == 0.0:
+    if src.is_halfplane:
         raise UnsupportedMap(
             f"{emap.name} has no printed formula at lambda = 0; those leaves are "
             "half-planes and are compared by invariants directly"
         )
     if direction not in ("fwd", "inv"):
         raise InvalidParams("direction must be 'fwd' or 'inv'")
-    fwd, inv = _MAPS[src.family]
+    fwd, inv, _ = _MAPS[src.family]
     fn = fwd if direction == "fwd" else inv
     out = np.empty_like(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -386,30 +393,9 @@ def _sample_base(rng, spec):
 
 
 def _roundtrip_safe(spec, p):
-    # keep every piecewise-branch quantity at least 1e-3 from its boundary
+    # keep every seam quantity of the family's maps at least 1e-3 from zero
     _, _, z, t, s = (float(v) for v in p)
-    m = 1e-3
-    fam = spec.family
-    if fam == "F1":
-        return abs(z) >= m and abs(t) >= m
-    if fam == "F2":
-        return abs(s) >= m
-    if fam in ("F3", "F4"):
-        return fam == "F4" or abs(z) >= m
-    if fam == "F5":
-        return abs(z) >= m and abs(t) >= m
-    if fam == "F6":
-        return abs(z) >= m and abs(s) >= m
-    if fam == "F7":
-        return abs(z) >= m and abs(t) >= m and abs(t - z * math.log(abs(z))) >= m
-    w = complex(z, t)
-    if abs(w) < m or abs(s) < m:
-        return False
-    if abs(cmath.phase(w)) > math.pi - m:
-        return False
-    mm = -1j * cmath.exp(1j * spec.phi)
-    th2 = (complex(math.log(abs(w)), cmath.phase(w)) * mm).imag
-    return abs(th2) <= math.pi - m
+    return all(abs(q) >= 1e-3 for q in _MAPS[spec.family][2](spec, z, t, s))
 
 
 def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
@@ -505,7 +491,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
         return rep
     if kind != "F2":
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
-    spec = family_spec("F8", 1.0, math.pi / 2)
+    spec = _representative("F8")
     rep = CheckReport("fibration-F2", spec.label(), "rho-action on V",
                       int(n), int(seed), float(tol))
     for _ in range(int(n)):

@@ -246,14 +246,17 @@ def smith_normal_form(m):
     return ZMat(r, c, a), ZMat(r, r, u), ZMat(c, c, v)
 
 
+def _smith_data(m):
+    # kernel, cokernel and nonzero invariant factors of m: everything the
+    # solvers read off one Smith form
+    d, _, _ = smith_normal_form(m)
+    factors = tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+    return AbGroup(m.cols - len(factors)), AbGroup(m.rows - len(factors), _chain(factors)), factors
+
+
 def hom_kernel_cokernel(m):
     """Kernel and cokernel of the map Z^cols -> Z^rows given by m."""
-    d, _, _ = smith_normal_form(m)
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-    rank = sum(1 for x in diag if x)
-    ker = AbGroup(m.cols - rank)
-    coker = AbGroup(m.rows - rank, _chain(x for x in diag if x))
-    return ker, coker
+    return _smith_data(m)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +335,6 @@ def space_k_groups(x):
     if isinstance(x, Sphere):
         return (AbGroup(2), AbGroup(0)) if x.n % 2 == 0 else (AbGroup(1), AbGroup(1))
     if isinstance(x, Punctured):
-        if x.n == 1:
-            return space_k_groups(Product(Sphere(0), Euclid(1)))
         return space_k_groups(Product(Sphere(x.n - 1), Euclid(1)))
     if isinstance(x, Product):
         a0, a1 = space_k_groups(x.a)
@@ -452,16 +453,17 @@ class SixTermSolution:
         }
 
 
-def _mat_rank(m):
-    d, _, _ = smith_normal_form(m)
-    return sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-
-
 def six_term_solve(inp):
     """Middle K-groups of the cyclic six-term sequence with the given corner
     groups and connecting maps: K0 = coker(delta1) + ker(delta0) and K1 =
     coker(delta0) + ker(delta1) (the quotients by free subgroups split).
     An expected middle, when supplied, is enforced."""
+    return _six_term(inp)[0]
+
+
+def _six_term(inp):
+    # the solution plus the Smith data of delta0 and delta1, one Smith form
+    # per connecting map
     for g in (inp.k0_j, inp.k1_j, inp.k0_b, inp.k1_b):
         if not g.is_free:
             raise UnsupportedExpr("six-term solver requires free corner groups")
@@ -469,11 +471,11 @@ def six_term_solve(inp):
         raise InvalidParams("delta0 shape must be rank K1(J) x rank K0(B)")
     if inp.delta1.rows != inp.k0_j.free_rank or inp.delta1.cols != inp.k1_b.free_rank:
         raise InvalidParams("delta1 shape must be rank K0(J) x rank K1(B)")
-    ker0, cok0 = hom_kernel_cokernel(inp.delta0)
-    ker1, cok1 = hom_kernel_cokernel(inp.delta1)
+    smith0, smith1 = _smith_data(inp.delta0), _smith_data(inp.delta1)
+    (ker0, cok0, f0), (ker1, cok1, f1) = smith0, smith1
     k0_mid = cok1.direct_sum(ker0)
     k1_mid = cok0.direct_sum(ker1)
-    r0, r1 = _mat_rank(inp.delta0), _mat_rank(inp.delta1)
+    r0, r1 = len(f0), len(f1)
     cert = [
         {"node": "K0(B)", "relation": "rank K0(B) = rank ker(delta0) + rank im(delta0)",
          "residual": inp.k0_b.free_rank - ker0.free_rank - r0},
@@ -497,7 +499,7 @@ def six_term_solve(inp):
                 f"middle K-groups ({k0_mid}, {k1_mid}) contradict the known "
                 f"middle ({e0}, {e1})"
             )
-    return SixTermSolution(inp, k0_mid, k1_mid, cert)
+    return SixTermSolution(inp, k0_mid, k1_mid, cert), smith0, smith1
 
 
 @dataclass
@@ -527,11 +529,6 @@ class ExtReport:
         }
 
 
-def _invariant_factors(m):
-    d, _, _ = smith_normal_form(m)
-    return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-
-
 def index_invariant(J, B, delta0, delta1, middle=None):
     """The class of the extension 0 -> J -> A -> B -> 0 in Ext(B, J).
 
@@ -542,15 +539,20 @@ def index_invariant(J, B, delta0, delta1, middle=None):
     """
     j0, j1 = descriptor_k_groups(J)
     b0, b1 = descriptor_k_groups(B)
+    return _ext_class(SixTermInput(j0, j1, b0, b1, delta0, delta1, expected_middle=middle))[0]
+
+
+def _ext_class(inp):
+    # index_invariant on a six-term input, returned with the six-term
+    # solution it solved on the way
+    j0, j1, b0, b1 = inp.k0_j, inp.k1_j, inp.k0_b, inp.k1_b
     for g in (j0, j1, b0, b1):
         if not g.is_free:
             raise UnsupportedExpr("Ext decomposition requires free corner K-groups")
     ext_group = AbGroup(b0.free_rank * j1.free_rank + b1.free_rank * j0.free_rank)
-    inp = SixTermInput(j0, j1, b0, b1, delta0, delta1, expected_middle=middle)
-    sol = six_term_solve(inp)
+    sol, (_, cok0, f0), (_, cok1, f1) = _six_term(inp)
     consistency = list(sol.certificate)
-    for name, cok in (("delta0", hom_kernel_cokernel(delta0)[1]),
-                      ("delta1", hom_kernel_cokernel(delta1)[1])):
+    for name, cok in (("delta0", cok0), ("delta1", cok1)):
         if not cok.is_free:
             raise InconsistentInput(
                 f"coker({name}) = {cok} has torsion, but it must embed in a free "
@@ -560,9 +562,7 @@ def index_invariant(J, B, delta0, delta1, middle=None):
                             "relation": f"coker({name}) torsion-free", "residual": 0})
     corners = {"K0(J)": j0, "K1(J)": j1, "K0(B)": b0, "K1(B)": b1,
                "K0(middle)": sol.k0_mid, "K1(middle)": sol.k1_mid}
-    return ExtReport(ext_group, delta0, delta1,
-                     _invariant_factors(delta0), _invariant_factors(delta1),
-                     corners, consistency)
+    return ExtReport(ext_group, inp.delta0, inp.delta1, f0, f1, corners, consistency), sol
 
 
 # ---------------------------------------------------------------------------

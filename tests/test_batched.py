@@ -2,6 +2,7 @@
 equivalence maps on (N, 5) stacks give, row for row, what one point at a time
 gives, and raise for the same inputs."""
 
+import cmath
 import math
 
 import numpy as np
@@ -217,13 +218,53 @@ def test_batched_classification_matches_scalar_loop(spec):
 ])
 def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkeypatch):
     spec = family_spec("F2", 2.0)
-    fwd, inv = foliation._MAPS["F2"]
+    fwd, inv, seams = foliation._MAPS["F2"]
     if broken == "fwd":
-        maps = (lambda sp, x, y, z, t, s: fwd(sp, 0.0 * x, y, z, t, s), inv)
+        maps = (lambda sp, x, y, z, t, s: fwd(sp, 0.0 * x, y, z, t, s), inv, seams)
     else:
-        maps = (fwd, lambda sp, x, y, z, t, s: inv(sp, x + 1e-6, y, z, t, s))
+        maps = (fwd, lambda sp, x, y, z, t, s: inv(sp, x + 1e-6, y, z, t, s), seams)
     monkeypatch.setitem(foliation._MAPS, "F2", maps)
     rep = verify_classification((spec, family_spec("F4")), n=40, seed=5, tol=1e-6)
     want = _scalar_classification(spec, 40, 5, 1e-6)
     assert {f["kind"] for f in want} == kinds
     _assert_same_failures(rep.failures, want)
+
+
+def _branch_safe_oracle(spec, p):
+    """The per-family margin rule that _roundtrip_safe replaced, kept as its
+    reference: every branch quantity at least 1e-3 from its boundary."""
+    _, _, z, t, s = (float(v) for v in p)
+    m = 1e-3
+    fam = spec.family
+    if fam in ("F1", "F5"):
+        return abs(z) >= m and abs(t) >= m
+    if fam == "F2":
+        return abs(s) >= m
+    if fam == "F3":
+        return abs(z) >= m
+    if fam == "F4":
+        return True
+    if fam == "F6":
+        return abs(z) >= m and abs(s) >= m
+    if fam == "F7":
+        return abs(z) >= m and abs(t) >= m and abs(t - z * math.log(abs(z))) >= m
+    w = complex(z, t)
+    if abs(w) < m or abs(s) < m or abs(cmath.phase(w)) > math.pi - m:
+        return False
+    th2 = (complex(math.log(abs(w)), cmath.phase(w)) * (-1j * cmath.exp(1j * spec.phi))).imag
+    return abs(th2) <= math.pi - m
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_margin_matches_oracle(seed, spec):
+    # points on, near and away from every seam, the principal-argument cuts
+    # included, and |w| from 1e-6 to 1e6 so the image angle of family 8
+    # passes its cut
+    rng = np.random.default_rng(seed)
+    pts = _map_points(rng, spec, 64)
+    pts[::3, 2:] *= rng.choice([1e-3, 1.0005e-3, 0.9995e-3, 1e-6, 1e6], (len(pts[::3]), 3))
+    angle = rng.uniform(math.pi - 3e-3, math.pi, 16) * rng.choice([-1.0, 1.0], 16)
+    pts[-16:, 2], pts[-16:, 3] = np.cos(angle), np.sin(angle)
+    for p in pts:
+        assert foliation._roundtrip_safe(spec, p) == _branch_safe_oracle(spec, p), list(p)

@@ -51,6 +51,8 @@ def test_default_grid_shape():
         ("F8", (0.0, 1.0)),
         ("F8", (1.0, 0.0)),
         ("F8", (1.0, math.pi)),  # phi is strictly interior
+        ("F1", (2.0, 1.0)),  # the constraints on lambda2
+        ("F1", (2.0, 0.0)),
     ],
 )
 def test_invalid_parameters(family, args):
@@ -77,6 +79,26 @@ def test_wrong_arity_and_unknown_family():
         family_spec("F4", 1.0)
     with pytest.raises(InvalidParams):
         family_spec("F9")
+
+
+def test_parameter_errors_name_what_the_user_types():
+    # an unknown family is named as such, with or without parameters
+    for args in ((), (1.0,)):
+        with pytest.raises(InvalidParams, match="unknown family 'F9'"):
+            family_spec("F9", *args)
+    # the single eigenvalue is the attribute lam, but the JSON key and the
+    # CLI flag are both "lambda"
+    with pytest.raises(InvalidParams, match="F2: missing parameter lambda$"):
+        family_spec("F2")
+    with pytest.raises(InvalidParams, match="F4: unexpected parameter lambda$"):
+        family_spec("F4", lam=1.0)
+    with pytest.raises(InvalidParams, match="F8: missing parameter phi$"):
+        FamilySpec.from_json({"family": "F8", "lambda": 1.0})
+
+
+def test_is_halfplane_on_the_grid():
+    assert [s.label() for s in default_grid() if s.is_halfplane] == ["F3(0)", "F5(0)"]
+    assert not family_spec("F3", 0.5).is_halfplane
 
 
 def test_printed_matrices():

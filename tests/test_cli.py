@@ -164,6 +164,34 @@ def test_orbit_overflow_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: the result overflowed")
 
 
+def test_orbit_underflow_is_an_error(tmp_path, capsys):
+    # the flow underflows (gamma, delta, sigma) to zero; a plane orbit cannot
+    # flow to a point orbit, so this is an error, not "left the leaf"
+    out = tmp_path / "out.json"
+    args = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
+            "--point", "1,0,1,0,0", "--word", "2:1000"]
+    assert main([*args, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: the flow left the floating-point range")
+
+
+def test_missing_parameter_names_the_flag(capsys):
+    assert main(["orbit", "--family", "F2", "--point", "0,0,1,0,0"]) == 2
+    assert capsys.readouterr().err == "error: F2: missing parameter lambda\n"
+
+
+def test_flow_failures_are_all_counted(tmp_path, monkeypatch):
+    # every flow sample is counted, not the first 20 per family
+    monkeypatch.setattr("md53c.cli.same_leaf", lambda *args, **kwargs: False)
+    code, doc = run_json(["verify-claims", "--samples", "30", "--md-samples", "300"], tmp_path)
+    assert code == 1
+    claim = next(c for c in doc["claims"] if c["id"] == "orbit-closed-forms")
+    assert claim["status"] == "failed"
+    assert claim["evidence"]["failures"] == 8 * 30
+    line = {"claim": "orbit-closed-forms", "detail": "240 flow/chart mismatches"}
+    assert line in doc["failures"]
+
+
 def test_output_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
