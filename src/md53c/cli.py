@@ -72,6 +72,8 @@ class RunConfig:
     format: str = "json"
 
     def validate(self):
+        if self.seed < 0:
+            raise InvalidParams("seed must be >= 0")
         if self.samples < 1 or self.md_samples < 1:
             raise InvalidParams("samples must be >= 1")
         tols = (self.tol_rank, self.tol_leaf, self.tol_map)
@@ -282,16 +284,18 @@ def cmd_ktheory(config, args):
 
 
 def _flow_consistency_failures(spec, n, seed, tol):
-    """How many of n random flow words of <= 6 steps leave the starting leaf."""
+    """How many of n random flow words of <= 6 steps leave the starting leaf:
+    every word is drawn and flowed, then all are tested in one call."""
     rng = np.random.default_rng(seed)
     sc = build_algebra(spec)
-    failures = 0
+    start, end = [], []
     for _ in range(int(n)):
-        F = rng.uniform(-2.0, 2.0, 5)
+        start.append(rng.uniform(-2.0, 2.0, 5))
         word = [(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
                 for _ in range(int(rng.integers(1, 7)))]
-        failures += not same_leaf(spec, F, coadjoint_flow(sc, F, word), tol=tol)
-    return failures
+        end.append(coadjoint_flow(sc, start[-1], word))
+    stay = same_leaf(spec, np.array(start), np.array(end), tol=tol)
+    return int(n) - np.count_nonzero(stay)
 
 
 def cmd_verify_claims(config, args):
@@ -621,8 +625,11 @@ def _emit(payload, config):
     if config.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InvalidParams(f"cannot write {config.output}: {e.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -704,19 +711,17 @@ def main(argv=None):
                            output=args.output, format=args.format)
         config.validate()
         # an overflow surfaces as a non-finite payload value, which _emit
-        # reports as an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            payload, code = _DISPATCH[args.command](config, args)
+        # reports as an error; inconsistent input is reported in the payload
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                payload, code = _DISPATCH[args.command](config, args)
+        except InconsistentInput as e:
+            payload, code = {"error": str(e)}, 1
         _emit({"schema": 1, "command": args.command,
                "config": config.to_json(), **payload}, config)
     except (InvalidParams, DomainError, UnsupportedMap, UnsupportedExpr) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except InconsistentInput as e:
-        payload = {"schema": 1, "command": args.command, "error": str(e),
-                   "config": config.to_json()}
-        _emit(payload, config)
-        return 1
     return int(code)
 
 

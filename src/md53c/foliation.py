@@ -9,7 +9,7 @@ against the family-4 representative, type-two (family 8) against F8(1, pi/2).
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,8 @@ def in_V(p):
 
 
 def _rel_ok(a, b, tol):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    # elementwise, for real or complex values and arrays of them
+    return np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class InvariantF1:
     def approx_eq(self, other, tol=1e-8):
         if not isinstance(other, InvariantF1):
             return False
-        return _rel_ok(self.c, other.c, tol) and all(
+        return bool(_rel_ok(self.c, other.c, tol)) and all(
             abs(a - b) <= tol for a, b in zip(self.u, other.u)
         )
 
@@ -74,11 +75,8 @@ class InvariantF2U:
     def approx_eq(self, other, tol=1e-8):
         if not isinstance(other, InvariantF2U):
             return False
-        return (
-            self.eps == other.eps
-            and _rel_ok(self.c, other.c, tol)
-            and abs(self.w - other.w) <= tol * max(1.0, abs(self.w), abs(other.w))
-        )
+        return self.eps == other.eps and bool(
+            _rel_ok(self.c, other.c, tol) & _rel_ok(self.w, other.w, tol))
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class InvariantF2W:
     def approx_eq(self, other, tol=1e-8):
         if not isinstance(other, InvariantF2W):
             return False
-        return _rel_ok(self.c, other.c, tol) and _rel_ok(self.r, other.r, tol)
+        return bool(_rel_ok(self.c, other.c, tol) & _rel_ok(self.r, other.r, tol))
 
 
 def leaf_invariant(kind, p):
@@ -127,18 +125,13 @@ def printed_u_submersion(p):
 
 def rho_apply(g, p):
     """The abelian R^2-action rho((r,a), (x,y,z+it,s)) =
-    (x - (sin a) z - (1 - cos a) t, y + r, (z+it)e^{-ia}, e^a s)."""
-    r, a = float(g[0]), float(g[1])
-    p = np.asarray(p, dtype=float)
-    x, y, z, t, s = (float(v) for v in p)
-    w = complex(z, t) * cmath.exp(-1j * a)
-    return np.array([
-        x - math.sin(a) * z - (1.0 - math.cos(a)) * t,
-        y + r,
-        w.real,
-        w.imag,
-        math.exp(a) * s,
-    ])
+    (x - (sin a) z - (1 - cos a) t, y + r, (z+it)e^{-ia}, e^a s), for one
+    group element g and point p, or row by row for (N, 2) and (N, 5) stacks."""
+    r, a = np.moveaxis(np.asarray(g, dtype=float), -1, 0)
+    x, y, z, t, s = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    c, sn = np.cos(a), np.sin(a)
+    return np.stack([x - sn * z - (1.0 - c) * t, y + r, c * z + sn * t, c * t - sn * z,
+                     np.exp(a) * s], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +340,7 @@ class CheckReport:
         return not self.failures
 
     def to_json(self):
-        return {
-            "check": self.check,
-            "source": self.source,
-            "target": self.target,
-            "n": self.n,
-            "seed": self.seed,
-            "tol": self.tol,
-            "ok": self.ok,
-            "failures": self.failures,
-            "discrepancies": self.discrepancies,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 _AMAX = 1.5  # chart-parameter sweep, matching the flow-word time range
@@ -398,6 +381,37 @@ def _roundtrip_safe(spec, p):
     return all(abs(q) >= 1e-3 for q in _MAPS[spec.family][2](spec, z, t, s))
 
 
+def _draw_pairs(rng, spec, n, extra):
+    """Draw n samples, each in a fixed stream order: a base point, b1..b3,
+    a1..a3, the alpha offset, then extra(rng, base).  Returns, one row per
+    sample, the chart points p at (b1, a1) and q at (b2, a2) on the base's
+    orbit, r at (b3, a3) on the alpha-shifted orbit, and the extras."""
+    if int(n) < 1:
+        # a check over no samples would pass vacuously
+        raise InvalidParams("n must be >= 1")
+    bases, bs, avals, offs, extras = [], [], [], [], []
+    for _ in range(int(n)):
+        bases.append(_sample_base(rng, spec))
+        bs.append(rng.uniform(-2.0, 2.0, 3))
+        avals.append(rng.uniform(-_AMAX, _AMAX, 3))
+        offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
+        extras.append(extra(rng, bases[-1]))
+    # _sample_base never returns a point orbit, so every chart is 2-dimensional
+    base, b, a = np.array(bases), np.array(bs), np.array(avals)
+    p = _chart(spec, base, b[:, 0], a[:, 0])
+    q = _chart(spec, base, b[:, 1], a[:, 1])
+    base[:, 0] += offs
+    return p, q, _chart(spec, base, b[:, 2], a[:, 2]), np.array(extras)
+
+
+def _collect(rep, checks):
+    """Append the failures of (kind, failed, fields) checks, whose mask and
+    fields have one row per sample: by sample, then in check order."""
+    for i in np.flatnonzero(np.any([bad for _, bad, _ in checks], axis=0)):
+        rep.failures.extend({"kind": kind, **{k: list(v[i]) for k, v in fields.items()}}
+                            for kind, bad, fields in checks if bad[i])
+
+
 def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
     """Sample n same-leaf and n different-leaf pairs in the source family and
     check that the equivalence map preserves both relations in the target,
@@ -414,64 +428,43 @@ def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
         raise InvalidParams(
             "target must be the type representative: F4 for F1..F7, F8(1, pi/2) for F8"
         )
-    rng = np.random.default_rng(seed)
     rep = CheckReport("classification", source.label(), emap.target.label(),
                       int(n), int(seed), float(tol))
-    bases, b_rows, a_rows, offs, rts = [], [], [], [], []
-    for _ in range(int(n)):
-        base = _sample_base(rng, source)
-        b_rows.append(rng.uniform(-2.0, 2.0, 3))
-        a_rows.append(rng.uniform(-_AMAX, _AMAX, 3))
-        offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
-        rt = base
+
+    def roundtrip_point(rng, rt):
+        # the base, or the first branch-safe point of up to 40 fresh draws
         for _ in range(40):
             if _roundtrip_safe(source, rt):
                 break
             rt = _sample_base(rng, source)
-        bases.append(base)
-        rts.append(rt)
-    if not bases:
-        return rep
-    # _sample_base never returns a point orbit, so every chart is 2-dimensional
-    base, b, a = np.array(bases), np.array(b_rows), np.array(a_rows)
-    p = _chart(source, base, b[:, 0], a[:, 0])
-    q = _chart(source, base, b[:, 1], a[:, 1])
-    base[:, 0] += offs
-    r = _chart(source, base, b[:, 2], a[:, 2])
+        return rt
+
+    p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n, roundtrip_point)
     hp = apply_equivalence(emap, p, "fwd")
     positive = same_leaf(emap.target, hp, apply_equivalence(emap, q, "fwd"), tol)
     negative = same_leaf(emap.target, hp, apply_equivalence(emap, r, "fwd"), tol)
-    rt = np.array(rts)
     back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
-    scale = np.maximum(1.0, np.abs(rt).max(axis=1))
-    drift = np.abs(back - rt).max(axis=1) > 1e-9 * scale
-    for i in np.flatnonzero(~positive | negative | drift):
-        if not positive[i]:
-            rep.failures.append({"kind": "positive", "p": list(p[i]), "q": list(q[i])})
-        if negative[i]:
-            rep.failures.append({"kind": "negative", "p": list(p[i]), "q": list(r[i])})
-        if drift[i]:
-            rep.failures.append({"kind": "roundtrip", "p": list(rt[i]), "back": list(back[i])})
+    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+    _collect(rep, [("positive", ~positive, {"p": p, "q": q}),
+                   ("negative", negative, {"p": p, "q": r}),
+                   ("roundtrip", drift, {"p": rt, "back": back})])
     return rep
 
 
-def _invariant_pair_checks(rep, rng, spec, kind, tol):
-    base = _sample_base(rng, spec)
-    chart = orbit_chart(spec, base)
-    b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
-    a1, a2, a3 = rng.uniform(-_AMAX, _AMAX, 3)
-    p = chart.eval(b1, a1)
-    q = chart.eval(b2, a2)
-    ip, iq = leaf_invariant(kind, p), leaf_invariant(kind, q)
-    if not (same_leaf(spec, p, q, tol) and ip.approx_eq(iq, max(tol, 1e-8))):
-        rep.failures.append({"kind": "positive", "p": list(p), "q": list(q)})
-    base2 = base.copy()
-    base2[0] += math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))
-    r = orbit_chart(spec, base2).eval(b3, a3)
-    ir = leaf_invariant(kind, r)
-    if same_leaf(spec, p, r, tol) or ip.approx_eq(ir, max(tol, 1e-8)):
-        rep.failures.append({"kind": "negative", "p": list(p), "q": list(r)})
-    return p
+def _same_invariant(kind, p, q, tol):
+    """Row by row, leaf_invariant(kind, p).approx_eq(leaf_invariant(kind, q),
+    tol) for (N, 5) stacks of points of V."""
+    def parts(v):
+        x, _, z, t, s = v.T
+        if kind == "F1":
+            return x + z, v[:, 2:] / np.linalg.norm(v[:, 2:], axis=1, keepdims=True), 0.0
+        # the twisted coordinate where s != 0, the radius |z + it| where s = 0
+        w = z + 1j * t
+        return x - t, np.where(s != 0.0, w * np.exp(1j * _log_abs(s)), np.abs(w)), np.sign(s)
+
+    (c, u, e), (c2, u2, e2) = parts(p), parts(q)
+    close = (np.abs(u - u2) <= tol).all(axis=1) if kind == "F1" else _rel_ok(u, u2, tol)
+    return _rel_ok(c, c2, tol) & close & (e == e2)
 
 
 def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
@@ -480,47 +473,48 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     axioms to 1e-12, images stay on leaves, (r, a) recovered from invariants
     reaches every sampled chart point), the twisted invariant is complete on
     both regions, and the untwisted projection is probed and reported as
-    strictly finer than the leaves (one discrepancy entry)."""
-    rng = np.random.default_rng(seed)
-    if kind == "F1":
-        spec = family_spec("F4")
-        rep = CheckReport("fibration-F1", spec.label(), "R x S2 base",
-                          int(n), int(seed), float(tol))
-        for _ in range(int(n)):
-            _invariant_pair_checks(rep, rng, spec, "F1", tol)
-        return rep
-    if kind != "F2":
+    strictly finer than the leaves (one discrepancy entry).
+
+    Samples are drawn as in verify_classification, F2 drawing g1, g2 and a
+    chart parameter (b, a) after each, and then checked all at once."""
+    if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
-    spec = _representative("F8")
-    rep = CheckReport("fibration-F2", spec.label(), "rho-action on V",
+    spec = family_spec("F4") if kind == "F1" else _representative("F8")
+    rep = CheckReport(f"fibration-{kind}", spec.label(),
+                      "R x S2 base" if kind == "F1" else "rho-action on V",
                       int(n), int(seed), float(tol))
-    for _ in range(int(n)):
-        p = _invariant_pair_checks(rep, rng, spec, "F2", tol)
-        scale = max(1.0, float(np.abs(p).max()))
-        # action axioms
-        g1 = (float(rng.uniform(-2, 2)), float(rng.uniform(-_AMAX, _AMAX)))
-        g2 = (float(rng.uniform(-2, 2)), float(rng.uniform(-_AMAX, _AMAX)))
-        if float(np.abs(rho_apply((0.0, 0.0), p) - p).max()) > 1e-12 * scale:
-            rep.failures.append({"kind": "identity-axiom", "p": list(p)})
-        lhs = rho_apply(g1, rho_apply(g2, p))
-        rhs = rho_apply((g1[0] + g2[0], g1[1] + g2[1]), p)
-        if float(np.abs(lhs - rhs).max()) > 1e-12 * max(scale, float(np.abs(rhs).max())):
-            rep.failures.append({"kind": "additivity-axiom", "p": list(p)})
-        # images stay on the leaf
-        img = rho_apply(g1, p)
-        if not same_leaf(spec, p, img, max(tol, 1e-8)):
-            rep.failures.append({"kind": "rho-image", "p": list(p), "g": list(g1)})
-        # chart points are reached by (r, a) recovered from invariants
-        q = orbit_chart(spec, p).eval(float(rng.uniform(-2, 2)),
-                                      float(rng.uniform(-_AMAX, _AMAX)))
-        r_rec = float(q[1] - p[1])
-        if p[4] != 0.0:
-            a_rec = math.log(q[4] / p[4])
-        else:
-            a_rec = -cmath.phase(complex(q[2], q[3]) / complex(p[2], p[3]))
-        q2 = rho_apply((r_rec, a_rec), p)
-        if float(np.abs(q2 - q).max()) > max(tol, 1e-8) * max(1.0, float(np.abs(q).max())):
-            rep.failures.append({"kind": "recovery", "p": list(p), "q": list(q)})
+    extra = (lambda rng, base: ()) if kind == "F1" else \
+        (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3))
+    p, q, r, g = _draw_pairs(np.random.default_rng(seed), spec, n, extra)
+    itol = max(tol, 1e-8)
+    checks = [
+        ("positive", ~(same_leaf(spec, p, q, tol) & _same_invariant(kind, p, q, itol)),
+         {"p": p, "q": q}),
+        ("negative", same_leaf(spec, p, r, tol) | _same_invariant(kind, p, r, itol),
+         {"p": p, "q": r}),
+    ]
+    if kind == "F1":
+        _collect(rep, checks)
+        return rep
+    g1, g2 = g[:, 0:2], g[:, 2:4]
+    scale = np.maximum(1.0, np.abs(p).max(axis=1))
+    lhs, rhs = rho_apply(g1, rho_apply(g2, p)), rho_apply(g1 + g2, p)
+    # (r, a) recovered from coordinates: a from sigma where it is nonzero,
+    # else from the angle of z + it
+    qab = _chart(spec, p, g[:, 4], g[:, 5])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_rec = np.where(p[:, 4] != 0.0, np.log(qab[:, 4] / p[:, 4]),
+                         -np.angle((qab[:, 2] + 1j * qab[:, 3]) / (p[:, 2] + 1j * p[:, 3])))
+    back = rho_apply(np.stack([qab[:, 1] - p[:, 1], a_rec], axis=1), p)
+    _collect(rep, checks + [
+        ("identity-axiom", np.abs(rho_apply((0.0, 0.0), p) - p).max(axis=1) > 1e-12 * scale,
+         {"p": p}),
+        ("additivity-axiom", np.abs(lhs - rhs).max(axis=1)
+         > 1e-12 * np.maximum(scale, np.abs(rhs).max(axis=1)), {"p": p}),
+        ("rho-image", ~same_leaf(spec, p, rho_apply(g1, p), itol), {"p": p, "g": g1}),
+        ("recovery", np.abs(back - qab).max(axis=1)
+         > itol * np.maximum(1.0, np.abs(qab).max(axis=1)), {"p": p, "q": qab}),
+    ])
     # the printed untwisted projection, probed once on a rotating leaf
     pbase = np.array([0.3, -0.7, 1.1, 0.4, 0.8])
     q = orbit_chart(spec, pbase).eval(0.5, 1.0)

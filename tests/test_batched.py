@@ -1,6 +1,7 @@
-"""The array kernels against their single-point calls: same_leaf and the
-equivalence maps on (N, 5) stacks give, row for row, what one point at a time
-gives, and raise for the same inputs."""
+"""The array kernels against their single-point calls: same_leaf, the
+equivalence maps and rho_apply on stacks give, row for row, what one point at
+a time gives, and raise for the same inputs; the batched checks give the
+failure entries of their old one-sample loops, kept here as oracles."""
 
 import cmath
 import math
@@ -14,7 +15,8 @@ from md53c import foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
-from md53c.foliation import apply_equivalence, equivalence_map, verify_classification
+from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check,
+                             leaf_invariant, rho_apply, verify_classification)
 
 GRID = default_grid()
 MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
@@ -64,6 +66,18 @@ def test_stacked_same_leaf_matches_rows(seed, spec):
         got = same_leaf(spec, a, b)
         assert got.shape == (len(a),) and got.dtype == bool
         assert list(got) == [same_leaf(spec, x, y) for x, y in zip(a, b)]
+    # the rho-action and the leaf-invariant comparison on the same stacks;
+    # reversed rows pair points of different leaves and signs of s
+    g = rng.uniform(-2.0, 2.0, (len(p), 2))
+    assert rho_apply(g[0], p[0]).shape == (5,)
+    np.testing.assert_allclose(rho_apply(g, p), [rho_apply(h, x) for h, x in zip(g, p)],
+                               rtol=1e-14, atol=1e-14)
+    in_v = foliation.in_V(p) & foliation.in_V(q)
+    for a, b in ((p[in_v], q[in_v]), (p[in_v], q[in_v][::-1])):
+        for kind in ("F1", "F2"):
+            assert list(foliation._same_invariant(kind, a, b, 1e-8)) == [
+                leaf_invariant(kind, x).approx_eq(leaf_invariant(kind, y), 1e-8)
+                for x, y in zip(a, b)]
 
 
 @given(seeds, st.sampled_from(GRID))
@@ -228,6 +242,84 @@ def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkey
     want = _scalar_classification(spec, 40, 5, 1e-6)
     assert {f["kind"] for f in want} == kinds
     _assert_same_failures(rep.failures, want)
+
+
+def _scalar_fibration(kind, n, seed, tol):
+    """The one-sample-at-a-time fibration loop, kept as the oracle for the
+    batched check: same stream, same order, same failure entries.  It calls
+    same_leaf and rho_apply through the module, so a patched kernel reaches
+    it too."""
+    spec = family_spec("F4") if kind == "F1" else family_spec("F8", 1.0, math.pi / 2)
+    rng = np.random.default_rng(seed)
+    itol = max(tol, 1e-8)
+    rho = foliation.rho_apply
+    failures = []
+    for _ in range(n):
+        base = foliation._sample_base(rng, spec)
+        chart = orbit_chart(spec, base)
+        b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
+        a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
+        p, q = chart.eval(b1, a1), chart.eval(b2, a2)
+        ip, iq = leaf_invariant(kind, p), leaf_invariant(kind, q)
+        if not (foliation.same_leaf(spec, p, q, tol) and ip.approx_eq(iq, itol)):
+            failures.append({"kind": "positive", "p": list(p), "q": list(q)})
+        base2 = base.copy()
+        base2[0] += math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))
+        r = orbit_chart(spec, base2).eval(b3, a3)
+        if foliation.same_leaf(spec, p, r, tol) or ip.approx_eq(leaf_invariant(kind, r), itol):
+            failures.append({"kind": "negative", "p": list(p), "q": list(r)})
+        if kind == "F1":
+            continue
+        scale = max(1.0, float(np.abs(p).max()))
+        g1 = (float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        g2 = (float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        if float(np.abs(rho((0.0, 0.0), p) - p).max()) > 1e-12 * scale:
+            failures.append({"kind": "identity-axiom", "p": list(p)})
+        lhs = rho(g1, rho(g2, p))
+        rhs = rho((g1[0] + g2[0], g1[1] + g2[1]), p)
+        if float(np.abs(lhs - rhs).max()) > 1e-12 * max(scale, float(np.abs(rhs).max())):
+            failures.append({"kind": "additivity-axiom", "p": list(p)})
+        if not foliation.same_leaf(spec, p, rho(g1, p), itol):
+            failures.append({"kind": "rho-image", "p": list(p), "g": list(g1)})
+        q = orbit_chart(spec, p).eval(float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        if p[4] != 0.0:
+            a_rec = math.log(q[4] / p[4])
+        else:
+            a_rec = -cmath.phase(complex(q[2], q[3]) / complex(p[2], p[3]))
+        q2 = rho((float(q[1] - p[1]), a_rec), p)
+        if float(np.abs(q2 - q).max()) > itol * max(1.0, float(np.abs(q).max())):
+            failures.append({"kind": "recovery", "p": list(p), "q": list(q)})
+    return failures
+
+
+def _broken_same_leaf(spec, p, q, tol=1e-8):
+    # the true verdict, flipped in the rows whose beta exceeds 1
+    return same_leaf(spec, p, q, tol) ^ (np.asarray(p)[..., 1] > 1.0)
+
+
+def _broken_rho(g, p):
+    # the true action, moved off the leaf by 1e-6 in x in the rows where x > 0
+    shift = np.where(np.asarray(p)[..., :1] > 0.0, [1e-6, 0.0, 0.0, 0.0, 0.0], 0.0)
+    return rho_apply(g, p) + shift
+
+
+@pytest.mark.parametrize("seed", [1729, 5])
+@pytest.mark.parametrize("kind,broken", [
+    ("F1", set()),
+    ("F2", set()),
+    ("F1", {"positive", "negative"}),
+    ("F2", {"positive", "negative", "identity-axiom", "additivity-axiom", "rho-image",
+            "recovery"}),
+])
+def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch):
+    if broken:
+        monkeypatch.setattr(foliation, "same_leaf", _broken_same_leaf)
+        monkeypatch.setattr(foliation, "rho_apply", _broken_rho)
+    rep = fibration_check(kind, n=60, seed=seed, tol=1e-8)
+    want = _scalar_fibration(kind, 60, seed, 1e-8)
+    assert {f["kind"] for f in want} == broken
+    _assert_same_failures(rep.failures, want)
+    assert len(rep.discrepancies) == (kind == "F2")
 
 
 def _branch_safe_oracle(spec, p):

@@ -123,6 +123,27 @@ def test_bad_config_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify-md", "classify", "verify-claims", "ktheory"])
+def test_negative_seed_rejected(command, monkeypatch, capsys):
+    # numpy used to die on it with a traceback, and ktheory wrote it out
+    assert main([command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    monkeypatch.setenv("MD53C_SEED", "-3")
+    assert main([command]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+@pytest.mark.parametrize("args", [["catalog"], ["ktheory", "--delta0", "2,2"]])
+def test_unwritable_output_is_a_usage_error(target, args, tmp_path, capsys):
+    # a missing directory, or a directory itself; the error payload of
+    # inconsistent input (exit 1 when written) fails the same way
+    assert main([*args, "-o", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-leaf", "--tol-map"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):

@@ -220,3 +220,12 @@ def test_fibration_checks_small():
     assert doc["discrepancies"][0] == entry
     with pytest.raises(InvalidParams):
         fibration_check("F3")
+
+
+def test_empty_sample_rejected():
+    # a check over no samples would pass vacuously
+    for kind in ("F1", "F2"):
+        with pytest.raises(InvalidParams):
+            fibration_check(kind, n=0)
+    with pytest.raises(InvalidParams):
+        verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=0)
