@@ -285,17 +285,16 @@ def cmd_ktheory(config, args):
 
 def _flow_consistency_failures(spec, n, seed, tol):
     """How many of n random flow words of <= 6 steps leave the starting leaf:
-    every word is drawn and flowed, then all are tested in one call."""
+    all points and words are drawn, then flowed and tested in one call each."""
     rng = np.random.default_rng(seed)
-    sc = build_algebra(spec)
-    start, end = [], []
+    start, words = [], []
     for _ in range(int(n)):
         start.append(rng.uniform(-2.0, 2.0, 5))
-        word = [(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
-                for _ in range(int(rng.integers(1, 7)))]
-        end.append(coadjoint_flow(sc, start[-1], word))
-    stay = same_leaf(spec, np.array(start), np.array(end), tol=tol)
-    return int(n) - np.count_nonzero(stay)
+        words.append([(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
+                      for _ in range(int(rng.integers(1, 7)))])
+    start = np.array(start)
+    end = coadjoint_flow(build_algebra(spec), start, words)
+    return int(n) - np.count_nonzero(same_leaf(spec, start, end, tol=tol))
 
 
 def cmd_verify_claims(config, args):
@@ -623,7 +622,12 @@ def _emit(payload, config):
     else:
         text = _render_text(payload)
     if config.output in (None, "-"):
-        sys.stdout.write(text)
+        try:
+            print(text, end="", flush=True)
+        except OSError as e:
+            # drop the stream, or its buffer fails again in the flush at exit
+            sys.stdout = None
+            raise InvalidParams(f"cannot write stdout: {e.strerror}")
     else:
         try:
             with open(config.output, "w", encoding="utf-8") as fh:

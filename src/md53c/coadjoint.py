@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import ad2_block, build_algebra
 from .errors import InvalidParams
-from .lie_core import ad_matrix, derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
+from .lie_core import derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
 
 __all__ = [
     "kirillov_form_rank",
@@ -44,14 +44,26 @@ def orbit_dimension(sc, F, tol=1e-9):
 
 def coadjoint_flow(sc, F, word):
     """Apply the coadjoint action of exp(t X_i) for each (i, t) step, left to
-    right.  Directions are 1-based; each step sends F to exp(-t ad_i)^T F."""
-    F = np.asarray(F, dtype=float).copy()
-    for i, t in word:
-        i = int(i)
+    right.  Directions are 1-based; each step sends F to exp(-t ad_i)^T F.
+    An (N, 5) stack F takes one word per row, of any length, and the
+    exponentials of all steps are taken in one mat_exp call."""
+    F = np.asarray(F, dtype=float)
+    words = [word] if F.ndim == 1 else list(word)
+    if F.ndim not in (1, 2) or F.shape[-1] != sc.dim or (F.ndim == 2 and len(words) != len(F)):
+        raise InvalidParams(f"need one word per point of {sc.dim} coordinates")
+    out = np.atleast_2d(F).copy()
+    steps = [(r, k, int(i), float(t)) for r, w in enumerate(words) for k, (i, t) in enumerate(w)]
+    for _, _, i, _ in steps:
         if not 1 <= i <= sc.dim:
             raise InvalidParams(f"flow direction {i} outside 1..{sc.dim}")
-        F = mat_exp(ad_matrix(sc, i), -float(t)).T @ F
-    return F
+    if steps:
+        rows, order, i, t = (np.array(v) for v in zip(*steps))
+        # C-ordered as ad_matrix gives them, so each step matches it bit for bit
+        E = mat_exp(sc.c[i - 1].swapaxes(-1, -2).copy(), -t)
+        for k in range(order.max() + 1):
+            at = order == k
+            out[rows[at]] = (E[at].swapaxes(-1, -2) @ out[rows[at], :, None])[..., 0]
+    return out.reshape(F.shape)
 
 
 def _phi(lam, a):

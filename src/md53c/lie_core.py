@@ -9,6 +9,8 @@ reads like the bracket tables it implements.
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "StructureConstants",
     "bracket",
@@ -119,14 +121,11 @@ def jacobi_defect(sc):
     Returns max over i<j<k of the sup-norm of
     [Xi,[Xj,Xk]] + [Xj,[Xk,Xi]] + [Xk,[Xi,Xj]]; zero for a Lie algebra.
     """
-    c = sc.c
-    worst = 0.0
-    for i in range(sc.dim):
-        for j in range(i + 1, sc.dim):
-            for k in range(j + 1, sc.dim):
-                cyc = c[j, k] @ c[i] + c[k, i] @ c[j] + c[i, j] @ c[k]
-                worst = max(worst, float(np.max(np.abs(cyc))))
-    return worst
+    # d[i, j, k] = [Xi, [Xj, Xk]]; the cyclic sum adds d[j, k, i] and d[k, i, j]
+    d = np.einsum("jkl,ilm->ijkm", sc.c, sc.c)
+    cyc = d + np.moveaxis(d, 2, 0) + np.moveaxis(d, 0, 2)
+    i, j, k = np.indices(d.shape[:3])
+    return float(np.abs(cyc[(i < j) & (j < k)]).max(initial=0.0))
 
 
 def derived_subalgebra(sc, tol=1e-9):
@@ -141,25 +140,23 @@ def derived_subalgebra(sc, tol=1e-9):
 
 
 def mat_exp(m, t=1.0):
-    """exp(t*m) by scaling and squaring with a fixed truncated series.
-
-    The scaled norm is at most 1/2, where the degree-13 Taylor polynomial
-    is accurate to full double precision; no eigendecomposition is used.
-    """
-    a = t * np.asarray(m, dtype=float)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, np.inf))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        a = a / (2.0**squarings)
-    x = np.eye(n)
-    term = np.eye(n)
+    """exp(t*m) for one matrix or a stack (..., n, n), t broadcasting against
+    the leading axes: each matrix is scaled by its own power of two to an
+    inf-norm of at most 1/2, where the degree-13 Taylor polynomial is accurate
+    to full double precision, and squared back; no eigendecomposition is used."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.asarray(t, dtype=float)[..., None, None] * np.asarray(m, dtype=float)
+    if not np.isfinite(a).all():
+        raise DomainError("the matrix exponential is out of range: t*m has a non-finite entry")
+    squarings = np.ceil(np.log2(np.maximum(np.linalg.norm(a, np.inf, axis=(-2, -1)), 0.5) / 0.5))
+    a = a / np.ldexp(1.0, squarings.astype(int))[..., None, None]
+    x = term = np.eye(a.shape[-1])
     for k in range(1, 14):
         term = term @ a / k
         x = x + term
-    for _ in range(squarings):
-        x = x @ x
+    for r in range(int(squarings.max(initial=0))):
+        sq = squarings > r
+        x[sq] = x[sq] @ x[sq]
     return x
 
 

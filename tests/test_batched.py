@@ -1,7 +1,8 @@
 """The array kernels against their single-point calls: same_leaf, the
 equivalence maps and rho_apply on stacks give, row for row, what one point at
 a time gives, and raise for the same inputs; the batched checks give the
-failure entries of their old one-sample loops, kept here as oracles."""
+failure entries of their old one-sample loops, and mat_exp, coadjoint_flow and
+jacobi_defect give what their old loops gave, all kept here as oracles."""
 
 import cmath
 import math
@@ -17,6 +18,7 @@ from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check,
                              leaf_invariant, rho_apply, verify_classification)
+from md53c.lie_core import StructureConstants, ad_matrix, jacobi_defect, mat_exp
 
 GRID = default_grid()
 MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
@@ -360,3 +362,114 @@ def test_roundtrip_margin_matches_oracle(seed, spec):
     pts[-16:, 2], pts[-16:, 3] = np.cos(angle), np.sin(angle)
     for p in pts:
         assert foliation._roundtrip_safe(spec, p) == _branch_safe_oracle(spec, p), list(p)
+
+
+def _scalar_mat_exp(m, t=1.0):
+    """The one-matrix exponential, kept as the oracle for the stacked one."""
+    a = t * np.asarray(m, dtype=float)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, np.inf))
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(np.ceil(np.log2(norm / 0.5)))
+        a = a / (2.0**squarings)
+    x = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 14):
+        term = term @ a / k
+        x = x + term
+    for _ in range(squarings):
+        x = x @ x
+    return x
+
+
+def _scalar_flow(sc, F, word):
+    """The one-step-at-a-time flow, kept as the oracle for the stacked one."""
+    F = np.asarray(F, dtype=float).copy()
+    for i, t in word:
+        F = _scalar_mat_exp(ad_matrix(sc, int(i)), -float(t)).T @ F
+    return F
+
+
+def _scalar_jacobi_defect(sc):
+    """The triple loop, kept as the oracle for the one-einsum defect."""
+    c = sc.c
+    worst = 0.0
+    for i in range(sc.dim):
+        for j in range(i + 1, sc.dim):
+            for k in range(j + 1, sc.dim):
+                cyc = c[j, k] @ c[i] + c[k, i] @ c[j] + c[i, j] @ c[k]
+                worst = max(worst, float(np.max(np.abs(cyc))))
+    return worst
+
+
+@given(seeds, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_stacked_mat_exp_matches_per_matrix(seed, n):
+    # zero matrices, t = 0, inf-norms just under, at and over 1/2 and large
+    # ones, so the scaling counts differ within one stack
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(40, n, n))
+    m /= np.linalg.norm(m, np.inf, axis=(1, 2))[:, None, None]
+    m *= rng.choice([0.0, 1e-3, 0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15), 1.0, 3.0, 100.0],
+                    (40, 1, 1))
+    t = rng.choice([0.0, 1.0, -1.0, 0.3, -2.5], 40)
+    for tt in (t, 1.0, -0.7):
+        got = mat_exp(m, tt)
+        assert got.shape == m.shape
+        for a, b, c in zip(got, m, np.broadcast_to(tt, 40)):
+            assert np.array_equal(a, _scalar_mat_exp(b, c))
+    assert mat_exp(m[0], t[0]).shape == (n, n)
+    assert np.array_equal(mat_exp(m[0], t[0]), _scalar_mat_exp(m[0], t[0]))
+    assert np.array_equal(mat_exp(m.reshape(8, 5, n, n), t.reshape(8, 5)).reshape(m.shape),
+                          mat_exp(m, t))
+
+
+def _words(rng, n, steps=(0, 7)):
+    return [[(int(rng.integers(1, 6)), float(rng.uniform(-1.5, 1.5)))
+             for _ in range(int(rng.integers(*steps)))] for _ in range(n)]
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=60, deadline=None)
+def test_stacked_flow_matches_per_step_loop(seed, spec):
+    rng = np.random.default_rng(seed)
+    sc = build_algebra(spec)
+    F = rng.uniform(-2.0, 2.0, (24, 5))
+    words = _words(rng, len(F))
+    got = coadjoint_flow(sc, F, words)
+    assert got.shape == F.shape
+    for f, w, g in zip(F, words, got):
+        want = _scalar_flow(sc, f, w)
+        assert np.array_equal(g, want)
+        assert np.array_equal(coadjoint_flow(sc, f, w), want)
+    assert np.array_equal(coadjoint_flow(sc, F, [[]] * len(F)), F)
+    assert coadjoint_flow(sc, np.zeros((0, 5)), []).shape == (0, 5)
+
+
+def test_flow_bad_direction_names_it():
+    sc = build_algebra(family_spec("F4"))
+    rng = np.random.default_rng(3)
+    words = _words(rng, 6, (1, 7))
+    words[4] = [*words[4], (7, 0.5)]
+    with pytest.raises(InvalidParams, match="flow direction 7 outside 1..5"):
+        coadjoint_flow(sc, rng.uniform(-1.0, 1.0, (6, 5)), words)
+    with pytest.raises(InvalidParams):
+        coadjoint_flow(sc, np.zeros((6, 5)), words[:5])
+    with pytest.raises(InvalidParams):
+        coadjoint_flow(sc, np.zeros((2, 6, 5)), [[]] * 2)
+
+
+@given(seeds, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_jacobi_defect_matches_triple_loop(seed, dim):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(dim, dim, dim)) * rng.choice([0.0, 1.0], (dim, dim, dim))
+    sc = StructureConstants.from_array(c - c.transpose(1, 0, 2))
+    assert jacobi_defect(sc) == pytest.approx(_scalar_jacobi_defect(sc), rel=1e-12, abs=0.0)
+
+
+def test_jacobi_defect_vanishes_on_the_grid():
+    for spec in GRID:
+        sc = build_algebra(spec)
+        assert jacobi_defect(sc) == 0.0 == _scalar_jacobi_defect(sc), spec.label()

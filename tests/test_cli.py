@@ -1,7 +1,12 @@
 """The command-line surface: payload schemas, exit codes, determinism, and
 the environment-variable mirror of every flag."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +70,7 @@ def test_classify_small(tmp_path):
     assert [t["representative"] for t in doc["types"]] == ["F4", "F8(1, 1.5708)"]
     assert doc["summary"] == {"checked": 34, "failures": 0, "skipped": 2}
     assert len(doc["skipped"]) == 2
-    assert {f["check"] for f in doc["fibration"]} or True  # fibration section present
+    assert {f["check"] for f in doc["fibration"]} == {"fibration-F1", "fibration-F2"}
     assert len(doc["fibration"]) == 2
 
 
@@ -144,6 +149,35 @@ def test_unwritable_output_is_a_usage_error(target, args, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+class _FullStdout:
+    # every write and flush fails as on a full device
+    def write(self, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    flush = write
+
+
+def test_failed_stdout_write_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(["catalog"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2(tmp_path):
+    # the interpreter's flush at exit must not add a traceback or change the code
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "md53c.cli", "catalog"], cwd=tmp_path,
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-leaf", "--tol-map"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):
@@ -183,6 +217,18 @@ def test_orbit_overflow_is_an_error(tmp_path, capsys):
     assert main([*args, "-o", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: the result overflowed")
+
+
+def test_orbit_flow_overflow_is_an_error(tmp_path, capsys):
+    # t * ad_X2 has an infinite entry: exit 2 with one error line
+    out = tmp_path / "out.json"
+    args = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
+            "--point", "1,0,1,0,0", "--word", "2:1e308"]
+    assert main([*args, "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: the matrix exponential is out of range")
+    assert err.count("\n") == 1
 
 
 def test_orbit_underflow_is_an_error(tmp_path, capsys):

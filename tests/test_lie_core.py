@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from md53c.errors import DomainError
 from md53c.lie_core import (
     StructureConstants,
     ad_matrix,
@@ -108,6 +109,14 @@ def test_mat_exp_fixtures():
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(mat_exp(nil, 3.0), [[1.0, 3.0], [0.0, 1.0]], atol=1e-15)
     assert np.array_equal(mat_exp(np.zeros((3, 3))), np.eye(3))
+
+
+def test_mat_exp_out_of_range_is_a_domain_error():
+    m = np.array([[0.0, 3.0], [0.0, 0.0]])
+    with pytest.raises(DomainError, match="out of range"):
+        mat_exp(m, 1e308)
+    with pytest.raises(DomainError):
+        mat_exp(np.stack([m, m]), [1.0, np.nan])
 
 
 def test_mat_exp_against_scipy():
