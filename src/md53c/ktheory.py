@@ -8,7 +8,7 @@ All arithmetic is over Python integers; nothing here is floating point.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import InconsistentInput, InvalidParams, UnsupportedExpr
 
@@ -33,7 +33,6 @@ __all__ = [
     "SixTermInput",
     "SixTermSolution",
     "six_term_solve",
-    "ExtReport",
     "index_invariant",
     "J_DESCRIPTOR",
     "B_CROSSED",
@@ -246,17 +245,19 @@ def smith_normal_form(m):
     return ZMat(r, c, a), ZMat(r, r, u), ZMat(c, c, v)
 
 
-def _smith_data(m):
-    # kernel, cokernel and nonzero invariant factors of m: everything the
-    # solvers read off one Smith form
+def _invariant_factors(m):
+    # the nonzero diagonal of one Smith form of m
     d, _, _ = smith_normal_form(m)
-    factors = tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
-    return AbGroup(m.cols - len(factors)), AbGroup(m.rows - len(factors), _chain(factors)), factors
+    return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+
+
+def _kernel_cokernel(m, factors):
+    return AbGroup(m.cols - len(factors)), AbGroup(m.rows - len(factors), _chain(factors))
 
 
 def hom_kernel_cokernel(m):
     """Kernel and cokernel of the map Z^cols -> Z^rows given by m."""
-    return _smith_data(m)[:2]
+    return _kernel_cokernel(m, _invariant_factors(m))
 
 
 # ---------------------------------------------------------------------------
@@ -429,27 +430,55 @@ class SixTermInput:
     expected_middle: tuple = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SixTermSolution:
+    """The middle K-groups of a six-term sequence and the extension class
+    (delta0, delta1) in Ext(B, J) = Hom(K0(B), K1(J)) + Hom(K1(B), K0(J)),
+    with the invariant factors of its basis-change canonical form.
+    ``consistency`` lists the checks that ran on top of the solve."""
+
     input: SixTermInput
     k0_mid: AbGroup
     k1_mid: AbGroup
-    certificate: list = field(default_factory=list)
+    delta0_factors: tuple
+    delta1_factors: tuple
+    consistency: tuple = ()
+
+    @property
+    def delta0(self):
+        return self.input.delta0
+
+    @property
+    def delta1(self):
+        return self.input.delta1
+
+    @property
+    def ext_group(self):
+        inp = self.input
+        return AbGroup(inp.k0_b.free_rank * inp.k1_j.free_rank
+                       + inp.k1_b.free_rank * inp.k0_j.free_rank)
+
+    @property
+    def corners(self):
+        inp = self.input
+        return {"K0(J)": inp.k0_j, "K1(J)": inp.k1_j, "K0(B)": inp.k0_b, "K1(B)": inp.k1_b,
+                "K0(middle)": self.k0_mid, "K1(middle)": self.k1_mid}
 
     def to_json(self):
-        inp = self.input
         return {
-            "scenario": inp.scenario,
-            "corners": {
-                "K0(J)": inp.k0_j.to_json(),
-                "K1(J)": inp.k1_j.to_json(),
-                "K0(B)": inp.k0_b.to_json(),
-                "K1(B)": inp.k1_b.to_json(),
-            },
-            "delta0": inp.delta0.to_json(),
-            "delta1": inp.delta1.to_json(),
+            "scenario": self.input.scenario,
+            "corners": {k: g.to_json() for k, g in self.corners.items() if "middle" not in k},
+            "delta0": self.delta0.to_json(),
+            "delta1": self.delta1.to_json(),
             "middle": {"K0": self.k0_mid.to_json(), "K1": self.k1_mid.to_json()},
-            "consistency": self.certificate,
+            "ext_class": {
+                "ext_group": self.ext_group.to_json(),
+                "delta0": self.delta0.to_json(),
+                "delta1": self.delta1.to_json(),
+                "invariant_factors": {"delta0": list(self.delta0_factors),
+                                      "delta1": list(self.delta1_factors)},
+            },
+            "consistency": list(self.consistency),
         }
 
 
@@ -458,12 +487,6 @@ def six_term_solve(inp):
     groups and connecting maps: K0 = coker(delta1) + ker(delta0) and K1 =
     coker(delta0) + ker(delta1) (the quotients by free subgroups split).
     An expected middle, when supplied, is enforced."""
-    return _six_term(inp)[0]
-
-
-def _six_term(inp):
-    # the solution plus the Smith data of delta0 and delta1, one Smith form
-    # per connecting map
     for g in (inp.k0_j, inp.k1_j, inp.k0_b, inp.k1_b):
         if not g.is_free:
             raise UnsupportedExpr("six-term solver requires free corner groups")
@@ -471,27 +494,11 @@ def _six_term(inp):
         raise InvalidParams("delta0 shape must be rank K1(J) x rank K0(B)")
     if inp.delta1.rows != inp.k0_j.free_rank or inp.delta1.cols != inp.k1_b.free_rank:
         raise InvalidParams("delta1 shape must be rank K0(J) x rank K1(B)")
-    smith0, smith1 = _smith_data(inp.delta0), _smith_data(inp.delta1)
-    (ker0, cok0, f0), (ker1, cok1, f1) = smith0, smith1
+    f0, f1 = _invariant_factors(inp.delta0), _invariant_factors(inp.delta1)
+    ker0, cok0 = _kernel_cokernel(inp.delta0, f0)
+    ker1, cok1 = _kernel_cokernel(inp.delta1, f1)
     k0_mid = cok1.direct_sum(ker0)
     k1_mid = cok0.direct_sum(ker1)
-    r0, r1 = len(f0), len(f1)
-    cert = [
-        {"node": "K0(B)", "relation": "rank K0(B) = rank ker(delta0) + rank im(delta0)",
-         "residual": inp.k0_b.free_rank - ker0.free_rank - r0},
-        {"node": "K1(J)", "relation": "rank K1(J) = rank im(delta0) + rank coker(delta0)",
-         "residual": inp.k1_j.free_rank - r0 - cok0.free_rank},
-        {"node": "K1(B)", "relation": "rank K1(B) = rank ker(delta1) + rank im(delta1)",
-         "residual": inp.k1_b.free_rank - ker1.free_rank - r1},
-        {"node": "K0(J)", "relation": "rank K0(J) = rank im(delta1) + rank coker(delta1)",
-         "residual": inp.k0_j.free_rank - r1 - cok1.free_rank},
-        {"node": "K0(middle)", "relation": "K0 = coker(delta1) + ker(delta0)",
-         "residual": k0_mid.free_rank - cok1.free_rank - ker0.free_rank},
-        {"node": "K1(middle)", "relation": "K1 = coker(delta0) + ker(delta1)",
-         "residual": k1_mid.free_rank - cok0.free_rank - ker1.free_rank},
-    ]
-    if any(c["residual"] for c in cert):
-        raise InconsistentInput("exactness rank bookkeeping failed")
     if inp.expected_middle is not None:
         e0, e1 = inp.expected_middle
         if (k0_mid, k1_mid) != (e0, e1):
@@ -499,34 +506,7 @@ def _six_term(inp):
                 f"middle K-groups ({k0_mid}, {k1_mid}) contradict the known "
                 f"middle ({e0}, {e1})"
             )
-    return SixTermSolution(inp, k0_mid, k1_mid, cert), smith0, smith1
-
-
-@dataclass
-class ExtReport:
-    """The extension class (delta0, delta1) inside Ext(B, J) = Hom(K0(B),
-    K1(J)) + Hom(K1(B), K0(J)), with its basis-change canonical form."""
-
-    ext_group: AbGroup
-    delta0: ZMat
-    delta1: ZMat
-    delta0_factors: tuple
-    delta1_factors: tuple
-    corners: dict
-    consistency: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "ext_group": self.ext_group.to_json(),
-            "delta0": self.delta0.to_json(),
-            "delta1": self.delta1.to_json(),
-            "class_invariant_factors": {
-                "delta0": list(self.delta0_factors),
-                "delta1": list(self.delta1_factors),
-            },
-            "corners": {k: v.to_json() for k, v in self.corners.items()},
-            "consistency": self.consistency,
-        }
+    return SixTermSolution(inp, k0_mid, k1_mid, f0, f1)
 
 
 def index_invariant(J, B, delta0, delta1, middle=None):
@@ -539,30 +519,24 @@ def index_invariant(J, B, delta0, delta1, middle=None):
     """
     j0, j1 = descriptor_k_groups(J)
     b0, b1 = descriptor_k_groups(B)
-    return _ext_class(SixTermInput(j0, j1, b0, b1, delta0, delta1, expected_middle=middle))[0]
+    return _ext_class(SixTermInput(j0, j1, b0, b1, delta0, delta1, expected_middle=middle))
 
 
 def _ext_class(inp):
-    # index_invariant on a six-term input, returned with the six-term
-    # solution it solved on the way
-    j0, j1, b0, b1 = inp.k0_j, inp.k1_j, inp.k0_b, inp.k1_b
-    for g in (j0, j1, b0, b1):
-        if not g.is_free:
-            raise UnsupportedExpr("Ext decomposition requires free corner K-groups")
-    ext_group = AbGroup(b0.free_rank * j1.free_rank + b1.free_rank * j0.free_rank)
-    sol, (_, cok0, f0), (_, cok1, f1) = _six_term(inp)
-    consistency = list(sol.certificate)
-    for name, cok in (("delta0", cok0), ("delta1", cok1)):
+    # index_invariant on a six-term input: the solution, with the
+    # torsion-free cokernels that a free middle forces checked and listed
+    sol = six_term_solve(inp)
+    checked = []
+    for name, m, factors in (("delta0", sol.delta0, sol.delta0_factors),
+                             ("delta1", sol.delta1, sol.delta1_factors)):
+        cok = _kernel_cokernel(m, factors)[1]
         if not cok.is_free:
             raise InconsistentInput(
                 f"coker({name}) = {cok} has torsion, but it must embed in a free "
                 "middle K-group by exactness"
             )
-        consistency.append({"node": name,
-                            "relation": f"coker({name}) torsion-free", "residual": 0})
-    corners = {"K0(J)": j0, "K1(J)": j1, "K0(B)": b0, "K1(B)": b1,
-               "K0(middle)": sol.k0_mid, "K1(middle)": sol.k1_mid}
-    return ExtReport(ext_group, inp.delta0, inp.delta1, f0, f1, corners, consistency), sol
+        checked.append({"node": name, "relation": f"coker({name}) torsion-free", "residual": 0})
+    return replace(sol, consistency=tuple(checked))
 
 
 # ---------------------------------------------------------------------------

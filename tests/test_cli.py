@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from md53c.cli import main
+from md53c.cli import RunConfig, main
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -102,6 +103,14 @@ def test_ktheory_doubled_map_rejected(tmp_path):
     assert "error" in doc and doc["schema"] == 1
 
 
+def test_ktheory_empty_delta0_rejected(tmp_path, capsys):
+    # an empty column used to fall back to the default class
+    out = tmp_path / "out.json"
+    assert main(["ktheory", "--delta0=", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: delta0 entries must be integers: ''\n"
+
+
 def test_ktheory_text_grid(capsys):
     assert main(["ktheory", "--format", "text"]) == 0
     txt = capsys.readouterr().out
@@ -122,10 +131,55 @@ def test_env_mirror(tmp_path, monkeypatch):
     assert doc["config"]["md_samples"] == 250
 
 
-def test_bad_config_rejected(capsys):
+# per RunConfig field: an environment value and a different flag value, each
+# spelled as the run reports it back
+_SETTINGS = {
+    "seed": ("7", "11"),
+    "samples": ("5", "6"),
+    "md_samples": ("300", "250"),
+    "tol_rank": ("1e-07", "1e-05"),
+    "tol_leaf": ("1e-07", "1e-05"),
+    "tol_map": ("1e-05", "0.0001"),
+    "output": ("env.out", "flag.out"),
+    "format": ("text", "json"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_env_sets_each_setting_and_the_flag_wins(name, tmp_path, monkeypatch):
+    env_value, flag_value = _SETTINGS[name]
+    for f in fields(RunConfig):
+        monkeypatch.delenv(f"MD53C_{f.name.upper()}", raising=False)
+    monkeypatch.setenv(f"MD53C_{name.upper()}", env_value)
+    monkeypatch.chdir(tmp_path)
+
+    def observe(*flag):
+        # the setting as the run saw it: the file written, the format of
+        # the payload, or the payload's config block
+        for p in tmp_path.iterdir():
+            p.unlink()
+        if name == "output":
+            assert main(["ktheory", *flag]) == 0
+            return " ".join(p.name for p in tmp_path.iterdir())
+        assert main(["ktheory", *flag, "-o", "out"]) == 0
+        text = (tmp_path / "out").read_text()
+        if name == "format":
+            return "json" if text.startswith("{") else "text"
+        return str(json.loads(text)["config"][name])
+
+    assert observe() == env_value
+    assert observe("--" + name.replace("_", "-"), flag_value) == flag_value
+
+
+def test_bad_config_rejected(monkeypatch, capsys):
     assert main(["verify-md", "--samples", "0"]) == 2
     assert main(["verify-md", "--tol-rank", "-1"]) == 2
     capsys.readouterr()
+    # RunConfig.validate is the one check on the format, from flag or environment
+    assert main(["catalog", "--format", "xml"]) == 2
+    monkeypatch.setenv("MD53C_FORMAT", "xml")
+    assert main(["catalog"]) == 2
+    assert capsys.readouterr().err == "error: format must be 'json' or 'text'\n" * 2
 
 
 @pytest.mark.parametrize("command", ["verify-md", "classify", "verify-claims", "ktheory"])

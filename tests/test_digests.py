@@ -19,7 +19,7 @@ DIGESTS = [
     (["catalog"], "525f1e284e19db52968e82f10f84ebc99651424d22234ac32134c711972689f0"),
     (["verify-md"], "1c3e3c4569f9ab55d80457322e5a9141718228a0ca21a409f59bce975569f1a8"),
     (["classify"], "4de55c1d5c59365f6c6953a4084fa70404c6d6fbed6ddd36d94963b97371fcca"),
-    (["ktheory"], "64ef85c4a7d73016298823bac3a22e87a42c7343099e42f74e59cc658cbfb009"),
+    (["ktheory"], "426dae7a4094bb0050311c67abd4088e843122c277a175ee52367787a218604c"),
     (["verify-claims"], "fd6f0ff58cda7b0aae56ab0e8fd4437e5acdfb4e412e3bbee41f55e4b24df634"),
     (README_ORBIT, "9afb5f819e3474bca1bb63f709cf4f05c9e8e294efaa8c64cc3bb89369d058b9"),
 ]

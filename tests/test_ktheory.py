@@ -253,14 +253,33 @@ def test_extension_class_descriptor():
 def test_six_term_scenarios():
     sol = six_term_solve(scenario_input("paper"))
     assert sol.k0_mid == ZERO and sol.k1_mid == Z2
-    assert all(entry["residual"] == 0 for entry in sol.certificate)
     sol = six_term_solve(scenario_input("fibration"))
     assert sol.k0_mid == ZERO and sol.k1_mid == Z
     doc = sol.to_json()
     assert doc["middle"] == {"K0": {"free": 0, "torsion": []}, "K1": {"free": 1, "torsion": []}}
-    assert doc["consistency"]
     with pytest.raises(InvalidParams):
         scenario_input("unknown")
+
+
+def test_six_term_middle_against_minor_gcd_oracle():
+    # random free corners and connecting maps; the middle ranks and torsion
+    # come from the minor-gcd invariant factors, not from a Smith form
+    from md53c.ktheory import SixTermInput
+
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        k0_j, k1_j, k0_b, k1_b = (int(v) for v in rng.integers(0, 5, 4))
+        d0 = ZMat(k1_j, k0_b, rng.integers(-4, 5, (k1_j, k0_b)).tolist())
+        d1 = ZMat(k0_j, k1_b, rng.integers(-4, 5, (k0_j, k1_b)).tolist())
+        sol = six_term_solve(SixTermInput(AbGroup(k0_j), AbGroup(k1_j), AbGroup(k0_b),
+                                          AbGroup(k1_b), d0, d1))
+        f0, f1 = _minor_gcd_factors(d0), _minor_gcd_factors(d1)
+        # K0 = coker(delta1) + ker(delta0), K1 = coker(delta0) + ker(delta1)
+        assert sol.k0_mid == AbGroup(k0_j - len(f1) + k0_b - len(f0),
+                                     tuple(f for f in f1 if f > 1))
+        assert sol.k1_mid == AbGroup(k1_j - len(f0) + k1_b - len(f1),
+                                     tuple(f for f in f0 if f > 1))
+        assert sol.consistency == ()
 
 
 def test_six_term_zero_ring():
@@ -303,9 +322,9 @@ def test_index_invariant_default():
     assert rep.ext_group == Z2
     assert rep.delta0_factors == (1,)
     doc = rep.to_json()
-    assert doc["class_invariant_factors"]["delta0"] == [1]
-    assert doc["corners"]["K1(middle)"] == {"free": 2, "torsion": []}
-    assert all(entry["residual"] == 0 for entry in doc["consistency"])
+    assert doc["ext_class"]["invariant_factors"]["delta0"] == [1]
+    assert doc["middle"]["K1"] == {"free": 2, "torsion": []}
+    assert [entry["node"] for entry in doc["consistency"]] == ["delta0", "delta1"]
 
 
 def test_index_invariant_rejects_doubled_map():
