@@ -8,6 +8,7 @@ coordinate and a is the time along the X2 coadjoint flow.
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .catalog import ad2_block, build_algebra
 from .errors import InvalidParams
-from .lie_core import derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
+from .lie_core import derived_subalgebra, jacobi_defect, mat_exp
 
 __all__ = [
     "kirillov_form_rank",
@@ -29,13 +30,29 @@ __all__ = [
 ]
 
 
+def _skew5_ranks(B, tol):
+    """Ranks of the skew forms stacked on the last axis of B (5, 5, N), without an SVD:
+    s1^2 + s2^2 = |B|_F^2 / 2, s1^2 s2^2 = sum of squared 4x4 principal Pfaffians."""
+    scale = np.maximum(B.max(axis=(0, 1)), np.finfo(float).tiny)  # max |B_ij|, as B is skew
+    u = B[np.triu_indices(5, 1)] / scale  # so that no square over- or underflows
+    b = dict(zip(itertools.combinations(range(5), 2), u))
+    p = 0.5 * np.einsum("in,in->n", u, u)
+    q = sum((b[i, j] * b[k, l] - b[i, k] * b[j, l] + b[i, l] * b[j, k]) ** 2
+            for i, j, k, l in itertools.combinations(range(5), 4))
+    s1 = np.sqrt(p + np.sqrt(np.maximum(p * p - q, 0.0)))
+    s2 = np.sqrt(q) / np.maximum(s1, np.finfo(float).tiny)  # not p - sqrt(disc), which cancels
+    thr = tol * np.maximum(1.0 / scale, s1)  # tol * max(1, s1) before scaling
+    return 2 * (s1 > thr) + 2 * (s2 > thr)
+
+
 def kirillov_form_rank(sc, F, tol=1e-9):
-    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its rank."""
+    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its rank: how many of its
+    singular values s1, s1, s2, s2, 0, in closed form, exceed tol * max(1, s1)."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (sc.dim,):
-        raise InvalidParams(f"point must have {sc.dim} coordinates")
+    if F.shape != (sc.dim,) or sc.dim != 5:
+        raise InvalidParams("need a 5-dimensional algebra and a point of 5 coordinates")
     B = np.einsum("ijk,k->ij", sc.c, F)
-    return B, numeric_rank(B, tol)
+    return B, int(_skew5_ranks(B[..., None], tol)[0])
 
 
 def orbit_dimension(sc, F, tol=1e-9):
@@ -281,7 +298,7 @@ def md_property_check(spec, n=10000, seed=1729, tol=1e-9):
     form has rank 2 where (gamma, delta, sigma) != 0 and rank 0 exactly on
     the zero slice.  A twentieth of the samples is forced onto thin slices
     (full zero, gamma = 0, delta = sigma = 0) so both branches are hit.
-    """
+    Ranks are kirillov_form_rank's: 2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1)."""
     spec.validate()
     sc = build_algebra(spec)
     rng = np.random.default_rng(seed)
@@ -290,9 +307,7 @@ def md_property_check(spec, n=10000, seed=1729, tol=1e-9):
     pts[:k, 2:] = 0.0
     pts[k:2 * k, 2] = 0.0
     pts[2 * k:3 * k, 3:] = 0.0
-    B = np.einsum("ijk,nk->nij", sc.c, pts)
-    sv = np.linalg.svd(B, compute_uv=False)
-    ranks = (sv > tol * np.maximum(1.0, sv[:, :1])).sum(axis=1)
+    ranks = _skew5_ranks(sc.c @ pts.T, tol)
     expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
     bad = np.nonzero(ranks != expected)[0]
     failures = [

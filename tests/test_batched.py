@@ -1,8 +1,9 @@
 """The array kernels against their single-point calls: same_leaf, the
 equivalence maps and rho_apply on stacks give, row for row, what one point at
 a time gives, and raise for the same inputs; the batched checks give the
-failure entries of their old one-sample loops, and mat_exp, coadjoint_flow and
-jacobi_defect give what their old loops gave, all kept here as oracles."""
+failure entries of their old one-sample loops, mat_exp, coadjoint_flow and
+jacobi_defect give what their old loops gave, and the closed-form Kirillov rank
+gives what the SVD rule gave, all kept here as oracles."""
 
 import cmath
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from md53c import foliation
+from md53c import coadjoint, foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
@@ -473,3 +474,82 @@ def test_jacobi_defect_vanishes_on_the_grid():
     for spec in GRID:
         sc = build_algebra(spec)
         assert jacobi_defect(sc) == 0.0 == _scalar_jacobi_defect(sc), spec.label()
+
+
+def _svd_ranks(B, tol):
+    """The Kirillov rank rule before the closed form, kept as the oracle:
+    the singular values above tol * max(1, largest)."""
+    sv = np.linalg.svd(B, compute_uv=False)
+    return (sv > tol * np.maximum(1.0, sv[:, :1])).sum(axis=1)
+
+
+def _skew_forms(rng, s1, s2):
+    # Q J Q^T: a random rotation Q of J = s1 (e1 ^ e2) + s2 (e3 ^ e4), whose
+    # singular values are s1, s1, s2, s2, 0
+    q = np.linalg.qr(rng.normal(size=(len(s1), 5, 5)))[0]
+    j = np.zeros((len(s1), 5, 5))
+    j[:, 0, 1], j[:, 2, 3] = s1, s2
+    return q @ (j - j.transpose(0, 2, 1)) @ q.transpose(0, 2, 1)
+
+
+def _assert_ranks_match_oracle(B, tol=1e-9):
+    got = coadjoint._skew5_ranks(B.transpose(1, 2, 0), tol)
+    assert got.shape == (len(B),) and np.all(got % 2 == 0)
+    sv = np.linalg.svd(B, compute_uv=False)
+    thr = tol * np.maximum(1.0, sv[:, :1])
+    # the two rules may round apart only where s1 or s2 is within 1e-6 of thr
+    clear = (np.abs(sv[:, [0, 2]] - thr) > 1e-6 * thr).all(axis=1)
+    assert np.array_equal(got[clear], _svd_ranks(B, tol)[clear])
+    return got, clear
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_skew5_ranks_match_svd_rule(seed):
+    rng = np.random.default_rng(seed)
+    n = 600
+    s1 = 10.0 ** rng.uniform(-8.0, 8.0, n) * rng.uniform(1.0, 10.0, n)
+    thr = 1e-9 * np.maximum(1.0, s1)
+    # rank 4 with s2 from s1 down to 1e-12 s1, rank 2 (s2 = 0), and s2 just
+    # off the threshold, at 1e-5 and 1e-4 of it either way
+    s2 = s1 * 10.0 ** rng.uniform(-12.0, 0.0, n) * (rng.random(n) < 0.5)
+    edge = rng.random(n) < 0.3
+    s2[edge] = thr[edge] * (1.0 + rng.choice([-1e-4, -1e-5, 1e-5, 1e-4], edge.sum()))
+    B = _skew_forms(rng, s1, s2)
+    B[rng.random(n) < 0.1] = 0.0
+    got, clear = _assert_ranks_match_oracle(B)
+    assert clear.mean() > 0.99 and set(got) == {0, 2, 4}
+    # scales where the squares of the entries leave the float range
+    for big in (1e150, 1e-150):
+        assert _assert_ranks_match_oracle(big * B)[1].mean() > 0.99
+    # one hyperbolic pair under 1e-12 skew noise stays rank 2
+    noise = rng.normal(size=(n, 5, 5)) * 1e-12
+    got, clear = _assert_ranks_match_oracle(
+        _skew_forms(rng, rng.uniform(0.5, 2.0, n), np.zeros(n)) + noise - noise.transpose(0, 2, 1))
+    assert clear.all() and np.all(got == 2)
+
+
+@given(seeds)
+@settings(max_examples=2, deadline=None)
+def test_skew5_ranks_match_svd_rule_on_the_grid(seed):
+    rng = np.random.default_rng(seed)
+    for spec in GRID:
+        pts = rng.uniform(-3.0, 3.0, (10000, 5))
+        pts[:500, 2:] = 0.0
+        B = build_algebra(spec).c @ pts.T
+        assert np.array_equal(coadjoint._skew5_ranks(B, 1e-9),
+                              _svd_ranks(B.transpose(2, 0, 1), 1e-9)), spec.label()
+
+
+def test_rank4_kirillov_form_is_reported(monkeypatch):
+    # [X3, X4] = X5 pairs gamma with sigma: the form at gamma, sigma != 0 has
+    # rank 4, which the dichotomy check must report
+    spec = family_spec("F1", 2.0, 3.0)
+    sc = build_algebra(spec)
+    sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
+    monkeypatch.setattr(coadjoint, "build_algebra", lambda _: sc)
+    rep = coadjoint.md_property_check(spec, n=400, seed=3)
+    assert not rep.ok and len(rep.failures) == 50
+    assert {(f["expected"], f["got"]) for f in rep.failures} == {(2, 4)}
+    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 0.0, 1.0])[1] == 4
+    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 1.0, 0.0])[1] == 2
