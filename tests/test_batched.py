@@ -553,3 +553,6 @@ def test_rank4_kirillov_form_is_reported(monkeypatch):
     assert {(f["expected"], f["got"]) for f in rep.failures} == {(2, 4)}
     assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 0.0, 1.0])[1] == 4
     assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 1.0, 0.0])[1] == 2
+    # the closed form is for 5x5 forms only
+    with pytest.raises(InvalidParams):
+        coadjoint.kirillov_form_rank(StructureConstants(4), np.zeros(4))
