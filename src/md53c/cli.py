@@ -272,16 +272,20 @@ def cmd_ktheory(config, args):
 # the consolidated claims run
 
 
+def _draw_flow_words(rng, n):
+    """n start points, an (n, 5) array, and n flow words of 1..6 (direction,
+    time) steps, drawn as flat arrays split at the cumulative word lengths."""
+    start = rng.uniform(-2.0, 2.0, (n, 5))
+    ends = np.cumsum(rng.integers(1, 7, n)).tolist()
+    steps = list(zip(rng.integers(1, 6, ends[-1]).tolist(),
+                     rng.uniform(-1.0, 1.0, ends[-1]).tolist()))
+    return start, [steps[i:j] for i, j in zip([0, *ends[:-1]], ends)]
+
+
 def _flow_consistency_failures(spec, n, seed, tol):
     """How many of n random flow words of <= 6 steps leave the starting leaf:
-    all points and words are drawn, then flowed and tested in one call each."""
-    rng = np.random.default_rng(seed)
-    start, words = [], []
-    for _ in range(int(n)):
-        start.append(rng.uniform(-2.0, 2.0, 5))
-        words.append([(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
-                      for _ in range(int(rng.integers(1, 7)))])
-    start = np.array(start)
+    points and words are drawn as arrays, then flowed and tested at once."""
+    start, words = _draw_flow_words(np.random.default_rng(seed), int(n))
     end = coadjoint_flow(build_algebra(spec), start, words)
     return int(n) - np.count_nonzero(same_leaf(spec, start, end, tol=tol))
 

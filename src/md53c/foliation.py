@@ -245,22 +245,23 @@ def _h8_inv(spec, x, y, z, t, s):
 
 
 def _h8_seams(spec, z, t, s):
-    # w and s, then the distances of arg w and of the image angle from the
+    # |w| and s, then the distances of arg w and of the image angle from the
     # principal-argument cut at pi, the latter read as 0 when the image angle
     # lies past the cut; log|w| is read as 0 at w = 0, where the first
     # quantity already fails
-    w = complex(z, t)
-    arg = cmath.phase(w)
-    th2 = (complex(math.log(abs(w) or 1.0), arg) * (-1j * cmath.exp(1j * spec.phi))).imag
-    return (abs(w), s, math.pi - abs(arg), max(0.0, math.pi - abs(th2)))
+    w = z + 1j * t
+    arg = np.angle(w)
+    th2 = ((_log_abs(w) + 1j * arg) * (-1j * cmath.exp(1j * spec.phi))).imag
+    return (np.abs(w), s, np.pi - np.abs(arg), np.maximum(0.0, np.pi - np.abs(th2)))
 
 
 def _h4_id(spec, x, y, z, t, s):
     return (x, y, z, t, s)
 
 
-# Per family: the forward map, its inverse, and the quantities of a point
-# (z, t, s) that vanish on the seams of the maps' piecewise branches.
+# Per family: the forward map, its inverse, and the quantities of the
+# coordinates (z, t, s), arrays of one shape, that vanish on the seams of the
+# maps' piecewise branches.
 _MAPS = {
     "F1": (_h1_fwd, _h1_inv, lambda spec, z, t, s: (z, t)),
     "F2": (_h2_fwd, _h2_inv, lambda spec, z, t, s: (s,)),
@@ -269,7 +270,7 @@ _MAPS = {
     "F5": (_h5_fwd, _h5_inv, lambda spec, z, t, s: (z, t)),
     "F6": (_h6_fwd, _h6_inv, lambda spec, z, t, s: (z, s)),
     # u = t - z log|z| is the straightened t of h7 (log|z| read as 0 at z = 0)
-    "F7": (_h7_fwd, _h7_inv, lambda spec, z, t, s: (z, t, t - z * math.log(abs(z) or 1.0))),
+    "F7": (_h7_fwd, _h7_inv, lambda spec, z, t, s: (z, t, t - z * _log_abs(z))),
     "F8": (_h8_fwd, _h8_inv, _h8_seams),
 }
 
@@ -347,61 +348,71 @@ _AMAX = 1.5  # chart-parameter sweep, matching the flow-word time range
 _CUT_MARGIN = 1e-3
 
 
-def _sample_base(rng, spec):
-    """Random base point of a two-dimensional orbit with O(1) coordinates.
+def _signed(rng, low, high, shape):
+    # |v| uniform on [low, high), with a fair random sign
+    return rng.uniform(low, high, shape) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
 
-    Family 8 keeps the angular sweep theta0 -/+ amax*sin(phi) inside the
-    principal branch with a fixed margin; other families mix generic points
-    with exact zero patterns to hit the piecewise branches.
-    """
-    x, y = rng.uniform(-2.0, 2.0, 2)
+
+def _sample_base(rng, spec, n):
+    """n base points of two-dimensional orbits, O(1) coordinates, drawn field
+    by field as an (n, 5) array.  Family 8 keeps the angular sweep theta0 -/+
+    amax*sin(phi) inside the principal branch with a fixed margin, with shares
+    0.1 of w = 0 and 0.2 of s = 0; other families zero one of (z, t, s) at
+    rate 0.3 and, given that, the next too at rate 0.3 (piecewise branches)."""
+    xy = rng.uniform(-2.0, 2.0, (n, 2))
     if spec.family == "F8":
-        u = rng.random()
-        if u < 0.1:
-            # pure-sigma leaf, w = 0
-            s = math.copysign(rng.uniform(0.1, 2.0), rng.uniform(-1, 1))
-            return np.array([x, y, 0.0, 0.0, s])
+        u = rng.random(n)
         th_max = math.pi - _CUT_MARGIN - _AMAX * math.sin(spec.phi)
-        th = rng.uniform(-th_max, th_max)
-        w = rng.uniform(0.05, 2.0) * cmath.exp(1j * th)
-        s = 0.0 if u < 0.3 else math.copysign(rng.uniform(0.05, 2.0), rng.uniform(-1, 1))
-        return np.array([x, y, w.real, w.imag, s])
-    f = rng.uniform(0.05, 2.0, 3) * np.where(rng.random(3) < 0.5, -1.0, 1.0)
-    if rng.random() < 0.3:
-        k = int(rng.integers(0, 3))
-        f[k] = 0.0
-        if rng.random() < 0.3:
-            f[(k + 1) % 3] = 0.0
-    return np.array([x, y, f[0], f[1], f[2]])
+        w = rng.uniform(0.05, 2.0, n) * np.exp(1j * rng.uniform(-th_max, th_max, n))
+        w[u < 0.1] = 0.0
+        s = _signed(rng, np.where(u < 0.1, 0.1, 0.05), 2.0, n)
+        s[(u >= 0.1) & (u < 0.3)] = 0.0
+        return np.column_stack([xy, w.real, w.imag, s])
+    f = _signed(rng, 0.05, 2.0, (n, 3))
+    one = rng.random(n) < 0.3
+    two = one & (rng.random(n) < 0.3)
+    k = rng.integers(0, 3, n)
+    f[one, k[one]] = 0.0
+    f[two, (k[two] + 1) % 3] = 0.0
+    return np.hstack([xy, f])
 
 
 def _roundtrip_safe(spec, p):
-    # keep every seam quantity of the family's maps at least 1e-3 from zero
-    _, _, z, t, s = (float(v) for v in p)
-    return all(abs(q) >= 1e-3 for q in _MAPS[spec.family][2](spec, z, t, s))
+    # row by row for an (N, 5) stack: every seam quantity at least 1e-3 from 0
+    seams = _MAPS[spec.family][2](spec, *p[:, 2:].T)
+    return np.abs([np.full(len(p), np.inf), *seams]).min(axis=0) >= 1e-3
+
+
+def _roundtrip_points(rng, spec, base):
+    # the base rows, the unsafe ones redrawn for up to 40 rounds
+    rt, bad = base.copy(), ~_roundtrip_safe(spec, base)
+    for _ in range(40):
+        if not bad.any():
+            break
+        rt[bad] = _sample_base(rng, spec, np.count_nonzero(bad))
+        bad[bad] = ~_roundtrip_safe(spec, rt[bad])
+    return rt
 
 
 def _draw_pairs(rng, spec, n, extra):
-    """Draw n samples, each in a fixed stream order: a base point, b1..b3,
-    a1..a3, the alpha offset, then extra(rng, base).  Returns, one row per
-    sample, the chart points p at (b1, a1) and q at (b2, a2) on the base's
-    orbit, r at (b3, a3) on the alpha-shifted orbit, and the extras."""
-    if int(n) < 1:
+    """Draw n samples field by field, one array per field in a fixed stream
+    order: the base points, b1..b3, a1..a3, the alpha offsets, then
+    extra(rng, base), one row per sample.  Returns the chart points p at
+    (b1, a1) and q at (b2, a2) on each base's orbit, r at (b3, a3) on the
+    alpha-shifted orbit, and the extras."""
+    n = int(n)
+    if n < 1:
         # a check over no samples would pass vacuously
         raise InvalidParams("n must be >= 1")
-    bases, bs, avals, offs, extras = [], [], [], [], []
-    for _ in range(int(n)):
-        bases.append(_sample_base(rng, spec))
-        bs.append(rng.uniform(-2.0, 2.0, 3))
-        avals.append(rng.uniform(-_AMAX, _AMAX, 3))
-        offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
-        extras.append(extra(rng, bases[-1]))
+    base = _sample_base(rng, spec, n)
+    b = rng.uniform(-2.0, 2.0, (n, 3))
+    a = rng.uniform(-_AMAX, _AMAX, (n, 3))
+    shifted = base.copy()
+    shifted[:, 0] += _signed(rng, 0.1, 1.0, n)
+    extras = extra(rng, base)
     # _sample_base never returns a point orbit, so every chart is 2-dimensional
-    base, b, a = np.array(bases), np.array(bs), np.array(avals)
-    p = _chart(spec, base, b[:, 0], a[:, 0])
-    q = _chart(spec, base, b[:, 1], a[:, 1])
-    base[:, 0] += offs
-    return p, q, _chart(spec, base, b[:, 2], a[:, 2]), np.array(extras)
+    return (_chart(spec, base, b[:, 0], a[:, 0]), _chart(spec, base, b[:, 1], a[:, 1]),
+            _chart(spec, shifted, b[:, 2], a[:, 2]), extras)
 
 
 def _collect(rep, checks):
@@ -417,8 +428,9 @@ def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
     check that the equivalence map preserves both relations in the target,
     plus forward/inverse round-trips to 1e-9 on branch-safe points.
 
-    Every sample is drawn first, in a fixed order from one seeded stream;
-    the charts, maps and same-leaf tests then run on all samples at once.
+    Every sample is drawn first, field by field as arrays from one seeded
+    stream, the round-trip points last; the charts, maps and same-leaf tests
+    then run on all samples at once.
     """
     source, target = pair
     source.validate()
@@ -430,16 +442,8 @@ def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
         )
     rep = CheckReport("classification", source.label(), emap.target.label(),
                       int(n), int(seed), float(tol))
-
-    def roundtrip_point(rng, rt):
-        # the base, or the first branch-safe point of up to 40 fresh draws
-        for _ in range(40):
-            if _roundtrip_safe(source, rt):
-                break
-            rt = _sample_base(rng, source)
-        return rt
-
-    p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n, roundtrip_point)
+    p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n,
+                              lambda rng, base: _roundtrip_points(rng, source, base))
     hp = apply_equivalence(emap, p, "fwd")
     positive = same_leaf(emap.target, hp, apply_equivalence(emap, q, "fwd"), tol)
     negative = same_leaf(emap.target, hp, apply_equivalence(emap, r, "fwd"), tol)
@@ -467,16 +471,30 @@ def _same_invariant(kind, p, q, tol):
     return _rel_ok(c, c2, tol) & close & (e == e2)
 
 
+def _hard_negatives(kind, p):
+    # per row of p, a point of the same c on another leaf, drawing nothing:
+    # "F1" cycles (z, t, s) and keeps x + z; "F2" negates s or, where s = 0,
+    # doubles z + it and keeps x - t
+    x, y, z, t, s = p.T
+    if kind == "F1":
+        return np.column_stack([x + z - t, y, t, s, z])
+    k = np.where(s == 0.0, 2.0, 1.0)
+    return np.column_stack([x + (k - 1.0) * t, y, k * z, k * t, -s])
+
+
 def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     """Type "F1": the (x+z, direction) invariant is complete for the family-4
     foliation.  Type "F2": rho-orbits coincide with F8(1, pi/2) leaves (group
     axioms to 1e-12, images stay on leaves, (r, a) recovered from invariants
     reaches every sampled chart point), the twisted invariant is complete on
     both regions, and the untwisted projection is probed and reported as
-    strictly finer than the leaves (one discrepancy entry).
+    strictly finer than the leaves (one discrepancy entry).  Each sampled p
+    is also paired with a point of the same c on another leaf, which an
+    invariant cut down to c alone would match.
 
-    Samples are drawn as in verify_classification, F2 drawing g1, g2 and a
-    chart parameter (b, a) after each, and then checked all at once."""
+    Samples are drawn as arrays as in verify_classification, F2 then drawing
+    g1, g2 and a chart parameter (b, a) as one (n, 6) array; all are checked
+    at once."""
     if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
     spec = family_spec("F4") if kind == "F1" else _representative("F8")
@@ -484,14 +502,17 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
                       "R x S2 base" if kind == "F1" else "rho-action on V",
                       int(n), int(seed), float(tol))
     extra = (lambda rng, base: ()) if kind == "F1" else \
-        (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3))
+        (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3, (len(base), 6)))
     p, q, r, g = _draw_pairs(np.random.default_rng(seed), spec, n, extra)
+    h = _hard_negatives(kind, p)
     itol = max(tol, 1e-8)
     checks = [
         ("positive", ~(same_leaf(spec, p, q, tol) & _same_invariant(kind, p, q, itol)),
          {"p": p, "q": q}),
         ("negative", same_leaf(spec, p, r, tol) | _same_invariant(kind, p, r, itol),
          {"p": p, "q": r}),
+        ("hard-negative", same_leaf(spec, p, h, tol) | _same_invariant(kind, p, h, itol),
+         {"p": p, "q": h}),
     ]
     if kind == "F1":
         _collect(rep, checks)

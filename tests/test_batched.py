@@ -1,9 +1,11 @@
 """The array kernels against their single-point calls: same_leaf, the
 equivalence maps and rho_apply on stacks give, row for row, what one point at
-a time gives, and raise for the same inputs; the batched checks give the
-failure entries of their old one-sample loops, mat_exp, coadjoint_flow and
-jacobi_defect give what their old loops gave, and the closed-form Kirillov rank
-gives what the SVD rule gave, all kept here as oracles."""
+a time gives, and raise for the same inputs; the batched checks, run on the
+points of the old one-sample-at-a-time stream, give the failure entries of
+their old one-sample loops, and the array samplers keep each field's range
+and rates; mat_exp, coadjoint_flow and jacobi_defect give what their old
+loops gave, and the closed-form Kirillov rank gives what the SVD rule gave,
+all kept here as oracles."""
 
 import cmath
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from md53c import coadjoint, foliation
+from md53c import cli, coadjoint, foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
@@ -23,6 +25,8 @@ from md53c.lie_core import StructureConstants, ad_matrix, jacobi_defect, mat_exp
 
 GRID = default_grid()
 MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
+# the first grid member of each family, as the flow check picks them
+FAMILY_REPS = [next(s for s in GRID if s.family == f) for f in sorted({s.family for s in GRID})]
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -178,14 +182,84 @@ def test_f8_principal_angle_stack():
     assert not same_leaf(spec, p, q).any()
 
 
+# The old sample stream: sample by sample, a base point, b1..b3, a1..a3, the
+# alpha offset and that sample's extras, and each flow word step by step.
+# The array samplers replaced it.  It stays here so that the batched checks
+# run on its points, against the one-sample loops that replay it.
+
+
+def _old_sample_base(rng, spec):
+    """One random base point of a two-dimensional orbit, on the old stream."""
+    x, y = rng.uniform(-2.0, 2.0, 2)
+    if spec.family == "F8":
+        u = rng.random()
+        if u < 0.1:
+            # pure-sigma leaf, w = 0
+            s = math.copysign(rng.uniform(0.1, 2.0), rng.uniform(-1, 1))
+            return np.array([x, y, 0.0, 0.0, s])
+        th_max = math.pi - foliation._CUT_MARGIN - foliation._AMAX * math.sin(spec.phi)
+        th = rng.uniform(-th_max, th_max)
+        w = rng.uniform(0.05, 2.0) * cmath.exp(1j * th)
+        s = 0.0 if u < 0.3 else math.copysign(rng.uniform(0.05, 2.0), rng.uniform(-1, 1))
+        return np.array([x, y, w.real, w.imag, s])
+    f = rng.uniform(0.05, 2.0, 3) * np.where(rng.random(3) < 0.5, -1.0, 1.0)
+    if rng.random() < 0.3:
+        k = int(rng.integers(0, 3))
+        f[k] = 0.0
+        if rng.random() < 0.3:
+            f[(k + 1) % 3] = 0.0
+    return np.array([x, y, f[0], f[1], f[2]])
+
+
+def _old_draw_pairs(rng, spec, n, extra):
+    """_draw_pairs on the old stream: extra(rng, base) runs on each sample's
+    one-row base right after its alpha offset, so the round-trip redraws and
+    the rho-action draws come sample by sample too."""
+    if int(n) < 1:
+        raise InvalidParams("n must be >= 1")
+    bases, bs, avals, offs, extras = [], [], [], [], []
+    for _ in range(int(n)):
+        bases.append(_old_sample_base(rng, spec))
+        bs.append(rng.uniform(-2.0, 2.0, 3))
+        avals.append(rng.uniform(-foliation._AMAX, foliation._AMAX, 3))
+        offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
+        extras.append(np.reshape(extra(rng, bases[-1][None]), (1, -1)))
+    base, b, a = np.array(bases), np.array(bs), np.array(avals)
+    p = coadjoint._chart(spec, base, b[:, 0], a[:, 0])
+    q = coadjoint._chart(spec, base, b[:, 1], a[:, 1])
+    base[:, 0] += offs
+    return p, q, coadjoint._chart(spec, base, b[:, 2], a[:, 2]), np.concatenate(extras)
+
+
+def _old_flow_words(rng, n):
+    """_draw_flow_words on the old stream: a start point, its word length,
+    then each step's direction and time, word by word."""
+    start, words = [], []
+    for _ in range(n):
+        start.append(rng.uniform(-2.0, 2.0, 5))
+        words.append([(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
+                      for _ in range(int(rng.integers(1, 7)))])
+    return np.array(start), words
+
+
+@pytest.fixture
+def old_stream(monkeypatch):
+    """The batched checks drawing from the old stream; each round-trip
+    redraw of one row is one old base point."""
+    monkeypatch.setattr(foliation, "_draw_pairs", _old_draw_pairs)
+    monkeypatch.setattr(foliation, "_sample_base", lambda rng, spec, n: np.array(
+        [_old_sample_base(rng, spec) for _ in range(n)]))
+    monkeypatch.setattr(cli, "_draw_flow_words", _old_flow_words)
+
+
 def _scalar_classification(spec, n, seed, tol):
     """The one-sample-at-a-time classification loop, kept as the oracle for
-    the batched check: same stream, same order, same failure entries."""
+    the batched check: old stream, same order, same failure entries."""
     emap = equivalence_map(spec)
     rng = np.random.default_rng(seed)
     failures = []
     for _ in range(n):
-        base = foliation._sample_base(rng, spec)
+        base = _old_sample_base(rng, spec)
         chart = orbit_chart(spec, base)
         b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
         a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
@@ -201,9 +275,9 @@ def _scalar_classification(spec, n, seed, tol):
             failures.append({"kind": "negative", "p": list(p), "q": list(r)})
         rt = base
         for _ in range(40):
-            if foliation._roundtrip_safe(spec, rt):
+            if _branch_safe_oracle(spec, rt):
                 break
-            rt = foliation._sample_base(rng, spec)
+            rt = _old_sample_base(rng, spec)
         back = apply_equivalence(emap, apply_equivalence(emap, rt), "inv")
         if np.abs(back - rt).max() > 1e-9 * max(1.0, np.abs(rt).max()):
             failures.append({"kind": "roundtrip", "p": list(rt), "back": list(back)})
@@ -219,37 +293,62 @@ def _assert_same_failures(got, want):
 
 @pytest.mark.parametrize("spec", [s for s in MAPPED if s.family != "F4"][::3],
                          ids=lambda s: s.label())
-def test_batched_classification_matches_scalar_loop(spec):
+def test_batched_classification_matches_scalar_loop(spec, old_stream):
     emap = equivalence_map(spec)
     rep = verify_classification((spec, emap.target), n=30, seed=41, tol=1e-6)
     assert rep.failures == [] == _scalar_classification(spec, 30, 41, 1e-6)
 
 
-@pytest.mark.parametrize("broken,kinds", [
+_F2_MAPS = foliation._MAPS["F2"]
+CLASSIFICATION_CASES = [
     # a forward map that drops x sends gamma != 0 pairs off their leaf
     # (positive failures), merges gamma = 0 pairs with their alpha-shifted
     # twins (negative failures), and never inverts (round-trip failures)
     ("fwd", {"positive", "negative", "roundtrip"}),
     # an inverse shifted in x fails only the round trips
     ("inv", {"roundtrip"}),
-])
-def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkeypatch):
-    spec = family_spec("F2", 2.0)
-    fwd, inv, seams = foliation._MAPS["F2"]
+]
+
+
+def _break_map(monkeypatch, broken):
+    fwd, inv, seams = _F2_MAPS
     if broken == "fwd":
         maps = (lambda sp, x, y, z, t, s: fwd(sp, 0.0 * x, y, z, t, s), inv, seams)
     else:
         maps = (fwd, lambda sp, x, y, z, t, s: inv(sp, x + 1e-6, y, z, t, s), seams)
     monkeypatch.setitem(foliation._MAPS, "F2", maps)
+
+
+@pytest.mark.parametrize("broken,kinds", CLASSIFICATION_CASES)
+def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkeypatch,
+                                                           old_stream):
+    spec = family_spec("F2", 2.0)
+    _break_map(monkeypatch, broken)
     rep = verify_classification((spec, family_spec("F4")), n=40, seed=5, tol=1e-6)
     want = _scalar_classification(spec, 40, 5, 1e-6)
     assert {f["kind"] for f in want} == kinds
     _assert_same_failures(rep.failures, want)
 
 
+@pytest.mark.parametrize("broken,kinds", CLASSIFICATION_CASES)
+def test_classification_mutations_caught_on_the_array_stream(broken, kinds, monkeypatch):
+    _break_map(monkeypatch, broken)
+    rep = verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=200, seed=3)
+    assert {f["kind"] for f in rep.failures} == kinds
+
+
+def _scalar_hard_negative(kind, p):
+    # the point of the same c on another leaf: (z, t, s) cycled keeping
+    # x + z, or s negated, or where s = 0 z + it doubled keeping x - t
+    x, y, z, t, s = p
+    if kind == "F1":
+        return np.array([x + z - t, y, t, s, z])
+    return np.array([x, y, z, t, -s] if s != 0.0 else [x + t, y, 2.0 * z, 2.0 * t, s])
+
+
 def _scalar_fibration(kind, n, seed, tol):
     """The one-sample-at-a-time fibration loop, kept as the oracle for the
-    batched check: same stream, same order, same failure entries.  It calls
+    batched check: old stream, same order, same failure entries.  It calls
     same_leaf and rho_apply through the module, so a patched kernel reaches
     it too."""
     spec = family_spec("F4") if kind == "F1" else family_spec("F8", 1.0, math.pi / 2)
@@ -258,7 +357,7 @@ def _scalar_fibration(kind, n, seed, tol):
     rho = foliation.rho_apply
     failures = []
     for _ in range(n):
-        base = foliation._sample_base(rng, spec)
+        base = _old_sample_base(rng, spec)
         chart = orbit_chart(spec, base)
         b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
         a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
@@ -271,6 +370,9 @@ def _scalar_fibration(kind, n, seed, tol):
         r = orbit_chart(spec, base2).eval(b3, a3)
         if foliation.same_leaf(spec, p, r, tol) or ip.approx_eq(leaf_invariant(kind, r), itol):
             failures.append({"kind": "negative", "p": list(p), "q": list(r)})
+        h = _scalar_hard_negative(kind, p)
+        if foliation.same_leaf(spec, p, h, tol) or ip.approx_eq(leaf_invariant(kind, h), itol):
+            failures.append({"kind": "hard-negative", "p": list(p), "q": list(h)})
         if kind == "F1":
             continue
         scale = max(1.0, float(np.abs(p).max()))
@@ -306,23 +408,78 @@ def _broken_rho(g, p):
     return rho_apply(g, p) + shift
 
 
-@pytest.mark.parametrize("seed", [1729, 5])
-@pytest.mark.parametrize("kind,broken", [
+FIBRATION_CASES = [
     ("F1", set()),
     ("F2", set()),
-    ("F1", {"positive", "negative"}),
-    ("F2", {"positive", "negative", "identity-axiom", "additivity-axiom", "rho-image",
-            "recovery"}),
-])
-def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch):
+    ("F1", {"positive", "negative", "hard-negative"}),
+    ("F2", {"positive", "negative", "hard-negative", "identity-axiom", "additivity-axiom",
+            "rho-image", "recovery"}),
+]
+
+
+def _break_kernels(monkeypatch):
+    monkeypatch.setattr(foliation, "same_leaf", _broken_same_leaf)
+    monkeypatch.setattr(foliation, "rho_apply", _broken_rho)
+
+
+@pytest.mark.parametrize("seed", [1729, 5])
+@pytest.mark.parametrize("kind,broken", FIBRATION_CASES)
+def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch, old_stream):
     if broken:
-        monkeypatch.setattr(foliation, "same_leaf", _broken_same_leaf)
-        monkeypatch.setattr(foliation, "rho_apply", _broken_rho)
+        _break_kernels(monkeypatch)
     rep = fibration_check(kind, n=60, seed=seed, tol=1e-8)
     want = _scalar_fibration(kind, 60, seed, 1e-8)
     assert {f["kind"] for f in want} == broken
     _assert_same_failures(rep.failures, want)
     assert len(rep.discrepancies) == (kind == "F2")
+
+
+def _scalar_flow_failures(spec, n, seed, tol):
+    """The one-word-at-a-time flow check, kept as the oracle for
+    _flow_consistency_failures: old stream, the per-step flow, and same_leaf
+    point by point through the cli module, so a patched kernel reaches it."""
+    sc = build_algebra(spec)
+    start, words = _old_flow_words(np.random.default_rng(seed), n)
+    return sum(not cli.same_leaf(spec, f, _scalar_flow(sc, f, w), tol=tol)
+               for f, w in zip(start, words))
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch, old_stream):
+    if broken:
+        monkeypatch.setattr(cli, "same_leaf", _broken_same_leaf)
+    for spec in FAMILY_REPS:
+        got = cli._flow_consistency_failures(spec, 40, 1729, 1e-8)
+        assert got == _scalar_flow_failures(spec, 40, 1729, 1e-8)
+        assert (got > 0) == broken, spec.label()
+
+
+@pytest.mark.parametrize("kind,broken", FIBRATION_CASES)
+def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatch):
+    if broken:
+        _break_kernels(monkeypatch)
+        monkeypatch.setattr(cli, "same_leaf", _broken_same_leaf)
+    assert {f["kind"] for f in fibration_check(kind, n=200, seed=3).failures} == broken
+    assert (cli._flow_consistency_failures(FAMILY_REPS[0], 200, 3, 1e-8) > 0) == bool(broken)
+
+
+def _c_only_invariant(kind, p, q, tol):
+    # an incomplete invariant: c = x + z ("F1") or x - t ("F2") alone
+    c = (lambda v: v[:, 0] + v[:, 2]) if kind == "F1" else (lambda v: v[:, 0] - v[:, 3])
+    return foliation._rel_ok(c(p), c(q), tol)
+
+
+@given(seeds, st.sampled_from(["F1", "F2"]))
+@settings(max_examples=10, deadline=None)
+def test_hard_negatives_catch_an_incomplete_invariant(seed, kind):
+    # the pairs share c but lie on different leaves: the true checks never
+    # match them, and an invariant cut down to c matches every one
+    assert fibration_check(kind, n=500, seed=seed).ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foliation, "_same_invariant", _c_only_invariant)
+        rep = fibration_check(kind, n=500, seed=seed)
+    assert {f["kind"] for f in rep.failures} == {"hard-negative"}
+    assert len(rep.failures) == 500
 
 
 def _branch_safe_oracle(spec, p):
@@ -354,17 +511,76 @@ def _branch_safe_oracle(spec, p):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_margin_matches_oracle(seed, spec):
     # points on, near and away from every seam, the principal-argument cuts
-    # included, and |w| from 1e-6 to 1e6 so the image angle of family 8
-    # passes its cut
+    # included (on them too, from either side of the real axis), and |w| from
+    # 1e-6 to 1e6 so the image angle of family 8 passes its cut; one call on
+    # the stack, row by row against the oracle
     rng = np.random.default_rng(seed)
     pts = _map_points(rng, spec, 64)
     pts[::3, 2:] *= rng.choice([1e-3, 1.0005e-3, 0.9995e-3, 1e-6, 1e6], (len(pts[::3]), 3))
     angle = rng.uniform(math.pi - 3e-3, math.pi, 16) * rng.choice([-1.0, 1.0], 16)
     pts[-16:, 2], pts[-16:, 3] = np.cos(angle), np.sin(angle)
-    for p in pts:
-        assert foliation._roundtrip_safe(spec, p) == _branch_safe_oracle(spec, p), list(p)
+    pts[-18:-16, 2:4] = [[-1.0, 0.0], [-1.0, -0.0]]
+    got = foliation._roundtrip_safe(spec, pts)
+    assert got.shape == (len(pts),) and got.dtype == bool
+    assert list(got) == [_branch_safe_oracle(spec, p) for p in pts]
 
 
+def _within_5_sigma(hits, n, rate):
+    return abs(np.count_nonzero(hits) - n * rate) <= 5.0 * math.sqrt(n * rate * (1.0 - rate))
+
+
+@pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
+@given(seed=seeds)
+@settings(max_examples=4, deadline=None)
+def test_array_sampler_fields_and_rates(spec, seed):
+    n = 20000
+    rng = np.random.default_rng(seed)
+    base = foliation._sample_base(rng, spec, n)
+    assert base.shape == (n, 5) and foliation.in_V(base).all()
+    assert (np.abs(base[:, :2]) <= 2.0).all()
+    if spec.family == "F8":
+        w, s = base[:, 2] + 1j * base[:, 3], base[:, 4]
+        pure, flat = w == 0.0, s == 0.0
+        th_max = math.pi - foliation._CUT_MARGIN - foliation._AMAX * math.sin(spec.phi)
+        # |w| and arg w come back from cos and sin up to rounding
+        assert ((np.abs(w) >= 0.05 * (1 - 1e-12)) & (np.abs(w) < 2.0 * (1 + 1e-12)))[~pure].all()
+        assert (np.abs(np.angle(w[~pure])) <= th_max + 1e-12).all()
+        assert ((np.abs(s) >= np.where(pure, 0.1, 0.05)) & (np.abs(s) < 2.0))[~flat].all()
+        assert _within_5_sigma(pure, n, 0.1) and _within_5_sigma(flat, n, 0.2)
+    else:
+        zero = base[:, 2:] == 0.0
+        assert ((np.abs(base[:, 2:]) >= 0.05) & (np.abs(base[:, 2:]) < 2.0))[~zero].all()
+        assert _within_5_sigma(zero.any(axis=1), n, 0.3)
+        assert _within_5_sigma(zero.sum(axis=1) == 2, n, 0.09)
+    # round-trip rows: safe rows kept, the others redrawn; a row stays unsafe
+    # after 40 redraws with chance below 0.35**41 < 1e-18, so none does
+    rt = foliation._roundtrip_points(rng, spec, base)
+    safe = foliation._roundtrip_safe(spec, base)
+    assert np.array_equal(rt[safe], base[safe]) and foliation.in_V(rt).all()
+    assert np.count_nonzero(~foliation._roundtrip_safe(spec, rt)) == 0
+
+
+@pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
+def test_array_draws_repeat_per_seed(spec):
+    def draw(seed, n=500):
+        return foliation._draw_pairs(np.random.default_rng(seed), spec, n,
+                                     lambda rng, base: foliation._roundtrip_points(rng, spec, base))
+
+    first = draw(7)
+    assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
+    assert not np.array_equal(first[0], draw(8)[0])
+    assert all(v.shape == (500, 5) and foliation.in_V(v).all() for v in first)
+    start, words = cli._draw_flow_words(np.random.default_rng(7), 500)
+    again = cli._draw_flow_words(np.random.default_rng(7), 500)
+    assert np.array_equal(start, again[0]) and words == again[1]
+    assert start.shape == (500, 5) and {len(w) for w in words} == set(range(1, 7))
+    steps = np.array([st for w in words for st in w])
+    assert set(steps[:, 0]) == {1, 2, 3, 4, 5} and (np.abs(steps[:, 1]) <= 1.0).all()
+    for n in (0, -3):
+        with pytest.raises(InvalidParams):
+            foliation._draw_pairs(np.random.default_rng(7), spec, n, lambda rng, base: ())
+        with pytest.raises(InvalidParams):
+            verify_classification((spec, equivalence_map(spec).target), n=n)
 def _scalar_mat_exp(m, t=1.0):
     """The one-matrix exponential, kept as the oracle for the stacked one."""
     a = t * np.asarray(m, dtype=float)
