@@ -10,7 +10,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -269,16 +269,7 @@ class MDReport:
         return self.structure_ok and not self.failures
 
     def to_json(self):
-        return {
-            "family": self.family,
-            "params": self.params,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "structure_ok": self.structure_ok,
-            "ok": self.ok,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _structure_ok(spec, sc):

@@ -19,9 +19,7 @@ from .errors import DomainError, InvalidParams, UnsupportedMap
 
 __all__ = [
     "in_V",
-    "InvariantF1",
-    "InvariantF2U",
-    "InvariantF2W",
+    "LeafInvariant",
     "leaf_invariant",
     "printed_u_submersion",
     "EquivalenceMap",
@@ -47,67 +45,52 @@ def _rel_ok(a, b, tol):
     return np.abs(a - b) <= tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-@dataclass(frozen=True)
-class InvariantF1:
-    """Leaf invariant for the type-one representative: c = x + z and the ray
-    direction of (z, t, s)."""
+@dataclass(frozen=True, eq=False)
+class LeafInvariant:
+    """Complete invariant of the leaf through a point of V, or of each row of
+    an (N, 5) stack, for type "F1" or "F2"; the fields are scalars for one
+    point and arrays with one row per point for a stack.
 
-    c: float
-    u: tuple
+    "F1": c = x + z, u the unit direction of (z, t, s), eps = 0.
+    "F2": c = x - t; where s != 0, u is the twisted coordinate
+    (z + it) e^{i ln|s|} and eps = sign(s); where s = 0, u is the radius
+    |z + it| and eps = 0, so the two regions never compare equal.
+    """
 
-    def approx_eq(self, other, tol=1e-8):
-        if not isinstance(other, InvariantF1):
-            return False
-        return bool(_rel_ok(self.c, other.c, tol)) and all(
-            abs(a - b) <= tol for a, b in zip(self.u, other.u)
-        )
-
-
-@dataclass(frozen=True)
-class InvariantF2U:
-    """Leaf invariant on the s != 0 region: c = x - t, the twisted complex
-    coordinate (z + it) e^{i ln|s|}, and the sign of s."""
-
-    c: float
-    w: complex
-    eps: int
+    kind: str
+    c: object
+    u: object
+    eps: object
 
     def approx_eq(self, other, tol=1e-8):
-        if not isinstance(other, InvariantF2U):
-            return False
-        return self.eps == other.eps and bool(
-            _rel_ok(self.c, other.c, tol) & _rel_ok(self.w, other.w, tol))
-
-
-@dataclass(frozen=True)
-class InvariantF2W:
-    """Leaf invariant on the s = 0 region: c = x - t and r = |z + it|."""
-
-    c: float
-    r: float
-
-    def approx_eq(self, other, tol=1e-8):
-        if not isinstance(other, InvariantF2W):
-            return False
-        return bool(_rel_ok(self.c, other.c, tol) & _rel_ok(self.r, other.r, tol))
+        """c to tol at its own scale, eps exactly, and u to tol: absolutely
+        for the "F1" direction, at its own scale for "F2".  A bool for one
+        point, a boolean array with one entry per row for stacks."""
+        if other.kind != self.kind:
+            raise InvalidParams("leaf invariants of different kinds do not compare")
+        if self.kind == "F1":
+            close = (np.abs(self.u - other.u) <= tol).all(axis=-1)
+        else:
+            close = _rel_ok(self.u, other.u, tol)
+        out = _rel_ok(self.c, other.c, tol) & close & (self.eps == other.eps)
+        return bool(out) if np.ndim(out) == 0 else out
 
 
 def leaf_invariant(kind, p):
-    """Complete invariant of the leaf through p for the given type ("F1" or
-    "F2"); the F2 branch is chosen by s != 0 versus s = 0."""
+    """The LeafInvariant of type kind ("F1" or "F2") of a point, or row by row
+    of an (N, 5) stack of points; every row must lie in V."""
     p = np.asarray(p, dtype=float)
-    if not in_V(p):
+    if not np.all(in_V(p)):
         raise DomainError("point lies outside V: (z, t, s) = 0")
-    x, _, z, t, s = (float(v) for v in p)
+    x, _, z, t, s = np.moveaxis(p, -1, 0)
     if kind == "F1":
-        v = np.array([z, t, s])
-        v = v / np.linalg.norm(v)
-        return InvariantF1(x + z, tuple(float(c) for c in v))
+        v = p[..., 2:]
+        return LeafInvariant(kind, x + z, v / np.linalg.norm(v, axis=-1, keepdims=True), 0)
     if kind == "F2":
-        if s != 0.0:
-            tw = complex(z, t) * cmath.exp(1j * math.log(abs(s)))
-            return InvariantF2U(x - t, tw, 1 if s > 0 else -1)
-        return InvariantF2W(x - t, abs(complex(z, t)))
+        w = z + 1j * t
+        u = np.where(s != 0.0, w * np.exp(1j * _log_abs(s)), np.abs(w))
+        # [()] reads the 0-d array of one point as a scalar
+        return LeafInvariant(kind, x - t, u[()], np.sign(s))
     raise InvalidParams("invariant kind must be 'F1' or 'F2'")
 
 
@@ -306,7 +289,7 @@ def apply_equivalence(emap, p, direction="fwd"):
     if src.is_halfplane:
         raise UnsupportedMap(
             f"{emap.name} has no printed formula at lambda = 0; those leaves are "
-            "half-planes and are compared by invariants directly"
+            "half-planes and no map is checked for them"
         )
     if direction not in ("fwd", "inv"):
         raise InvalidParams("direction must be 'fwd' or 'inv'")
@@ -455,22 +438,6 @@ def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
     return rep
 
 
-def _same_invariant(kind, p, q, tol):
-    """Row by row, leaf_invariant(kind, p).approx_eq(leaf_invariant(kind, q),
-    tol) for (N, 5) stacks of points of V."""
-    def parts(v):
-        x, _, z, t, s = v.T
-        if kind == "F1":
-            return x + z, v[:, 2:] / np.linalg.norm(v[:, 2:], axis=1, keepdims=True), 0.0
-        # the twisted coordinate where s != 0, the radius |z + it| where s = 0
-        w = z + 1j * t
-        return x - t, np.where(s != 0.0, w * np.exp(1j * _log_abs(s)), np.abs(w)), np.sign(s)
-
-    (c, u, e), (c2, u2, e2) = parts(p), parts(q)
-    close = (np.abs(u - u2) <= tol).all(axis=1) if kind == "F1" else _rel_ok(u, u2, tol)
-    return _rel_ok(c, c2, tol) & close & (e == e2)
-
-
 def _hard_negatives(kind, p):
     # per row of p, a point of the same c on another leaf, drawing nothing:
     # "F1" cycles (z, t, s) and keeps x + z; "F2" negates s or, where s = 0,
@@ -494,7 +461,8 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
 
     Samples are drawn as arrays as in verify_classification, F2 then drawing
     g1, g2 and a chart parameter (b, a) as one (n, 6) array; all are checked
-    at once."""
+    at once, the leaf invariant of the stack p computed once and compared
+    with those of q, r and the paired points."""
     if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
     spec = family_spec("F4") if kind == "F1" else _representative("F8")
@@ -506,13 +474,15 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     p, q, r, g = _draw_pairs(np.random.default_rng(seed), spec, n, extra)
     h = _hard_negatives(kind, p)
     itol = max(tol, 1e-8)
+    ip = leaf_invariant(kind, p)
+    def same(v):
+        # p's invariant, computed once, against each row of v
+        return ip.approx_eq(leaf_invariant(kind, v), itol)
+
     checks = [
-        ("positive", ~(same_leaf(spec, p, q, tol) & _same_invariant(kind, p, q, itol)),
-         {"p": p, "q": q}),
-        ("negative", same_leaf(spec, p, r, tol) | _same_invariant(kind, p, r, itol),
-         {"p": p, "q": r}),
-        ("hard-negative", same_leaf(spec, p, h, tol) | _same_invariant(kind, p, h, itol),
-         {"p": p, "q": h}),
+        ("positive", ~(same_leaf(spec, p, q, tol) & same(q)), {"p": p, "q": q}),
+        ("negative", same_leaf(spec, p, r, tol) | same(r), {"p": p, "q": r}),
+        ("hard-negative", same_leaf(spec, p, h, tol) | same(h), {"p": p, "q": h}),
     ]
     if kind == "F1":
         _collect(rep, checks)

@@ -26,8 +26,9 @@ class StructureConstants:
     """Structure constants of a real Lie algebra in a fixed basis.
 
     ``c[i, j, k]`` is the X_{k+1}-coefficient of [X_{i+1}, X_{j+1}] (the
-    array is 0-based).  Constructors take 1-based entries with i < j and
-    fill the lower triangle by antisymmetry.
+    array is 0-based).  The constructor takes 1-based entries
+    (i, j, k, value) with i < j and fills the lower triangle by
+    antisymmetry; from_array takes the full array.
     """
 
     def __init__(self, dim, entries=()):
@@ -51,41 +52,6 @@ class StructureConstants:
         sc.c = c.copy()
         return sc
 
-    def entries(self):
-        """Yield the nonzero upper-triangle entries as (i, j, k, value), 1-based."""
-        dim = self.dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(dim):
-                    v = self.c[i, j, k]
-                    if v != 0.0:
-                        yield (i + 1, j + 1, k + 1, float(v))
-
-    def to_text(self):
-        """Serialize as a dimension line followed by one 'i j k value' line per entry.
-
-        Values are written with repr, so parsing is an exact round trip.
-        """
-        lines = ["# structure constants: dim, then 'i j k value' per entry (1-based, i < j)"]
-        lines.append(str(self.dim))
-        for i, j, k, v in self.entries():
-            lines.append(f"{i} {j} {k} {v!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-        if not rows:
-            raise ValueError("empty structure-constant text")
-        dim = int(rows[0])
-        entries = []
-        for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 4:
-                raise ValueError(f"bad structure line: {ln!r}")
-            entries.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
-        return cls(dim, entries)
-
     def __eq__(self, other):
         return (
             isinstance(other, StructureConstants)
@@ -94,7 +60,7 @@ class StructureConstants:
         )
 
     def __repr__(self):
-        n = sum(1 for _ in self.entries())
+        n = np.count_nonzero(self.c[np.triu_indices(self.dim, 1)])
         return f"StructureConstants(dim={self.dim}, entries={n})"
 
 

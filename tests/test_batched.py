@@ -4,11 +4,13 @@ a time gives, and raise for the same inputs; the batched checks, run on the
 points of the old one-sample-at-a-time stream, give the failure entries of
 their old one-sample loops, and the array samplers keep each field's range
 and rates; mat_exp, coadjoint_flow and jacobi_defect give what their old
-loops gave, and the closed-form Kirillov rank gives what the SVD rule gave,
-all kept here as oracles."""
+loops gave, the stacked leaf invariant gives what the three one-point
+invariant classes gave, and the closed-form Kirillov rank gives what the SVD
+rule gave, all kept here as oracles."""
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -74,17 +76,39 @@ def test_stacked_same_leaf_matches_rows(seed, spec):
         assert got.shape == (len(a),) and got.dtype == bool
         assert list(got) == [same_leaf(spec, x, y) for x, y in zip(a, b)]
     # the rho-action and the leaf-invariant comparison on the same stacks;
-    # reversed rows pair points of different leaves and signs of s
+    # reversed rows pair points of different leaves and signs of s, and the
+    # rho-images, s negated and 1e-9 perturbations pair rows with s = 0 on
+    # one side, on both or on neither
     g = rng.uniform(-2.0, 2.0, (len(p), 2))
     assert rho_apply(g[0], p[0]).shape == (5,)
     np.testing.assert_allclose(rho_apply(g, p), [rho_apply(h, x) for h, x in zip(g, p)],
                                rtol=1e-14, atol=1e-14)
     in_v = foliation.in_V(p) & foliation.in_V(q)
-    for a, b in ((p[in_v], q[in_v]), (p[in_v], q[in_v][::-1])):
+    a = p[in_v]
+    for b in (q[in_v], q[in_v][::-1], rho_apply(g[in_v], a), a * [1.0, 1.0, 1.0, 1.0, -1.0],
+              a + 1e-9 * rng.standard_normal(a.shape)):
         for kind in ("F1", "F2"):
-            assert list(foliation._same_invariant(kind, a, b, 1e-8)) == [
-                leaf_invariant(kind, x).approx_eq(leaf_invariant(kind, y), 1e-8)
-                for x, y in zip(a, b)]
+            got = leaf_invariant(kind, a).approx_eq(leaf_invariant(kind, b), 1e-8)
+            assert list(got) == [_scalar_invariant(kind, x).approx_eq(
+                _scalar_invariant(kind, y), 1e-8) for x, y in zip(a, b)]
+
+
+def test_stacked_leaf_invariant_errors():
+    pts = np.array([[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 1.0, 1.0],
+                    [0.5, 0.0, 0.0, 0.0, -2.0]])
+    for kind in ("F1", "F2"):
+        inv = leaf_invariant(kind, pts)
+        assert inv.approx_eq(inv).tolist() == [True, True, True]
+        # any one row outside V rejects the whole stack
+        for i in range(len(pts)):
+            bad = pts.copy()
+            bad[i, 2:] = 0.0
+            with pytest.raises(DomainError):
+                leaf_invariant(kind, bad)
+    with pytest.raises(InvalidParams):
+        leaf_invariant("F3", pts)
+    with pytest.raises(InvalidParams):
+        leaf_invariant("F1", pts).approx_eq(leaf_invariant("F2", pts))
 
 
 @given(seeds, st.sampled_from(GRID))
@@ -337,6 +361,72 @@ def test_classification_mutations_caught_on_the_array_stream(broken, kinds, monk
     assert {f["kind"] for f in rep.failures} == kinds
 
 
+@dataclass(frozen=True)
+class InvariantF1:
+    """Leaf invariant for the type-one representative: c = x + z and the ray
+    direction of (z, t, s)."""
+
+    c: float
+    u: tuple
+
+    def approx_eq(self, other, tol=1e-8):
+        if not isinstance(other, InvariantF1):
+            return False
+        return bool(foliation._rel_ok(self.c, other.c, tol)) and all(
+            abs(a - b) <= tol for a, b in zip(self.u, other.u)
+        )
+
+
+@dataclass(frozen=True)
+class InvariantF2U:
+    """Leaf invariant on the s != 0 region: c = x - t, the twisted complex
+    coordinate (z + it) e^{i ln|s|}, and the sign of s."""
+
+    c: float
+    w: complex
+    eps: int
+
+    def approx_eq(self, other, tol=1e-8):
+        if not isinstance(other, InvariantF2U):
+            return False
+        return self.eps == other.eps and bool(
+            foliation._rel_ok(self.c, other.c, tol) & foliation._rel_ok(self.w, other.w, tol))
+
+
+@dataclass(frozen=True)
+class InvariantF2W:
+    """Leaf invariant on the s = 0 region: c = x - t and r = |z + it|."""
+
+    c: float
+    r: float
+
+    def approx_eq(self, other, tol=1e-8):
+        if not isinstance(other, InvariantF2W):
+            return False
+        return bool(foliation._rel_ok(self.c, other.c, tol)
+                    & foliation._rel_ok(self.r, other.r, tol))
+
+
+def _scalar_invariant(kind, p):
+    """The one-point leaf invariant as three classes, kept as the oracle for
+    the stacked LeafInvariant: the F2 class is chosen by s != 0 versus s = 0,
+    and classes of different regions never compare equal."""
+    p = np.asarray(p, dtype=float)
+    if not foliation.in_V(p):
+        raise DomainError("point lies outside V: (z, t, s) = 0")
+    x, _, z, t, s = (float(v) for v in p)
+    if kind == "F1":
+        v = np.array([z, t, s])
+        v = v / np.linalg.norm(v)
+        return InvariantF1(x + z, tuple(float(c) for c in v))
+    if kind == "F2":
+        if s != 0.0:
+            tw = complex(z, t) * cmath.exp(1j * math.log(abs(s)))
+            return InvariantF2U(x - t, tw, 1 if s > 0 else -1)
+        return InvariantF2W(x - t, abs(complex(z, t)))
+    raise InvalidParams("invariant kind must be 'F1' or 'F2'")
+
+
 def _scalar_hard_negative(kind, p):
     # the point of the same c on another leaf: (z, t, s) cycled keeping
     # x + z, or s negated, or where s = 0 z + it doubled keeping x - t
@@ -362,16 +452,16 @@ def _scalar_fibration(kind, n, seed, tol):
         b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
         a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
         p, q = chart.eval(b1, a1), chart.eval(b2, a2)
-        ip, iq = leaf_invariant(kind, p), leaf_invariant(kind, q)
+        ip, iq = _scalar_invariant(kind, p), _scalar_invariant(kind, q)
         if not (foliation.same_leaf(spec, p, q, tol) and ip.approx_eq(iq, itol)):
             failures.append({"kind": "positive", "p": list(p), "q": list(q)})
         base2 = base.copy()
         base2[0] += math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))
         r = orbit_chart(spec, base2).eval(b3, a3)
-        if foliation.same_leaf(spec, p, r, tol) or ip.approx_eq(leaf_invariant(kind, r), itol):
+        if foliation.same_leaf(spec, p, r, tol) or ip.approx_eq(_scalar_invariant(kind, r), itol):
             failures.append({"kind": "negative", "p": list(p), "q": list(r)})
         h = _scalar_hard_negative(kind, p)
-        if foliation.same_leaf(spec, p, h, tol) or ip.approx_eq(leaf_invariant(kind, h), itol):
+        if foliation.same_leaf(spec, p, h, tol) or ip.approx_eq(_scalar_invariant(kind, h), itol):
             failures.append({"kind": "hard-negative", "p": list(p), "q": list(h)})
         if kind == "F1":
             continue
@@ -463,10 +553,9 @@ def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatc
     assert (cli._flow_consistency_failures(FAMILY_REPS[0], 200, 3, 1e-8) > 0) == bool(broken)
 
 
-def _c_only_invariant(kind, p, q, tol):
+def _c_only_approx_eq(self, other, tol=1e-8):
     # an incomplete invariant: c = x + z ("F1") or x - t ("F2") alone
-    c = (lambda v: v[:, 0] + v[:, 2]) if kind == "F1" else (lambda v: v[:, 0] - v[:, 3])
-    return foliation._rel_ok(c(p), c(q), tol)
+    return foliation._rel_ok(self.c, other.c, tol)
 
 
 @given(seeds, st.sampled_from(["F1", "F2"]))
@@ -476,7 +565,7 @@ def test_hard_negatives_catch_an_incomplete_invariant(seed, kind):
     # match them, and an invariant cut down to c matches every one
     assert fibration_check(kind, n=500, seed=seed).ok
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(foliation, "_same_invariant", _c_only_invariant)
+        mp.setattr(foliation.LeafInvariant, "approx_eq", _c_only_approx_eq)
         rep = fibration_check(kind, n=500, seed=seed)
     assert {f["kind"] for f in rep.failures} == {"hard-negative"}
     assert len(rep.failures) == 500

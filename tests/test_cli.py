@@ -75,6 +75,18 @@ def test_classify_small(tmp_path):
     assert len(doc["fibration"]) == 2
 
 
+def test_halfplane_texts_claim_no_comparison(tmp_path):
+    # no check compares the lambda = 0 half-plane leaves, so neither payload
+    # may say they are compared
+    for args in (["classify", "--samples", "25"],
+                 ["verify-claims", "--samples", "30", "--md-samples", "300"]):
+        out = tmp_path / "out.json"
+        assert main([*args, "-o", str(out)]) == 0
+        text = out.read_text()
+        assert "compared" not in text
+        assert "no map is checked" in text
+
+
 def test_ktheory_scenarios(tmp_path):
     code, doc = run_json(["ktheory"], tmp_path)
     assert code == 0

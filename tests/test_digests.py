@@ -18,9 +18,9 @@ README_ORBIT = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
 DIGESTS = [
     (["catalog"], "525f1e284e19db52968e82f10f84ebc99651424d22234ac32134c711972689f0"),
     (["verify-md"], "1c3e3c4569f9ab55d80457322e5a9141718228a0ca21a409f59bce975569f1a8"),
-    (["classify"], "4de55c1d5c59365f6c6953a4084fa70404c6d6fbed6ddd36d94963b97371fcca"),
+    (["classify"], "3ab2b2777a7764c9252f135ac7df1bbfa3497bb47e7dafc4aacde7aaac98f4d2"),
     (["ktheory"], "426dae7a4094bb0050311c67abd4088e843122c277a175ee52367787a218604c"),
-    (["verify-claims"], "fd6f0ff58cda7b0aae56ab0e8fd4437e5acdfb4e412e3bbee41f55e4b24df634"),
+    (["verify-claims"], "512435865a174a525ae22fabf213899d4014db627246284ad04e08c8683ecc75"),
     (README_ORBIT, "9afb5f819e3474bca1bb63f709cf4f05c9e8e294efaa8c64cc3bb89369d058b9"),
 ]
 

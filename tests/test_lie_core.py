@@ -50,6 +50,7 @@ def test_entry_validation():
 def test_from_array_checks_antisymmetry():
     sc = StructureConstants.from_array(HEISENBERG.c)
     assert sc == HEISENBERG
+    assert repr(sc) == "StructureConstants(dim=3, entries=1)"
     bad = np.zeros((3, 3, 3))
     bad[0, 1, 2] = 1.0  # missing the mirrored entry
     with pytest.raises(ValueError):
@@ -83,13 +84,6 @@ def test_jacobi_defect():
     # [X1,X2]=X3 with [X2,X3]=X2 breaks Jacobi: J(1,2,3) = -X3
     broken = StructureConstants(3, [(1, 2, 3, 1.0), (2, 3, 2, 1.0)])
     assert jacobi_defect(broken) == pytest.approx(1.0)
-
-
-def test_text_round_trip():
-    text = HEISENBERG.to_text()
-    assert StructureConstants.from_text(text) == HEISENBERG
-    empty = StructureConstants(2, [])
-    assert StructureConstants.from_text(empty.to_text()) == empty
 
 
 def test_derived_subalgebra():
