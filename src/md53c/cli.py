@@ -19,14 +19,16 @@ import numpy as np
 from .catalog import (_FAMILIES, _SPELLING, _representative, ad2_block, build_algebra,
                       family_spec, jordan_signature, list_catalog)
 from .coadjoint import (
+    _flow,
     coadjoint_flow,
     kirillov_form_rank,
-    md_property_check,
+    md_property_grid,
     orbit_chart,
     same_leaf,
 )
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
-from .foliation import apply_equivalence, equivalence_map, fibration_check, verify_classification
+from .foliation import (apply_equivalence, equivalence_map, fibration_check,
+                        verify_classification_grid)
 from .ktheory import (
     AbGroup,
     B_CROSSED,
@@ -136,16 +138,19 @@ def _spec_from_args(args):
 
 
 def cmd_catalog(config, args):
+    grid = list_catalog()
+    # the structure checks of the whole grid, one call each
+    c = np.array([build_algebra(spec).c for spec in grid])
+    defects, dims = jacobi_defect(c), derived_subalgebra(c)[0]
     entries = []
-    for spec in list_catalog():
-        sc = build_algebra(spec)
+    for spec, defect, dim in zip(grid, defects, dims):
         blocks, weights = jordan_signature(spec)
         entry = dict(spec.to_json())
         entry.update({
             "label": spec.label(),
             "matrix": [[float(v) for v in row] for row in ad2_block(spec)],
-            "jacobi_defect": float(jacobi_defect(sc)),
-            "derived_dim": int(derived_subalgebra(sc)[0]),
+            "jacobi_defect": float(defect),
+            "derived_dim": int(dim),
             "jordan_blocks": [list(b) for b in blocks],
             "derived_generator_weights": [list(w) for w in weights],
         })
@@ -157,23 +162,18 @@ def cmd_catalog(config, args):
 
 
 def _md_reports(config):
-    return [md_property_check(spec, n=config.md_samples, seed=config.seed, tol=config.tol_rank)
-            for spec in list_catalog()]
+    return md_property_grid(list_catalog(), n=config.md_samples, seed=config.seed,
+                            tol=config.tol_rank)
 
 
 def _classifications(config, grid):
     """The classification check of each grid member against its type
-    representative, and the labels of the half-plane members, which no map
-    covers and which are skipped."""
-    checks, halfplane = [], []
-    for spec in grid:
-        if spec.is_halfplane:
-            halfplane.append(spec.label())
-        else:
-            checks.append(verify_classification((spec, equivalence_map(spec).target),
-                                                n=config.samples, seed=config.seed,
-                                                tol=config.tol_map))
-    return checks, halfplane
+    representative, in one grid call, and the labels of the half-plane
+    members, which no map covers and which are skipped."""
+    pairs = [(spec, equivalence_map(spec).target) for spec in grid if not spec.is_halfplane]
+    checks = verify_classification_grid(pairs, n=config.samples, seed=config.seed,
+                                        tol=config.tol_map)
+    return checks, [spec.label() for spec in grid if spec.is_halfplane]
 
 
 def _fibrations(config):
@@ -274,19 +274,19 @@ def cmd_ktheory(config, args):
 
 def _draw_flow_words(rng, n):
     """n start points, an (n, 5) array, and n flow words of 1..6 (direction,
-    time) steps, drawn as flat arrays split at the cumulative word lengths."""
+    time) steps, given flat: the directions and times of all steps, word
+    after word, and the length of each word."""
     start = rng.uniform(-2.0, 2.0, (n, 5))
-    ends = np.cumsum(rng.integers(1, 7, n)).tolist()
-    steps = list(zip(rng.integers(1, 6, ends[-1]).tolist(),
-                     rng.uniform(-1.0, 1.0, ends[-1]).tolist()))
-    return start, [steps[i:j] for i, j in zip([0, *ends[:-1]], ends)]
+    lengths = rng.integers(1, 7, n)
+    total = int(lengths.sum())
+    return start, rng.integers(1, 6, total), rng.uniform(-1.0, 1.0, total), lengths
 
 
 def _flow_consistency_failures(spec, n, seed, tol):
     """How many of n random flow words of <= 6 steps leave the starting leaf:
     points and words are drawn as arrays, then flowed and tested at once."""
-    start, words = _draw_flow_words(np.random.default_rng(seed), int(n))
-    end = coadjoint_flow(build_algebra(spec), start, words)
+    start, i, t, lengths = _draw_flow_words(np.random.default_rng(seed), int(n))
+    end = _flow(build_algebra(spec), start, i, t, lengths)
     return int(n) - np.count_nonzero(same_leaf(spec, start, end, tol=tol))
 
 

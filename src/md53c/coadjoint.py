@@ -27,16 +27,25 @@ __all__ = [
     "same_leaf",
     "MDReport",
     "md_property_check",
+    "md_property_grid",
 ]
 
 
 def _skew5_ranks(B, tol):
-    """Ranks of the skew forms stacked on the last axis of B (5, 5, N), without an SVD:
-    s1^2 + s2^2 = |B|_F^2 / 2, s1^2 s2^2 = sum of squared 4x4 principal Pfaffians."""
-    scale = np.maximum(B.max(axis=(0, 1)), np.finfo(float).tiny)  # max |B_ij|, as B is skew
-    u = B[np.triu_indices(5, 1)] / scale  # so that no square over- or underflows
+    """Ranks of the skew forms stacked on the last axis of B (5, 5, N), without an SVD."""
+    return _triu_ranks(B[np.triu_indices(5, 1)], tol)
+
+
+def _triu_ranks(u, tol):
+    """Ranks of the skew 5x5 forms whose 10 upper-triangle entries, row by
+    row, lie on the first axis of u (10, ...), from their singular values
+    s1, s1, s2, s2, 0: s1^2 + s2^2 = |B|_F^2 / 2, s1^2 s2^2 = sum of squared
+    4x4 principal Pfaffians.  u is scaled in place."""
+    # max |B_ij|, read without an array of the absolute values
+    scale = np.maximum(np.maximum(u.max(axis=0), -u.min(axis=0)), np.finfo(float).tiny)
+    u /= scale  # so that no square over- or underflows
     b = dict(zip(itertools.combinations(range(5), 2), u))
-    p = 0.5 * np.einsum("in,in->n", u, u)
+    p = 0.5 * np.einsum("i...,i...->...", u, u)
     q = sum((b[i, j] * b[k, l] - b[i, k] * b[j, l] + b[i, l] * b[j, k]) ** 2
             for i, j, k, l in itertools.combinations(range(5), 4))
     s1 = np.sqrt(p + np.sqrt(np.maximum(p * p - q, 0.0)))
@@ -68,19 +77,29 @@ def coadjoint_flow(sc, F, word):
     words = [word] if F.ndim == 1 else list(word)
     if F.ndim not in (1, 2) or F.shape[-1] != sc.dim or (F.ndim == 2 and len(words) != len(F)):
         raise InvalidParams(f"need one word per point of {sc.dim} coordinates")
-    out = np.atleast_2d(F).copy()
-    steps = [(r, k, int(i), float(t)) for r, w in enumerate(words) for k, (i, t) in enumerate(w)]
-    for _, _, i, _ in steps:
-        if not 1 <= i <= sc.dim:
-            raise InvalidParams(f"flow direction {i} outside 1..{sc.dim}")
-    if steps:
-        rows, order, i, t = (np.array(v) for v in zip(*steps))
+    i = np.array([int(i) for w in words for i, _ in w], dtype=int)
+    t = np.array([float(t) for w in words for _, t in w])
+    return _flow(sc, np.atleast_2d(F), i, t, [len(w) for w in words]).reshape(F.shape)
+
+
+def _flow(sc, F, i, t, lengths):
+    """The coadjoint flow of each row of F (N, 5) along its word, the words
+    given flat: directions i and times t of all steps, word after word, and
+    the number of steps of each word."""
+    bad = (i < 1) | (i > sc.dim)
+    if bad.any():
+        raise InvalidParams(f"flow direction {i[bad][0]} outside 1..{sc.dim}")
+    out = F.copy()
+    if len(i):
+        rows = np.repeat(np.arange(len(F)), lengths)
+        # each step's place in its word
+        order = np.arange(len(i)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         # C-ordered as ad_matrix gives them, so each step matches it bit for bit
         E = mat_exp(sc.c[i - 1].swapaxes(-1, -2).copy(), -t)
         for k in range(order.max() + 1):
             at = order == k
             out[rows[at]] = (E[at].swapaxes(-1, -2) @ out[rows[at], :, None])[..., 0]
-    return out.reshape(F.shape)
+    return out
 
 
 def _phi(lam, a):
@@ -272,16 +291,56 @@ class MDReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _structure_ok(spec, sc):
-    if jacobi_defect(sc) > 1e-12:
-        return False
-    # derived subalgebra = span{X3, X4, X5}, commutative, killed by ad_X1
-    rank, basis = derived_subalgebra(sc)
-    if rank != 3 or np.abs(basis[:, :2]).max() > 1e-12:
-        return False
-    if np.abs(sc.c[2:5][:, 2:5]).max() > 1e-12 or np.abs(sc.c[0, 2:5]).max() > 1e-12:
-        return False
-    return True
+def _structure_ok(c):
+    """Per structure array of the stack c (M, 5, 5, 5): the Jacobi identity
+    holds, and the derived subalgebra is span{X3, X4, X5}, commutative and
+    killed by ad_X1."""
+    rank, vt = derived_subalgebra(c)
+    small = [jacobi_defect(c), np.abs(vt[:, :3, :2]).max(axis=(1, 2)),
+             np.abs(c[:, 2:, 2:]).max(axis=(1, 2, 3)), np.abs(c[:, 0, 2:]).max(axis=(1, 2))]
+    return (rank == 3) & np.all(np.less_equal(small, 1e-12), axis=0)
+
+
+# sample columns per block of the grid's Kirillov forms: a block's temporaries
+# stay small, so the grid check peaks below the per-member one in memory
+_RANK_BLOCK = 256
+
+
+def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
+    """md_property_check on every member of grid, a list of FamilySpecs, in
+    one pass: the points are drawn once, since every member draws the same
+    ones, and the Kirillov forms of all members come from one product of the
+    grid's structure tensor with the points, upper triangles only, in fixed
+    blocks of sample columns.  One MDReport per member, in grid order."""
+    if int(n) < 1:
+        # a check over no samples would pass vacuously
+        raise InvalidParams("n must be >= 1")
+    grid = [spec.validate() for spec in grid]
+    c = np.array([build_algebra(spec).c for spec in grid]).reshape(-1, 5, 5, 5)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
+    k = max(1, pts.shape[0] // 20)
+    pts[:k, 2:] = 0.0
+    pts[k:2 * k, 2] = 0.0
+    pts[2 * k:3 * k, 3:] = 0.0
+    # row (e, m) holds entry e of the upper triangle of member m's form
+    upper = c.transpose(1, 2, 0, 3)[np.triu_indices(5, 1)].reshape(-1, 5)
+    ranks = np.empty((len(grid), len(pts)), dtype=np.int8)
+    for lo in range(0, len(pts), _RANK_BLOCK):
+        block = pts[lo:lo + _RANK_BLOCK]
+        ranks[:, lo:lo + len(block)] = _triu_ranks(
+            (upper @ block.T).reshape(10, len(grid), len(block)), tol)
+    expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
+    reports = []
+    for spec, ok, got in zip(grid, _structure_ok(c), ranks):
+        failures = [{"F": [float(x) for x in pts[i]], "expected": int(expected[i]),
+                     "got": int(got[i])}
+                    for i in np.flatnonzero(got != expected)[:50]]
+        params = {key: v for key, v in spec.to_json().items() if key != "family"}
+        reports.append(MDReport(family=spec.family, params=params, samples=len(pts),
+                                seed=int(seed), tol=float(tol), structure_ok=bool(ok),
+                                failures=failures))
+    return reports
 
 
 def md_property_check(spec, n=10000, seed=1729, tol=1e-9):
@@ -289,33 +348,6 @@ def md_property_check(spec, n=10000, seed=1729, tol=1e-9):
     form has rank 2 where (gamma, delta, sigma) != 0 and rank 0 exactly on
     the zero slice.  A twentieth of the samples is forced onto thin slices
     (full zero, gamma = 0, delta = sigma = 0) so both branches are hit.
-    Ranks are kirillov_form_rank's: 2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1)."""
-    spec.validate()
-    sc = build_algebra(spec)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
-    k = max(1, pts.shape[0] // 20)
-    pts[:k, 2:] = 0.0
-    pts[k:2 * k, 2] = 0.0
-    pts[2 * k:3 * k, 3:] = 0.0
-    ranks = _skew5_ranks(sc.c @ pts.T, tol)
-    expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
-    bad = np.nonzero(ranks != expected)[0]
-    failures = [
-        {
-            "F": [float(x) for x in pts[i]],
-            "expected": int(expected[i]),
-            "got": int(ranks[i]),
-        }
-        for i in bad[:50]
-    ]
-    params = {k2: v for k2, v in spec.to_json().items() if k2 != "family"}
-    return MDReport(
-        family=spec.family,
-        params=params,
-        samples=int(pts.shape[0]),
-        seed=int(seed),
-        tol=float(tol),
-        structure_ok=_structure_ok(spec, sc),
-        failures=failures,
-    )
+    Ranks are kirillov_form_rank's: 2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1).
+    The one-member case of md_property_grid."""
+    return md_property_grid([spec], n, seed, tol)[0]

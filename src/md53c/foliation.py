@@ -28,6 +28,7 @@ __all__ = [
     "rho_apply",
     "CheckReport",
     "verify_classification",
+    "verify_classification_grid",
     "fibration_check",
 ]
 
@@ -406,6 +407,64 @@ def _collect(rep, checks):
                             for kind, bad, fields in checks if bad[i])
 
 
+# samples per same_leaf call of the grid check, unless one source has more:
+# every source of one target at small n, and at large n few enough that the
+# samples held at once stay few and the call's temporaries stay small
+_STACK_SAMPLES = 1024
+
+
+def _classification_stack(target, members, n, seed, tol):
+    """Draw and map the samples of each (map, report) of members, whose maps
+    share target, test the positive pairs of all of them in one same_leaf
+    call and the negative pairs in another, and fill in each report's
+    failures."""
+    drawn, hp, hq, hr = [], [], [], []
+    for emap, _ in members:
+        source = emap.source
+        p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n,
+                                  lambda rng, base: _roundtrip_points(rng, source, base))
+        back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
+        drawn.append((p, q, r, rt, back))
+        for mapped, v in zip((hp, hq, hr), (p, q, r)):
+            mapped.append(apply_equivalence(emap, v, "fwd"))
+    hp = np.concatenate(hp)
+    cuts = np.cumsum([len(p) for p, *_ in drawn])[:-1]
+    positive = np.split(same_leaf(target, hp, np.concatenate(hq), tol), cuts)
+    negative = np.split(same_leaf(target, hp, np.concatenate(hr), tol), cuts)
+    for (_, rep), (p, q, r, rt, back), pos, neg in zip(members, drawn, positive, negative):
+        drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+        _collect(rep, [("positive", ~pos, {"p": p, "q": q}),
+                       ("negative", neg, {"p": p, "q": r}),
+                       ("roundtrip", drift, {"p": rt, "back": back})])
+
+
+def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
+    """verify_classification on every (source, target) pair of pairs, in
+    one pass: each source draws from its own stream seeded by seed and
+    applies its own map, as it would alone; then the positive and the
+    negative same-leaf tests of the sources of one target each run in one
+    same_leaf call, or in one call per _STACK_SAMPLES samples of sources when
+    n is large, so that memory stays flat.  One CheckReport per pair, in
+    order, each with its own failures."""
+    reports, groups = [], {}
+    for source, target in pairs:
+        source.validate()
+        target.validate()
+        emap = equivalence_map(source)
+        if target.to_json() != emap.target.to_json():
+            raise InvalidParams(
+                "target must be the type representative: F4 for F1..F7, F8(1, pi/2) for F8"
+            )
+        reports.append(CheckReport("classification", source.label(), emap.target.label(),
+                                   int(n), int(seed), float(tol)))
+        groups.setdefault(emap.target, []).append((emap, reports[-1]))
+    size = max(1, _STACK_SAMPLES // max(int(n), 1))
+    for target, members in groups.items():
+        for lo in range(0, len(members), size):
+            _classification_stack(target, members[lo:lo + size], n, seed, tol)
+    return reports
+
+
 def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
     """Sample n same-leaf and n different-leaf pairs in the source family and
     check that the equivalence map preserves both relations in the target,
@@ -413,29 +472,10 @@ def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
 
     Every sample is drawn first, field by field as arrays from one seeded
     stream, the round-trip points last; the charts, maps and same-leaf tests
-    then run on all samples at once.
+    then run on all samples at once.  The one-pair case of
+    verify_classification_grid.
     """
-    source, target = pair
-    source.validate()
-    target.validate()
-    emap = equivalence_map(source)
-    if target.to_json() != emap.target.to_json():
-        raise InvalidParams(
-            "target must be the type representative: F4 for F1..F7, F8(1, pi/2) for F8"
-        )
-    rep = CheckReport("classification", source.label(), emap.target.label(),
-                      int(n), int(seed), float(tol))
-    p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n,
-                              lambda rng, base: _roundtrip_points(rng, source, base))
-    hp = apply_equivalence(emap, p, "fwd")
-    positive = same_leaf(emap.target, hp, apply_equivalence(emap, q, "fwd"), tol)
-    negative = same_leaf(emap.target, hp, apply_equivalence(emap, r, "fwd"), tol)
-    back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
-    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
-    _collect(rep, [("positive", ~positive, {"p": p, "q": q}),
-                   ("negative", negative, {"p": p, "q": r}),
-                   ("roundtrip", drift, {"p": rt, "back": back})])
-    return rep
+    return verify_classification_grid([pair], n, seed, tol)[0]
 
 
 def _hard_negatives(kind, p):

@@ -1,5 +1,6 @@
 """Shared numeric kernel: structure constants, adjoint matrices, matrix
-exponentials and SVD-based ranks.
+exponentials and SVD-based ranks.  jacobi_defect and derived_subalgebra take
+one algebra or a stack of structure arrays, so a grid is checked in one call.
 
 Basis vectors are written X1..X5 in docstrings and tables.  Coordinate
 vectors are plain numpy arrays (0-based); public functions that take a basis
@@ -81,28 +82,37 @@ def ad_matrix(sc, i):
     return sc.c[i - 1].T.copy()
 
 
+def _structure_array(sc):
+    # the array of a StructureConstants, or a stack (..., n, n, n) as given
+    return sc.c if isinstance(sc, StructureConstants) else np.asarray(sc, dtype=float)
+
+
 def jacobi_defect(sc):
     """Largest violation of the Jacobi identity over basis triples.
 
     Returns max over i<j<k of the sup-norm of
-    [Xi,[Xj,Xk]] + [Xj,[Xk,Xi]] + [Xk,[Xi,Xj]]; zero for a Lie algebra.
+    [Xi,[Xj,Xk]] + [Xj,[Xk,Xi]] + [Xk,[Xi,Xj]]; zero for a Lie algebra.  For
+    a stack (..., n, n, n) of structure arrays, one defect per array.
     """
+    c = _structure_array(sc)
     # d[i, j, k] = [Xi, [Xj, Xk]]; the cyclic sum adds d[j, k, i] and d[k, i, j]
-    d = np.einsum("jkl,ilm->ijkm", sc.c, sc.c)
-    cyc = d + np.moveaxis(d, 2, 0) + np.moveaxis(d, 0, 2)
-    i, j, k = np.indices(d.shape[:3])
-    return float(np.abs(cyc[(i < j) & (j < k)]).max(initial=0.0))
+    d = np.einsum("...jkl,...ilm->...ijkm", c, c)
+    cyc = d + np.moveaxis(d, -2, -4) + np.moveaxis(d, -4, -2)
+    i, j, k = np.indices(d.shape[-4:-1])
+    out = np.abs(cyc[..., (i < j) & (j < k), :]).max(axis=(-2, -1), initial=0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def derived_subalgebra(sc, tol=1e-9):
-    """Dimension and an orthonormal basis (rows) of span{[Xi, Xj]}."""
-    rows = [sc.c[i, j] for i in range(sc.dim) for j in range(i + 1, sc.dim)]
-    m = np.array(rows)
-    if not m.any():
-        return 0, np.zeros((0, sc.dim))
-    u, s, vt = np.linalg.svd(m)
-    r = int(np.count_nonzero(s > tol * max(1.0, s[0])))
-    return r, vt[:r]
+    """Dimension and an orthonormal basis (rows) of span{[Xi, Xj]}.  For a
+    stack (..., n, n, n) of structure arrays, the dimensions as an array and
+    the right singular vectors (..., n, n): the first rows of each, as many
+    as its dimension, are its basis."""
+    c = _structure_array(sc)
+    iu, ju = np.triu_indices(c.shape[-1], 1)
+    _, s, vt = np.linalg.svd(c[..., iu, ju, :])
+    r = np.count_nonzero(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
+    return (int(r), vt[:r]) if c.ndim == 3 else (r, vt)
 
 
 def mat_exp(m, t=1.0):

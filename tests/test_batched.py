@@ -6,7 +6,10 @@ their old one-sample loops, and the array samplers keep each field's range
 and rates; mat_exp, coadjoint_flow and jacobi_defect give what their old
 loops gave, the stacked leaf invariant gives what the three one-point
 invariant classes gave, and the closed-form Kirillov rank gives what the SVD
-rule gave, all kept here as oracles."""
+rule gave; the grid calls (the dichotomy and structure checks of the whole
+grid, the classification check of all sources, the flat flow words) give
+what their per-member loops and the tuple words gave, all kept here as
+oracles."""
 
 import cmath
 import math
@@ -21,9 +24,11 @@ from md53c import cli, coadjoint, foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
-from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check,
-                             leaf_invariant, rho_apply, verify_classification)
-from md53c.lie_core import StructureConstants, ad_matrix, jacobi_defect, mat_exp
+from md53c.foliation import (CheckReport, apply_equivalence, equivalence_map, fibration_check,
+                             leaf_invariant, rho_apply, verify_classification,
+                             verify_classification_grid)
+from md53c.lie_core import (StructureConstants, ad_matrix, derived_subalgebra, jacobi_defect,
+                            mat_exp)
 
 GRID = default_grid()
 MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
@@ -255,15 +260,27 @@ def _old_draw_pairs(rng, spec, n, extra):
     return p, q, coadjoint._chart(spec, base, b[:, 2], a[:, 2]), np.concatenate(extras)
 
 
-def _old_flow_words(rng, n):
-    """_draw_flow_words on the old stream: a start point, its word length,
-    then each step's direction and time, word by word."""
+def _old_word_list(rng, n):
+    """The old stream of flow words: a start point, its word length, then
+    each step's direction and time, word by word."""
     start, words = [], []
     for _ in range(n):
         start.append(rng.uniform(-2.0, 2.0, 5))
         words.append([(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
                       for _ in range(int(rng.integers(1, 7)))])
     return np.array(start), words
+
+
+def _flat_words(words):
+    # the (directions, times, lengths) form of a list of (i, t) words
+    steps = np.array([st for w in words for st in w]).reshape(-1, 2)
+    return steps[:, 0].astype(int), steps[:, 1], np.array([len(w) for w in words])
+
+
+def _old_flow_words(rng, n):
+    """_draw_flow_words on the old stream, in its flat form."""
+    start, words = _old_word_list(rng, n)
+    return (start, *_flat_words(words))
 
 
 @pytest.fixture
@@ -359,6 +376,50 @@ def test_classification_mutations_caught_on_the_array_stream(broken, kinds, monk
     _break_map(monkeypatch, broken)
     rep = verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=200, seed=3)
     assert {f["kind"] for f in rep.failures} == kinds
+
+
+def _one_source_classification(pair, n, seed, tol):
+    """The classification check of one source with its own same_leaf calls,
+    as it ran before the grid call, kept as the oracle for
+    verify_classification_grid.  It calls the kernels through the module, so
+    a patched map or same_leaf reaches it too."""
+    source, target = pair
+    emap = equivalence_map(source)
+    rep = CheckReport("classification", source.label(), target.label(), n, seed, tol)
+    p, q, r, rt = foliation._draw_pairs(
+        np.random.default_rng(seed), source, n,
+        lambda rng, base: foliation._roundtrip_points(rng, source, base))
+    hp = apply_equivalence(emap, p, "fwd")
+    positive = foliation.same_leaf(target, hp, apply_equivalence(emap, q, "fwd"), tol)
+    negative = foliation.same_leaf(target, hp, apply_equivalence(emap, r, "fwd"), tol)
+    back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
+    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+    foliation._collect(rep, [("positive", ~positive, {"p": p, "q": q}),
+                             ("negative", negative, {"p": p, "q": r}),
+                             ("roundtrip", drift, {"p": rt, "back": back})])
+    return rep
+
+
+@pytest.mark.parametrize("stack", [60, 150, foliation._STACK_SAMPLES])
+@pytest.mark.parametrize("broken,kinds", [(None, set()), *CLASSIFICATION_CASES,
+                                          ("same_leaf", {"positive", "negative"})])
+def test_grid_classification_matches_per_source_loop(broken, kinds, stack, monkeypatch):
+    # every mapped member, so both targets, against the per-source loop: the
+    # same failure entries, on the same source, in the same order, with one
+    # source, two sources or every source of a target in one same_leaf call
+    monkeypatch.setattr(foliation, "_STACK_SAMPLES", stack)
+    if broken == "same_leaf":
+        monkeypatch.setattr(foliation, "same_leaf", _broken_same_leaf)
+    elif broken:
+        _break_map(monkeypatch, broken)
+    pairs = [(s, equivalence_map(s).target) for s in MAPPED]
+    got = [r.to_json() for r in verify_classification_grid(pairs, n=60, seed=5, tol=1e-6)]
+    assert got == [_one_source_classification(pair, 60, 5, 1e-6).to_json() for pair in pairs]
+    assert {f["kind"] for r in got for f in r["failures"]} == kinds
+    if broken in ("fwd", "inv"):
+        assert {r["source"] for r in got if r["failures"]} == \
+            {s.label() for s in MAPPED if s.family == "F2"}
+    assert verify_classification_grid([], n=60) == []
 
 
 @dataclass(frozen=True)
@@ -529,7 +590,7 @@ def _scalar_flow_failures(spec, n, seed, tol):
     _flow_consistency_failures: old stream, the per-step flow, and same_leaf
     point by point through the cli module, so a patched kernel reaches it."""
     sc = build_algebra(spec)
-    start, words = _old_flow_words(np.random.default_rng(seed), n)
+    start, words = _old_word_list(np.random.default_rng(seed), n)
     return sum(not cli.same_leaf(spec, f, _scalar_flow(sc, f, w), tol=tol)
                for f, w in zip(start, words))
 
@@ -659,12 +720,13 @@ def test_array_draws_repeat_per_seed(spec):
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
     assert not np.array_equal(first[0], draw(8)[0])
     assert all(v.shape == (500, 5) and foliation.in_V(v).all() for v in first)
-    start, words = cli._draw_flow_words(np.random.default_rng(7), 500)
+    words = cli._draw_flow_words(np.random.default_rng(7), 500)
     again = cli._draw_flow_words(np.random.default_rng(7), 500)
-    assert np.array_equal(start, again[0]) and words == again[1]
-    assert start.shape == (500, 5) and {len(w) for w in words} == set(range(1, 7))
-    steps = np.array([st for w in words for st in w])
-    assert set(steps[:, 0]) == {1, 2, 3, 4, 5} and (np.abs(steps[:, 1]) <= 1.0).all()
+    assert all(np.array_equal(a, b) for a, b in zip(words, again))
+    start, i, t, lengths = words
+    assert start.shape == (500, 5) and set(lengths) == set(range(1, 7))
+    assert len(i) == len(t) == lengths.sum()
+    assert set(i) == {1, 2, 3, 4, 5} and (np.abs(t) <= 1.0).all()
     for n in (0, -3):
         with pytest.raises(InvalidParams):
             foliation._draw_pairs(np.random.default_rng(7), spec, n, lambda rng, base: ())
@@ -766,6 +828,30 @@ def test_flow_bad_direction_names_it():
         coadjoint_flow(sc, np.zeros((2, 6, 5)), [[]] * 2)
 
 
+def _tuple_flow_words(rng, n):
+    """The flow words as (i, t) tuples, drawn from the stream of
+    _draw_flow_words, as the flow check read them before it took them flat."""
+    start = rng.uniform(-2.0, 2.0, (n, 5))
+    ends = np.cumsum(rng.integers(1, 7, n)).tolist()
+    steps = list(zip(rng.integers(1, 6, ends[-1]).tolist(),
+                     rng.uniform(-1.0, 1.0, ends[-1]).tolist()))
+    return start, [steps[i:j] for i, j in zip([0, *ends[:-1]], ends)]
+
+
+@given(seeds, st.sampled_from(GRID))
+@settings(max_examples=30, deadline=None)
+def test_flat_flow_words_match_the_tuple_path(seed, spec):
+    sc = build_algebra(spec)
+    start, i, t, lengths = cli._draw_flow_words(np.random.default_rng(seed), 300)
+    start2, words = _tuple_flow_words(np.random.default_rng(seed), 300)
+    assert np.array_equal(start, start2) and _flat_words(words)[2].tolist() == lengths.tolist()
+    flowed = coadjoint._flow(sc, start, i, t, lengths)
+    assert np.array_equal(flowed, coadjoint_flow(sc, start, words))
+    # and the per-step loop, word by word
+    assert all(np.array_equal(g, _scalar_flow(sc, f, w))
+               for f, w, g in zip(start[:40], words, flowed))
+
+
 @given(seeds, st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_jacobi_defect_matches_triple_loop(seed, dim):
@@ -779,6 +865,34 @@ def test_jacobi_defect_vanishes_on_the_grid():
     for spec in GRID:
         sc = build_algebra(spec)
         assert jacobi_defect(sc) == 0.0 == _scalar_jacobi_defect(sc), spec.label()
+
+
+def _member_derived_dim(sc, tol=1e-9):
+    """The derived-subalgebra dimension of one algebra from its list of
+    brackets, kept as the oracle for the stacked one."""
+    rows = np.array([sc.c[i, j] for i in range(sc.dim) for j in range(i + 1, sc.dim)])
+    if not rows.any():
+        return 0
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.count_nonzero(s > tol * max(1.0, s[0])))
+
+
+@given(seeds, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_stacked_structure_checks_match_members(seed, dim):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(12, dim, dim, dim)) * rng.choice([0.0, 1.0], (12, dim, dim, dim))
+    c[::4] = 0.0
+    c = c - c.transpose(0, 2, 1, 3)
+    members = [StructureConstants.from_array(a) for a in c]
+    assert jacobi_defect(c).tolist() == [jacobi_defect(sc) for sc in members]
+    dims, vt = derived_subalgebra(c)
+    assert dims.tolist() == [_member_derived_dim(sc) for sc in members]
+    for sc, r, v in zip(members, dims, vt):
+        assert np.array_equal(derived_subalgebra(sc)[1], v[:r])
+    grid = np.array([build_algebra(spec).c for spec in GRID])
+    assert jacobi_defect(grid).tolist() == [0.0] * len(GRID)
+    assert derived_subalgebra(grid)[0].tolist() == [3] * len(GRID)
 
 
 def _svd_ranks(B, tol):
@@ -861,3 +975,76 @@ def test_rank4_kirillov_form_is_reported(monkeypatch):
     # the closed form is for 5x5 forms only
     with pytest.raises(InvalidParams):
         coadjoint.kirillov_form_rank(StructureConstants(4), np.zeros(4))
+
+
+def _member_md_report(spec, n, seed, tol=1e-9):
+    """The dichotomy check of one member, each drawing its own points, as it
+    ran before the grid call, kept as the oracle for md_property_grid.  It
+    builds the algebra through the module, so a patched build reaches it."""
+    sc = coadjoint.build_algebra(spec)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
+    k = max(1, pts.shape[0] // 20)
+    pts[:k, 2:] = 0.0
+    pts[k:2 * k, 2] = 0.0
+    pts[2 * k:3 * k, 3:] = 0.0
+    ranks = coadjoint._skew5_ranks(sc.c @ pts.T, tol)
+    expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
+    failures = [{"F": [float(x) for x in pts[i]], "expected": int(expected[i]),
+                 "got": int(ranks[i])} for i in np.nonzero(ranks != expected)[0][:50]]
+    basis = np.linalg.svd([sc.c[i, j] for i in range(5) for j in range(i + 1, 5)])[2]
+    structure_ok = (_scalar_jacobi_defect(sc) <= 1e-12 and _member_derived_dim(sc) == 3
+                    and np.abs(basis[:3, :2]).max() <= 1e-12
+                    and np.abs(sc.c[2:5][:, 2:5]).max() <= 1e-12
+                    and np.abs(sc.c[0, 2:5]).max() <= 1e-12)
+    return coadjoint.MDReport(spec.family, {k2: v for k2, v in spec.to_json().items()
+                                            if k2 != "family"},
+                              len(pts), seed, tol, bool(structure_ok), failures)
+
+
+@given(seeds, st.integers(1, 1200))
+@settings(max_examples=8, deadline=None)
+def test_md_grid_matches_member_loop(seed, n):
+    # n crosses the column blocks of the grid's forms; below 4 the check
+    # still draws 4 points
+    got = [r.to_json() for r in coadjoint.md_property_grid(GRID, n=n, seed=seed)]
+    assert got == [_member_md_report(spec, n, seed).to_json() for spec in GRID]
+    assert all(r["ok"] and r["samples"] == max(n, 4) for r in got)
+
+
+def _rank4(c):
+    # [X3, X4] = X5 pairs gamma with sigma: rank 4 where both are nonzero
+    c[2, 3, 4], c[3, 2, 4] = 1.0, -1.0
+
+
+def _jacobi_broken(c):
+    # [X2, X3] gains an X2 component: J(X1, X2, X3) = X3 + ... != 0
+    c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
+
+
+@pytest.mark.parametrize("member", [0, 17, 35])
+@pytest.mark.parametrize("breaks", [_rank4, _jacobi_broken])
+def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
+    build = coadjoint.build_algebra
+
+    def patched(spec):
+        sc = build(spec)
+        if spec == GRID[member]:
+            breaks(sc.c)
+        return sc
+
+    monkeypatch.setattr(coadjoint, "build_algebra", patched)
+    reps = coadjoint.md_property_grid(GRID, n=400, seed=3)
+    assert [r.to_json() for r in reps] == [_member_md_report(s, 400, 3).to_json() for s in GRID]
+    assert [r.ok for r in reps] == [i != member for i in range(len(GRID))]
+    bad = reps[member]
+    assert not bad.structure_ok
+    if breaks is _rank4:
+        # cut off at the cap of 50
+        assert len(bad.failures) == 50
+        assert {(f["expected"], f["got"]) for f in bad.failures} == {(2, 4)}
+    else:
+        assert jacobi_defect(patched(GRID[member]).c[None])[0] >= 1.0
+        # <F, [X2, X3]> = beta leaves the 20 points of the zero slice rank 2
+        assert len(bad.failures) == 20
+        assert {(f["expected"], f["got"]) for f in bad.failures} == {(0, 2)}

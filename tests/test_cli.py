@@ -229,19 +229,33 @@ def test_failed_stdout_write_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_stdout_on_a_full_device_exits_2(tmp_path):
-    # the interpreter's flush at exit must not add a traceback or change the code
+def _src_env():
+    # the environment of a child interpreter that imports md53c from src/
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2(tmp_path):
+    # the interpreter's flush at exit must not add a traceback or change the code
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "md53c.cli", "catalog"], cwd=tmp_path,
-                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_src_env(), stdout=full, stderr=subprocess.PIPE, text=True,
                               timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_package_runs_as_a_module(tmp_path):
+    out = tmp_path / "catalog.json"
+    proc = subprocess.run([sys.executable, "-m", "md53c", "catalog", "-o", str(out)],
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["grid"]) == 36
 
 
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-leaf", "--tol-map"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from md53c.catalog import default_grid, family_spec
-from md53c.coadjoint import orbit_chart, same_leaf
+from md53c.coadjoint import md_property_check, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (
     apply_equivalence,
@@ -226,3 +226,6 @@ def test_empty_sample_rejected():
             fibration_check(kind, n=0)
     with pytest.raises(InvalidParams):
         verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=0)
+    for n in (0, -3):
+        with pytest.raises(InvalidParams):
+            md_property_check(family_spec("F2", 2.0), n=n)
