@@ -128,8 +128,8 @@ def _family(name):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name plus its parameters.  The attribute for the single
-    eigenvalue parameter is ``lam``; it serializes as "lambda"."""
+    """A family name plus its parameters, checked when built.  The attribute
+    for the single eigenvalue parameter is ``lam``; it serializes as "lambda"."""
 
     family: str
     lambda1: float = None
@@ -150,6 +150,8 @@ class FamilySpec:
         if not fam.allowed(*params):
             raise InvalidParams(f"{self.family} requires {fam.constraints}")
         return self
+
+    __post_init__ = validate
 
     @property
     def is_halfplane(self):
@@ -179,7 +181,7 @@ class FamilySpec:
 
 
 def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
-    """Build and validate a FamilySpec.
+    """Build a FamilySpec.
 
     Positional parameters follow the family signature:
     family_spec("F1", -2, 3), family_spec("F6", 0.5), family_spec("F8", 2, math.pi/6).
@@ -191,7 +193,7 @@ def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
             raise InvalidParams(f"{family} takes {len(names)} parameter(s), got {len(args)}")
         given.update(zip(names, args))
     given = {k: None if v is None else float(v) for k, v in given.items()}
-    return FamilySpec(family, **given).validate()
+    return FamilySpec(family, **given)
 
 
 def _representative(family):
@@ -201,7 +203,6 @@ def _representative(family):
 
 def ad2_block(spec):
     """The 3x3 matrix of ad_X2 on the derived ideal span{X3, X4, X5}."""
-    spec.validate()
     return np.array(_FAMILIES[spec.family].block(*spec.params()), dtype=float)
 
 
@@ -223,11 +224,8 @@ def default_grid():
 
 
 def list_catalog(grid=None):
-    """The grid (default if None), validated so every entry builds."""
-    grid = list(grid) if grid is not None else default_grid()
-    for spec in grid:
-        spec.validate()
-    return grid
+    """The grid (default if None) as a list."""
+    return list(grid) if grid is not None else default_grid()
 
 
 def _eigen_clusters(m, tol):

@@ -174,7 +174,6 @@ class OrbitChart:
 def orbit_chart(spec, F, tol=1e-9):
     """Chart of the orbit through F: two-dimensional when (gamma, delta,
     sigma) != 0, otherwise the constant chart of the point orbit {F}."""
-    spec.validate()
     F = np.asarray(F, dtype=float)
     if F.shape != (5,):
         raise InvalidParams("point must have 5 coordinates")
@@ -233,7 +232,6 @@ def same_leaf(spec, p, q, tol=1e-8):
     tolerance tol.  Whether a point is a point orbit, and which coordinates
     are usable, is decided at that point's own scale.
     """
-    spec.validate()
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.shape[-1:] != (5,) or p.ndim > 2:
@@ -315,7 +313,6 @@ def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
     if int(n) < 1:
         # a check over no samples would pass vacuously
         raise InvalidParams("n must be >= 1")
-    grid = [spec.validate() for spec in grid]
     c = np.array([build_algebra(spec).c for spec in grid]).reshape(-1, 5, 5, 5)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))

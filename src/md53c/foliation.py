@@ -8,6 +8,7 @@ against the family-4 representative, type-two (family 8) against F8(1, pi/2).
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -274,7 +275,6 @@ class EquivalenceMap:
 
 
 def equivalence_map(spec):
-    spec.validate()
     return EquivalenceMap(spec, _representative(spec.family))
 
 
@@ -378,12 +378,13 @@ def _roundtrip_points(rng, spec, base):
     return rt
 
 
-def _draw_pairs(rng, spec, n, extra):
+def _draw_samples(rng, spec, n, extra):
     """Draw n samples field by field, one array per field in a fixed stream
     order: the base points, b1..b3, a1..a3, the alpha offsets, then
-    extra(rng, base), one row per sample.  Returns the chart points p at
-    (b1, a1) and q at (b2, a2) on each base's orbit, r at (b3, a3) on the
-    alpha-shifted orbit, and the extras."""
+    extra(rng, base), one row per sample.  Returns the chart inputs of p at
+    (b1, a1) and q at (b2, a2) on each base's orbit and r at (b3, a3) on the
+    alpha-shifted orbit, stacked as p, q, r for one _chart call, and the
+    extras.  The draw reads spec only through its family and phi."""
     n = int(n)
     if n < 1:
         # a check over no samples would pass vacuously
@@ -393,10 +394,8 @@ def _draw_pairs(rng, spec, n, extra):
     a = rng.uniform(-_AMAX, _AMAX, (n, 3))
     shifted = base.copy()
     shifted[:, 0] += _signed(rng, 0.1, 1.0, n)
-    extras = extra(rng, base)
     # _sample_base never returns a point orbit, so every chart is 2-dimensional
-    return (_chart(spec, base, b[:, 0], a[:, 0]), _chart(spec, base, b[:, 1], a[:, 1]),
-            _chart(spec, shifted, b[:, 2], a[:, 2]), extras)
+    return np.concatenate((base, base, shifted)), b.T.ravel(), a.T.ravel(), extra(rng, base)
 
 
 def _collect(rep, checks):
@@ -413,43 +412,49 @@ def _collect(rep, checks):
 _STACK_SAMPLES = 1024
 
 
-def _classification_stack(target, members, n, seed, tol):
-    """Draw and map the samples of each (map, report) of members, whose maps
-    share target, test the positive pairs of all of them in one same_leaf
-    call and the negative pairs in another, and fill in each report's
-    failures."""
-    drawn, hp, hq, hr = [], [], [], []
-    for emap, _ in members:
-        source = emap.source
-        p, q, r, rt = _draw_pairs(np.random.default_rng(seed), source, n,
-                                  lambda rng, base: _roundtrip_points(rng, source, base))
-        back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
-        drawn.append((p, q, r, rt, back))
-        for mapped, v in zip((hp, hq, hr), (p, q, r)):
-            mapped.append(apply_equivalence(emap, v, "fwd"))
-    hp = np.concatenate(hp)
-    cuts = np.cumsum([len(p) for p, *_ in drawn])[:-1]
-    positive = np.split(same_leaf(target, hp, np.concatenate(hq), tol), cuts)
-    negative = np.split(same_leaf(target, hp, np.concatenate(hr), tol), cuts)
-    for (_, rep), (p, q, r, rt, back), pos, neg in zip(members, drawn, positive, negative):
-        drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+def _mapped_samples(streams, n, seed):
+    """Per (map, report) of streams, a dict from a key (family, phi) to the
+    members that draw from it: the report, the chart points (p, q, r), their
+    images and the round-trip checks.  Only the current draw is held."""
+    for members in streams.values():
+        first = members[0][0].source
+        *chart_in, rt = _draw_samples(np.random.default_rng(seed), first, n,
+                                      lambda rng, base: _roundtrip_points(rng, first, base))
+        for emap, rep in members:
+            pqr = _chart(emap.source, *chart_in).reshape(3, -1, 5)
+            *images, image = apply_equivalence(
+                emap, np.concatenate((*pqr, rt)), "fwd").reshape(4, -1, 5)
+            # an image off V or not finite has no inverse to check
+            off = ~(np.isfinite(image).all(axis=1) & in_V(image))
+            back = np.full_like(rt, np.nan)
+            back[~off] = apply_equivalence(emap, image[~off], "inv")
+            drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+            yield rep, pqr, images, [("range", off, {"p": rt, "image": image}),
+                                     ("roundtrip", drift, {"p": rt, "back": back})]
+
+
+def _classification_stack(target, members, tol):
+    """Test the positive pairs of members, _mapped_samples items whose maps
+    share target, in one same_leaf call and the negative pairs in another,
+    and fill in each report's failures."""
+    hp, hq, hr = (np.concatenate(h) for h in zip(*(images for _, _, images, _ in members)))
+    positive = np.split(same_leaf(target, hp, hq, tol), len(members))
+    negative = np.split(same_leaf(target, hp, hr, tol), len(members))
+    for (rep, (p, q, r), _, checks), pos, neg in zip(members, positive, negative):
         _collect(rep, [("positive", ~pos, {"p": p, "q": q}),
-                       ("negative", neg, {"p": p, "q": r}),
-                       ("roundtrip", drift, {"p": rt, "back": back})])
+                       ("negative", neg, {"p": p, "q": r}), *checks])
 
 
 def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
-    """verify_classification on every (source, target) pair of pairs, in
-    one pass: each source draws from its own stream seeded by seed and
-    applies its own map, as it would alone; then the positive and the
+    """verify_classification on every (source, target) pair of pairs, in one
+    pass.  The draw, seeded by seed, reads a source only through its family
+    and phi, so it is made once per (family, phi); each source then makes one
+    chart, one forward-map and one inverse-map call.  The positive and the
     negative same-leaf tests of the sources of one target each run in one
-    same_leaf call, or in one call per _STACK_SAMPLES samples of sources when
-    n is large, so that memory stays flat.  One CheckReport per pair, in
-    order, each with its own failures."""
+    same_leaf call, or in one per _STACK_SAMPLES samples of sources when n
+    is large, so that memory stays flat.  One CheckReport per pair, in order."""
     reports, groups = [], {}
     for source, target in pairs:
-        source.validate()
-        target.validate()
         emap = equivalence_map(source)
         if target.to_json() != emap.target.to_json():
             raise InvalidParams(
@@ -457,24 +462,22 @@ def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
             )
         reports.append(CheckReport("classification", source.label(), emap.target.label(),
                                    int(n), int(seed), float(tol)))
-        groups.setdefault(emap.target, []).append((emap, reports[-1]))
+        streams = groups.setdefault(emap.target, {})
+        streams.setdefault((source.family, source.phi), []).append((emap, reports[-1]))
     size = max(1, _STACK_SAMPLES // max(int(n), 1))
-    for target, members in groups.items():
-        for lo in range(0, len(members), size):
-            _classification_stack(target, members[lo:lo + size], n, seed, tol)
+    for target, streams in groups.items():
+        mapped = _mapped_samples(streams, n, seed)
+        while stack := list(itertools.islice(mapped, size)):
+            _classification_stack(target, stack, tol)
     return reports
 
 
 def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
     """Sample n same-leaf and n different-leaf pairs in the source family and
     check that the equivalence map preserves both relations in the target,
-    plus forward/inverse round-trips to 1e-9 on branch-safe points.
-
-    Every sample is drawn first, field by field as arrays from one seeded
-    stream, the round-trip points last; the charts, maps and same-leaf tests
-    then run on all samples at once.  The one-pair case of
-    verify_classification_grid.
-    """
+    plus forward/inverse round-trips to 1e-9 on branch-safe points.  The
+    samples are drawn as arrays from one seeded stream, the round-trip points
+    last.  The one-pair case of verify_classification_grid."""
     return verify_classification_grid([pair], n, seed, tol)[0]
 
 
@@ -511,7 +514,8 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
                       int(n), int(seed), float(tol))
     extra = (lambda rng, base: ()) if kind == "F1" else \
         (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3, (len(base), 6)))
-    p, q, r, g = _draw_pairs(np.random.default_rng(seed), spec, n, extra)
+    *chart_in, g = _draw_samples(np.random.default_rng(seed), spec, n, extra)
+    p, q, r = _chart(spec, *chart_in).reshape(3, -1, 5)
     h = _hard_negatives(kind, p)
     itol = max(tol, 1e-8)
     ip = leaf_invariant(kind, p)

@@ -240,10 +240,11 @@ def _old_sample_base(rng, spec):
     return np.array([x, y, f[0], f[1], f[2]])
 
 
-def _old_draw_pairs(rng, spec, n, extra):
-    """_draw_pairs on the old stream: extra(rng, base) runs on each sample's
-    one-row base right after its alpha offset, so the round-trip redraws and
-    the rho-action draws come sample by sample too."""
+def _old_draw_samples(rng, spec, n, extra):
+    """_draw_samples on the old stream: extra(rng, base) runs on each
+    sample's one-row base right after its alpha offset, so the round-trip
+    redraws and the rho-action draws come sample by sample too.  The same
+    fields as _draw_samples: the chart inputs of p, q, r, then the extras."""
     if int(n) < 1:
         raise InvalidParams("n must be >= 1")
     bases, bs, avals, offs, extras = [], [], [], [], []
@@ -253,11 +254,11 @@ def _old_draw_pairs(rng, spec, n, extra):
         avals.append(rng.uniform(-foliation._AMAX, foliation._AMAX, 3))
         offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
         extras.append(np.reshape(extra(rng, bases[-1][None]), (1, -1)))
-    base, b, a = np.array(bases), np.array(bs), np.array(avals)
-    p = coadjoint._chart(spec, base, b[:, 0], a[:, 0])
-    q = coadjoint._chart(spec, base, b[:, 1], a[:, 1])
-    base[:, 0] += offs
-    return p, q, coadjoint._chart(spec, base, b[:, 2], a[:, 2]), np.concatenate(extras)
+    base = np.array(bases)
+    shifted = base.copy()
+    shifted[:, 0] += offs
+    return (np.concatenate((base, base, shifted)), np.array(bs).T.ravel(),
+            np.array(avals).T.ravel(), np.concatenate(extras))
 
 
 def _old_word_list(rng, n):
@@ -287,7 +288,7 @@ def _old_flow_words(rng, n):
 def old_stream(monkeypatch):
     """The batched checks drawing from the old stream; each round-trip
     redraw of one row is one old base point."""
-    monkeypatch.setattr(foliation, "_draw_pairs", _old_draw_pairs)
+    monkeypatch.setattr(foliation, "_draw_samples", _old_draw_samples)
     monkeypatch.setattr(foliation, "_sample_base", lambda rng, spec, n: np.array(
         [_old_sample_base(rng, spec) for _ in range(n)]))
     monkeypatch.setattr(cli, "_draw_flow_words", _old_flow_words)
@@ -386,9 +387,11 @@ def _one_source_classification(pair, n, seed, tol):
     source, target = pair
     emap = equivalence_map(source)
     rep = CheckReport("classification", source.label(), target.label(), n, seed, tol)
-    p, q, r, rt = foliation._draw_pairs(
+    bases, b, a, rt = foliation._draw_samples(
         np.random.default_rng(seed), source, n,
         lambda rng, base: foliation._roundtrip_points(rng, source, base))
+    p, q, r = (coadjoint._chart(source, *v) for v in zip(
+        bases.reshape(3, -1, 5), b.reshape(3, -1), a.reshape(3, -1)))
     hp = apply_equivalence(emap, p, "fwd")
     positive = foliation.same_leaf(target, hp, apply_equivalence(emap, q, "fwd"), tol)
     negative = foliation.same_leaf(target, hp, apply_equivalence(emap, r, "fwd"), tol)
@@ -420,6 +423,76 @@ def test_grid_classification_matches_per_source_loop(broken, kinds, stack, monke
         assert {r["source"] for r in got if r["failures"]} == \
             {s.label() for s in MAPPED if s.family == "F2"}
     assert verify_classification_grid([], n=60) == []
+
+
+def _roundtrip_extra(spec):
+    return lambda rng, base: foliation._roundtrip_points(rng, spec, base)
+
+
+@pytest.mark.parametrize("n", [1, 60, 1500])
+def test_member_draw_equals_the_shared_draw(n):
+    # the grid draws once per (family, phi) and lends that draw to every
+    # member of the key; a member's own draw must be the same, bit for bit,
+    # so a future seam or sampler that reads lambda shows here
+    shared = {}
+    for spec in MAPPED:
+        key = (spec.family, spec.phi)
+        first = shared.setdefault(key, (spec, foliation._draw_samples(
+            np.random.default_rng(5), spec, n, _roundtrip_extra(spec))))[1]
+        own = foliation._draw_samples(np.random.default_rng(5), spec, n, _roundtrip_extra(spec))
+        assert all(np.array_equal(a, b) for a, b in zip(own, first)), spec.label()
+    assert len(shared) == 10
+
+
+@pytest.mark.parametrize("n", [1, 1500])
+def test_grid_classification_matches_per_source_loop_at_sizes(n):
+    # one sample per source, and more samples than a stack holds, so that a
+    # key's draw is carried across stacks of one source each
+    pairs = [(s, equivalence_map(s).target) for s in MAPPED]
+    got = [r.to_json() for r in verify_classification_grid(pairs, n=n, seed=5, tol=1e-6)]
+    assert got == [_one_source_classification(pair, n, 5, 1e-6).to_json() for pair in pairs]
+
+
+def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
+    # classify maps 34 members drawn from 10 streams, verify-claims 33 from 9
+    draw, grid = foliation._draw_samples, foliation.verify_classification_grid
+    calls, keys = [], []
+
+    def counted_draw(rng, spec, n, extra):
+        keys.append((spec.family, spec.phi))
+        return draw(rng, spec, n, extra)
+
+    def counted_grid(pairs, *args, **kwargs):
+        keys.clear()
+        out = grid(pairs, *args, **kwargs)
+        calls.append((len(pairs), len(keys), len(set(keys))))
+        return out
+
+    monkeypatch.setattr(foliation, "_draw_samples", counted_draw)
+    monkeypatch.setattr(cli, "verify_classification_grid", counted_grid)
+    for cmd in ("classify", "verify-claims"):
+        cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
+    assert calls == [(34, 10, 10), (33, 9, 9)]
+
+
+@pytest.mark.parametrize("args", [("F2", 1e-3), ("F3", 1e-3), ("F3", -1e-3)])
+def test_map_out_of_range_is_a_failure(args):
+    # |v|^(1/lambda) under- or overflows: a round-trip row's image leaves V
+    # or is not finite; it is reported as a range failure of its source, and
+    # the other rows are still inverted
+    spec = family_spec(*args)
+    emap = equivalence_map(spec)
+    rep = verify_classification((spec, emap.target), n=300, seed=5)
+    rt = foliation._draw_samples(np.random.default_rng(5), spec, 300, _roundtrip_extra(spec))[-1]
+    image = apply_equivalence(emap, rt)
+    off = ~(np.isfinite(image).all(axis=1) & foliation.in_V(image))
+    assert off.any() and not off.all()
+    out = [f for f in rep.failures if f["kind"] == "range"]
+    np.testing.assert_array_equal([f["p"] for f in out], rt[off])
+    np.testing.assert_array_equal([f["image"] for f in out], image[off])
+    assert {tuple(f["p"]) for f in out}.isdisjoint(
+        tuple(f["p"]) for f in rep.failures if f["kind"] == "roundtrip")
+    assert any(f["kind"] == "roundtrip" for f in rep.failures)
 
 
 @dataclass(frozen=True)
@@ -711,10 +784,31 @@ def test_array_sampler_fields_and_rates(spec, seed):
 
 
 @pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
+def test_draw_follows_the_stream_order(spec):
+    # the base points, b1..b3, a1..a3, the alpha offsets, then the extras;
+    # the chart inputs of p, q and r are stacked in that order
+    rng = np.random.default_rng(11)
+    base = foliation._sample_base(rng, spec, 50)
+    b = rng.uniform(-2.0, 2.0, (50, 3))
+    a = rng.uniform(-foliation._AMAX, foliation._AMAX, (50, 3))
+    shifted = base.copy()
+    shifted[:, 0] += foliation._signed(rng, 0.1, 1.0, 50)
+    extra = rng.random(50)
+    *chart_in, got = foliation._draw_samples(np.random.default_rng(11), spec, 50,
+                                             lambda rng, base: rng.random(len(base)))
+    pqr = coadjoint._chart(spec, *chart_in).reshape(3, -1, 5)
+    for k, start in enumerate((base, base, shifted)):
+        np.testing.assert_array_equal(pqr[k], coadjoint._chart(spec, start, b[:, k], a[:, k]))
+    np.testing.assert_array_equal(got, extra)
+
+
+@pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
 def test_array_draws_repeat_per_seed(spec):
     def draw(seed, n=500):
-        return foliation._draw_pairs(np.random.default_rng(seed), spec, n,
-                                     lambda rng, base: foliation._roundtrip_points(rng, spec, base))
+        *chart_in, rt = foliation._draw_samples(
+            np.random.default_rng(seed), spec, n,
+            lambda rng, base: foliation._roundtrip_points(rng, spec, base))
+        return (*coadjoint._chart(spec, *chart_in).reshape(3, -1, 5), rt)
 
     first = draw(7)
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
@@ -729,7 +823,7 @@ def test_array_draws_repeat_per_seed(spec):
     assert set(i) == {1, 2, 3, 4, 5} and (np.abs(t) <= 1.0).all()
     for n in (0, -3):
         with pytest.raises(InvalidParams):
-            foliation._draw_pairs(np.random.default_rng(7), spec, n, lambda rng, base: ())
+            foliation._draw_samples(np.random.default_rng(7), spec, n, lambda rng, base: ())
         with pytest.raises(InvalidParams):
             verify_classification((spec, equivalence_map(spec).target), n=n)
 def _scalar_mat_exp(m, t=1.0):

@@ -1,6 +1,7 @@
 """The eight families: parameter validation, printed matrices, and the
 spectral signature that tells members apart."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,18 @@ def test_non_finite_parameters(bad):
         family_spec("F8", bad, 1.0)
     with pytest.raises(InvalidParams):
         family_spec("F8", 1.0, bad)
+
+
+def test_spec_is_checked_when_built():
+    # the constructor runs the checks, so no later call has to repeat them
+    with pytest.raises(InvalidParams, match="F2 requires"):
+        FamilySpec("F2", lam=1.0)
+    spec = family_spec("F2", 2.0)
+    with pytest.raises(InvalidParams, match="F2 requires"):
+        dataclasses.replace(spec, lam=0.0)
+    with pytest.raises(InvalidParams, match="F4: unexpected parameter lambda$"):
+        FamilySpec("F4", lam=2.0)
+    assert spec.validate() is spec
 
 
 def test_wrong_arity_and_unknown_family():
