@@ -196,9 +196,8 @@ def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
     return FamilySpec(family, **given)
 
 
-def _representative(family):
-    """The type representative that the family's foliation maps onto."""
-    return family_spec(*_FAMILIES[family].target)
+# the type representative that each family's foliation maps onto
+_REPRESENTATIVE = {name: family_spec(*fam.target) for name, fam in _FAMILIES.items()}
 
 
 def ad2_block(spec):

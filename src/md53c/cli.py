@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .catalog import (_FAMILIES, _SPELLING, _representative, ad2_block, build_algebra,
+from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
                       family_spec, jordan_signature, list_catalog)
 from .coadjoint import (
     _flow,
@@ -231,7 +231,7 @@ def cmd_classify(config, args):
     grid = list_catalog()
     members = {}
     for spec in grid:
-        members.setdefault(_representative(spec.family).label(), []).append(spec.label())
+        members.setdefault(_REPRESENTATIVE[spec.family].label(), []).append(spec.label())
     reports, halfplane = _classifications(config, grid)
     checks = [r.to_json() for r in reports]
     skipped = [{"source": label,
@@ -360,7 +360,7 @@ def cmd_verify_claims(config, args):
         [f"{flow_bad} flow/chart mismatches"] if flow_bad else ())
 
     # the printed rotation-family orbit frees the wrong coordinate
-    spec8 = _representative("F8")
+    spec8 = _REPRESENTATIVE["F8"]
     p8 = np.array([0.4, 0.0, 1.0, 0.0, 1.0])
     alpha_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[0], tol=config.tol_leaf))
     beta_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[1], tol=config.tol_leaf))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .catalog import _representative, family_spec
+from .catalog import _REPRESENTATIVE
 from .coadjoint import _chart, orbit_chart, same_leaf
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
@@ -275,7 +275,7 @@ class EquivalenceMap:
 
 
 def equivalence_map(spec):
-    return EquivalenceMap(spec, _representative(spec.family))
+    return EquivalenceMap(spec, _REPRESENTATIVE[spec.family])
 
 
 def apply_equivalence(emap, p, direction="fwd"):
@@ -456,7 +456,7 @@ def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
     reports, groups = [], {}
     for source, target in pairs:
         emap = equivalence_map(source)
-        if target.to_json() != emap.target.to_json():
+        if target != emap.target:
             raise InvalidParams(
                 "target must be the type representative: F4 for F1..F7, F8(1, pi/2) for F8"
             )
@@ -508,7 +508,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     with those of q, r and the paired points."""
     if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
-    spec = family_spec("F4") if kind == "F1" else _representative("F8")
+    spec = _REPRESENTATIVE["F4" if kind == "F1" else "F8"]
     rep = CheckReport(f"fibration-{kind}", spec.label(),
                       "R x S2 base" if kind == "F1" else "rho-action on V",
                       int(n), int(seed), float(tol))
