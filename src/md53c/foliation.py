@@ -379,12 +379,11 @@ def _roundtrip_points(rng, spec, base):
 
 
 def _draw_samples(rng, spec, n, extra):
-    """Draw n samples field by field, one array per field in a fixed stream
-    order: the base points, b1..b3, a1..a3, the alpha offsets, then
-    extra(rng, base), one row per sample.  Returns the chart inputs of p at
-    (b1, a1) and q at (b2, a2) on each base's orbit and r at (b3, a3) on the
-    alpha-shifted orbit, stacked as p, q, r for one _chart call, and the
-    extras.  The draw reads spec only through its family and phi."""
+    """Draw n samples field by field in a fixed stream order: the base
+    points, b1..b3, a1..a3, the alpha offsets, then extra(rng, base), one
+    row per sample.  Returns the _chart inputs of p at (b1, a1) and q at
+    (b2, a2) on each base's orbit and r at (b3, a3) on the alpha-shifted
+    one, stacked, and the extras.  Reads spec only by family and phi."""
     n = int(n)
     if n < 1:
         # a check over no samples would pass vacuously
@@ -412,32 +411,36 @@ def _collect(rep, checks):
 _STACK_SAMPLES = 1024
 
 
+def _map_samples(emap, chart_in, rt):
+    """One member's chart points (p, q, r), their images and its round-trip
+    checks, from one _chart, one forward-map and one inverse-map call."""
+    pqrt = np.concatenate((_chart(emap.source, *chart_in), rt))
+    *images, image = apply_equivalence(emap, pqrt, "fwd").reshape(4, -1, 5)
+    # an image off V or not finite has no inverse to check
+    off = ~(np.isfinite(image).all(axis=1) & in_V(image))
+    back = np.full_like(rt, np.nan)
+    back[~off] = apply_equivalence(emap, image[~off], "inv")
+    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
+    return pqrt.reshape(4, -1, 5)[:3], images, [("range", off, {"p": rt, "image": image}),
+                                                ("roundtrip", drift, {"p": rt, "back": back})]
+
+
 def _mapped_samples(streams, n, seed):
-    """Per (map, report) of streams, a dict from a key (family, phi) to the
-    members that draw from it: the report, the chart points (p, q, r), their
-    images and the round-trip checks.  Only the current draw is held."""
+    """Per (map, report) of streams, which lists them by the key (family, phi)
+    of their draw: the report and its _map_samples, one draw held at a time."""
     for members in streams.values():
         first = members[0][0].source
         *chart_in, rt = _draw_samples(np.random.default_rng(seed), first, n,
                                       lambda rng, base: _roundtrip_points(rng, first, base))
         for emap, rep in members:
-            pqr = _chart(emap.source, *chart_in).reshape(3, -1, 5)
-            *images, image = apply_equivalence(
-                emap, np.concatenate((*pqr, rt)), "fwd").reshape(4, -1, 5)
-            # an image off V or not finite has no inverse to check
-            off = ~(np.isfinite(image).all(axis=1) & in_V(image))
-            back = np.full_like(rt, np.nan)
-            back[~off] = apply_equivalence(emap, image[~off], "inv")
-            drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
-            yield rep, pqr, images, [("range", off, {"p": rt, "image": image}),
-                                     ("roundtrip", drift, {"p": rt, "back": back})]
+            yield rep, *_map_samples(emap, chart_in, rt)
 
 
 def _classification_stack(target, members, tol):
-    """Test the positive pairs of members, _mapped_samples items whose maps
-    share target, in one same_leaf call and the negative pairs in another,
-    and fill in each report's failures."""
-    hp, hq, hr = (np.concatenate(h) for h in zip(*(images for _, _, images, _ in members)))
+    """Test the positive and the negative pairs of members, _mapped_samples
+    items of one target, in one same_leaf call each; fill in their reports."""
+    hp, hq, hr = (h[0] if len(h) == 1 else np.concatenate(h)
+                  for h in zip(*(images for _, _, images, _ in members)))
     positive = np.split(same_leaf(target, hp, hq, tol), len(members))
     negative = np.split(same_leaf(target, hp, hr, tol), len(members))
     for (rep, (p, q, r), _, checks), pos, neg in zip(members, positive, negative):
@@ -447,19 +450,17 @@ def _classification_stack(target, members, tol):
 
 def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
     """verify_classification on every (source, target) pair of pairs, in one
-    pass.  The draw, seeded by seed, reads a source only through its family
-    and phi, so it is made once per (family, phi); each source then makes one
-    chart, one forward-map and one inverse-map call.  The positive and the
-    negative same-leaf tests of the sources of one target each run in one
-    same_leaf call, or in one per _STACK_SAMPLES samples of sources when n
-    is large, so that memory stays flat.  One CheckReport per pair, in order."""
+    pass.  The draw reads a source only through its family and phi, so it is
+    made once per (family, phi); each source then makes one chart, one
+    forward-map and one inverse-map call.  The same-leaf tests of the sources
+    of one target run in one call per relation and per _STACK_SAMPLES samples
+    of sources, so memory stays flat.  One CheckReport per pair, in order."""
     reports, groups = [], {}
     for source, target in pairs:
         emap = equivalence_map(source)
         if target != emap.target:
-            raise InvalidParams(
-                "target must be the type representative: F4 for F1..F7, F8(1, pi/2) for F8"
-            )
+            raise InvalidParams("target must be the type representative: F4 for F1..F7, "
+                                "F8(1, pi/2) for F8")
         reports.append(CheckReport("classification", source.label(), emap.target.label(),
                                    int(n), int(seed), float(tol)))
         streams = groups.setdefault(emap.target, {})
@@ -469,6 +470,7 @@ def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
         mapped = _mapped_samples(streams, n, seed)
         while stack := list(itertools.islice(mapped, size)):
             _classification_stack(target, stack, tol)
+            del stack  # free its samples before the next stack is mapped
     return reports
 
 
