@@ -54,4 +54,4 @@ print("\nF3(0) half-plane leaf:",
 # The randomized dichotomy check: every sampled functional lands on a point
 # (rank 0) or a plane (rank 2), never anything else.
 rep = md_property_check(spec, n=5000, seed=1729)
-print(f"\ndichotomy check on {rep.samples} samples: ok={rep.ok}, failures={len(rep.failures)}")
+print(f"\ndichotomy check on {rep.n} samples: ok={rep.ok}, failures={rep.failures_total}")

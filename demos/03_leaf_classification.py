@@ -44,7 +44,7 @@ print("leaf preserved?",
 # The sampled verifier does this wholesale: positive pairs, negative pairs,
 # and round-trips, for any grid entry.
 rep = verify_classification((spec, emap.target), n=300, seed=7)
-print(f"verify_classification: n={rep.n}, ok={rep.ok}, failures={len(rep.failures)}")
+print(f"verify_classification: n={rep.n}, ok={rep.ok}, failures={rep.failures_total}")
 
 # Type one has a complete invariant (x + z, ray of (z, t, s)); type two is
 # governed by the R^2-action rho and its twisted invariant.

@@ -3,8 +3,9 @@ evaluation, classification and fibration checks, K-theory reports, and the
 consolidated claims run.
 
 Every flag is mirrored by an MD53C_-prefixed environment variable; explicit
-flags win.  Reports carry "schema": 1 and are byte-deterministic for a fixed
-configuration (keys sorted, no timestamps, seeded sampling only).
+flags win.  Reports carry "schema": 2 and are byte-deterministic for a fixed
+configuration (keys sorted, no timestamps, seeded sampling only).  Every
+sampled check reports as one CheckReport record.
 """
 
 import argparse
@@ -18,17 +19,10 @@ import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
                       family_spec, jordan_signature, list_catalog)
-from .coadjoint import (
-    _flow,
-    coadjoint_flow,
-    kirillov_form_rank,
-    md_property_grid,
-    orbit_chart,
-    same_leaf,
-)
+from .coadjoint import (coadjoint_flow, flow_check, kirillov_form_rank, md_property_grid,
+                        orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
-from .foliation import (apply_equivalence, equivalence_map, fibration_check,
-                        verify_classification_grid)
+from .foliation import equivalence_map, fibration_check, verify_classification_grid
 from .ktheory import (
     AbGroup,
     B_CROSSED,
@@ -45,7 +39,6 @@ from .ktheory import (
     scenario_input,
     space_k_groups,
     Sphere,
-    StableFunctions,
 )
 from .lie_core import derived_subalgebra, jacobi_defect
 
@@ -181,12 +174,16 @@ def _fibrations(config):
             for kind in ("F1", "F2")]
 
 
+def _total(reports):
+    # every failure of the CheckReports, not only those their payloads list
+    return sum(r.failures_total for r in reports)
+
+
 def cmd_verify_md(config, args):
-    reports = [r.to_json() for r in _md_reports(config)]
-    bad = sum(len(r["failures"]) for r in reports) \
-        + sum(1 for r in reports if not r["structure_ok"])
+    reports = _md_reports(config)
+    bad = _total(reports)
     payload = {
-        "entries": reports,
+        "entries": [r.to_json() for r in reports],
         "summary": {"grid_entries": len(reports), "failures": bad},
     }
     return payload, 0 if bad == 0 else 1
@@ -232,18 +229,17 @@ def cmd_classify(config, args):
     members = {}
     for spec in grid:
         members.setdefault(_REPRESENTATIVE[spec.family].label(), []).append(spec.label())
-    reports, halfplane = _classifications(config, grid)
-    checks = [r.to_json() for r in reports]
+    checks, halfplane = _classifications(config, grid)
     skipped = [{"source": label,
                 "reason": "half-plane leaves at lambda = 0: the coordinate change "
                           "is undefined there and no map is checked for these leaves"}
                for label in halfplane]
-    fib = [f.to_json() for f in _fibrations(config)]
-    bad = sum(len(c["failures"]) for c in checks + fib)
+    fib = _fibrations(config)
+    bad = _total(checks + fib)
     payload = {
         "types": [{"representative": rep, "members": m} for rep, m in members.items()],
-        "checks": checks,
-        "fibration": fib,
+        "checks": [c.to_json() for c in checks],
+        "fibration": [f.to_json() for f in fib],
         "skipped": skipped,
         "summary": {"checked": len(checks), "skipped": len(skipped), "failures": bad},
     }
@@ -272,24 +268,6 @@ def cmd_ktheory(config, args):
 # the consolidated claims run
 
 
-def _draw_flow_words(rng, n):
-    """n start points, an (n, 5) array, and n flow words of 1..6 (direction,
-    time) steps, given flat: the directions and times of all steps, word
-    after word, and the length of each word."""
-    start = rng.uniform(-2.0, 2.0, (n, 5))
-    lengths = rng.integers(1, 7, n)
-    total = int(lengths.sum())
-    return start, rng.integers(1, 6, total), rng.uniform(-1.0, 1.0, total), lengths
-
-
-def _flow_consistency_failures(spec, n, seed, tol):
-    """How many of n random flow words of <= 6 steps leave the starting leaf:
-    points and words are drawn as arrays, then flowed and tested at once."""
-    start, i, t, lengths = _draw_flow_words(np.random.default_rng(seed), int(n))
-    end = _flow(build_algebra(spec), start, i, t, lengths)
-    return int(n) - np.count_nonzero(same_leaf(spec, start, end, tol=tol))
-
-
 def cmd_verify_claims(config, args):
     claims = []
     failures = []
@@ -304,12 +282,17 @@ def cmd_verify_claims(config, args):
         claims.append(entry)
         failures.extend({"claim": cid, "detail": d} for d in failed)
 
+    def sampled(cid, location, details, evidence, bad, what):
+        # a claim on sampled checks: their failure count, and one failure
+        # detail with it when any failed
+        add(cid, location, "verified", details, {**evidence, "failures": bad},
+            [f"{bad} {what}"] if bad else ())
+
     grid = list_catalog()
 
     # structure and orbit dichotomy across the grid
     md_reports = _md_reports(config)
-    bad_structure = [r.family for r in md_reports if not r.structure_ok]
-    md_bad = sum(len(r.failures) for r in md_reports)
+    bad_structure = [r.source for r in md_reports if {"kind": "structure"} in r.failures]
     add("md-structure",
         "family definitions (the eight five-dimensional structures)",
         "verified",
@@ -317,13 +300,12 @@ def cmd_verify_claims(config, args):
         "three-dimensional commutative derived ideal",
         {"grid_entries": len(grid)},
         [f"structure checks failed for {bad_structure}"] if bad_structure else ())
-    add("orbit-dimension-dichotomy",
-        "orbit description proposition (dimension dichotomy)",
-        "verified",
-        "sampled functionals have Kirillov rank 0 or 2, rank 2 exactly where "
-        "the derived-ideal components (gamma, delta, sigma) are not all zero",
-        {"samples_per_entry": config.md_samples, "failures": md_bad},
-        [f"{md_bad} rank mismatches"] if md_bad else ())
+    sampled("orbit-dimension-dichotomy",
+            "orbit description proposition (dimension dichotomy)",
+            "sampled functionals have Kirillov rank 0 or 2, rank 2 exactly where "
+            "the derived-ideal components (gamma, delta, sigma) are not all zero",
+            {"samples_per_entry": config.md_samples},
+            _total(md_reports) - len(bad_structure), "rank mismatches")
 
     # the printed rank-2 condition names the wrong coordinates
     probe = np.array([0.0, 5.0, 0.0, 0.0, 0.0])
@@ -343,21 +325,16 @@ def cmd_verify_claims(config, args):
          "source": grid[0].label()} if ok else None,
         () if ok else [f"expected ranks (0, 2), got ({rank_probe}, {rank_good})"])
 
-    # closed orbit charts agree with the integrated flow
-    reps = {}
-    for spec in grid:
-        reps.setdefault(spec.family, spec)
-    flow_bad = sum(_flow_consistency_failures(reps[family], config.samples, config.seed,
-                                              config.tol_leaf)
-                   for family in sorted(reps))
-    add("orbit-closed-forms",
-        "orbit description proposition (orbit formulas per family)",
-        "verified",
-        "points moved by random coadjoint flow words of up to six steps stay "
-        "on the leaf predicted by the closed-form chart",
-        {"families": len(reps), "samples_per_family": config.samples,
-         "failures": flow_bad},
-        [f"{flow_bad} flow/chart mismatches"] if flow_bad else ())
+    # closed orbit charts agree with the integrated flow, on each family's
+    # first grid member
+    flows = [flow_check(family_spec(name, *fam.grid[0]), config.samples, config.seed,
+                        config.tol_leaf) for name, fam in _FAMILIES.items()]
+    sampled("orbit-closed-forms",
+            "orbit description proposition (orbit formulas per family)",
+            "points moved by random coadjoint flow words of up to six steps stay "
+            "on the leaf predicted by the closed-form chart",
+            {"families": len(flows), "samples_per_family": config.samples},
+            _total(flows), "flow/chart mismatches")
 
     # the printed rotation-family orbit frees the wrong coordinate
     spec8 = _REPRESENTATIVE["F8"]
@@ -391,8 +368,8 @@ def cmd_verify_claims(config, args):
         "representative in both directions on sampled same-leaf and "
         "different-leaf pairs, and invert to round trips",
         {"sources": [c.source for c in checks], "samples_per_source": config.samples,
-         "failures": sum(len(c.failures) for c in checks)},
-        [f"{c.source}: {len(c.failures)} failures" for c in checks if not c.ok])
+         "failures": _total(checks)},
+        [f"{c.source}: {c.failures_total} failures" for c in checks if not c.ok])
 
     add("halfplane-families",
         "classification theorem, first type at lambda = 0",
@@ -405,20 +382,16 @@ def cmd_verify_claims(config, args):
     # fibration structure for the first type; action structure for the
     # second type, plus the printed-p probe
     fib1, fib2 = _fibrations(config)
-    add("type-f1-fibration",
-        "classification theorem proof, item 2.1 (fibration over the invariant base)",
-        "verified",
-        "the (x + z, unit direction) invariant separates leaves of the "
-        "identity-action family exactly",
-        {"samples": config.samples, "failures": len(fib1.failures)},
-        () if fib1.ok else [f"{len(fib1.failures)} failures"])
-    add("rho-action",
-        "classification theorem proof, item 2.2 (plane action on V)",
-        "verified",
-        "the (r, a) plane action is an abelian action whose orbits are exactly "
-        "the rotation-family leaves; (r, a) is recovered from coordinates",
-        {"samples": config.samples, "failures": len(fib2.failures)},
-        () if fib2.ok else [f"{len(fib2.failures)} failures"])
+    sampled("type-f1-fibration",
+            "classification theorem proof, item 2.1 (fibration over the invariant base)",
+            "the (x + z, unit direction) invariant separates leaves of the "
+            "identity-action family exactly",
+            {"samples": config.samples}, fib1.failures_total, "failures")
+    sampled("rho-action",
+            "classification theorem proof, item 2.2 (plane action on V)",
+            "the (r, a) plane action is an abelian action whose orbits are exactly "
+            "the rotation-family leaves; (r, a) is recovered from coordinates",
+            {"samples": config.samples}, fib2.failures_total, "failures")
     # the same failures, listed once under rho-action
     add("leaf-invariants-complete",
         "classification theorem proof, item 2.2 (leaf space of the two regions)",
@@ -699,7 +672,7 @@ def main(argv=None):
                 payload, code = _DISPATCH[args.command](config, args)
         except InconsistentInput as e:
             payload, code = {"error": str(e)}, 1
-        _emit({"schema": 1, "command": args.command,
+        _emit({"schema": 2, "command": args.command,
                "config": config.to_json(), **payload}, config)
     except (InvalidParams, DomainError, UnsupportedMap, UnsupportedExpr) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,8 @@ __all__ = [
     "OrbitChart",
     "orbit_chart",
     "same_leaf",
-    "MDReport",
+    "CheckReport",
+    "flow_check",
     "md_property_check",
     "md_property_grid",
 ]
@@ -269,24 +270,62 @@ def _same_leaf(spec, p, q, tol):
     return out
 
 
-@dataclass
-class MDReport:
-    """Result of the orbit-dimension dichotomy check on one family member."""
+_FAILURES_SHOWN = 50
 
-    family: str
-    params: dict
-    samples: int
+
+@dataclass
+class CheckReport:
+    """Result of one sampled check: every failure entry, of which the payload
+    lists the first _FAILURES_SHOWN and counts all in failures_total."""
+
+    check: str
+    source: str
+    target: str
+    n: int
     seed: int
     tol: float
-    structure_ok: bool
-    failures: list
+    failures: list = field(default_factory=list)
+    discrepancies: list = field(default_factory=list)
+
+    @property
+    def failures_total(self):
+        return len(self.failures)
 
     @property
     def ok(self):
-        return self.structure_ok and not self.failures
+        return not self.failures
 
     def to_json(self):
-        return {**asdict(self), "ok": self.ok}
+        return {**vars(self), "failures": self.failures[:_FAILURES_SHOWN],
+                "failures_total": self.failures_total, "ok": self.ok}
+
+
+def _collect(rep, checks):
+    """Append the failures of (kind, failed, fields) checks, whose mask and
+    fields have one row per sample: by sample, then in check order."""
+    for i in np.flatnonzero(np.any([bad for _, bad, _ in checks], axis=0)):
+        rep.failures.extend({"kind": kind, **{k: v[i].tolist() for k, v in fields.items()}}
+                            for kind, bad, fields in checks if bad[i])
+
+
+def flow_check(spec, n=1000, seed=1729, tol=1e-8):
+    """Flow n random points along random coadjoint flow words of 1..6 steps
+    and check that each stays on its leaf as the closed-form chart predicts.
+    The points, the word lengths, then the directions and times of all
+    steps are drawn as arrays, then flowed and tested at once."""
+    n = int(n)
+    if n < 1:
+        # a check over no samples would pass vacuously
+        raise InvalidParams("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-2.0, 2.0, (n, 5))
+    lengths = rng.integers(1, 7, n)
+    steps = int(lengths.sum())
+    end = _flow(build_algebra(spec), start, rng.integers(1, 6, steps),
+                rng.uniform(-1.0, 1.0, steps), lengths)
+    rep = CheckReport("flow", spec.label(), "closed-form chart", n, int(seed), float(tol))
+    _collect(rep, [("flow", ~same_leaf(spec, start, end, tol), {"p": start, "q": end})])
+    return rep
 
 
 def _structure_ok(c):
@@ -309,7 +348,7 @@ def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
     one pass: the points are drawn once, since every member draws the same
     ones, and the Kirillov forms of all members come from one product of the
     grid's structure tensor with the points, upper triangles only, in fixed
-    blocks of sample columns.  One MDReport per member, in grid order."""
+    blocks of sample columns.  One CheckReport per member, in grid order."""
     if int(n) < 1:
         # a check over no samples would pass vacuously
         raise InvalidParams("n must be >= 1")
@@ -330,13 +369,10 @@ def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
     expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
     reports = []
     for spec, ok, got in zip(grid, _structure_ok(c), ranks):
-        failures = [{"F": [float(x) for x in pts[i]], "expected": int(expected[i]),
-                     "got": int(got[i])}
-                    for i in np.flatnonzero(got != expected)[:50]]
-        params = {key: v for key, v in spec.to_json().items() if key != "family"}
-        reports.append(MDReport(family=spec.family, params=params, samples=len(pts),
-                                seed=int(seed), tol=float(tol), structure_ok=bool(ok),
-                                failures=failures))
+        reports.append(CheckReport("dichotomy", spec.label(), "rank 0 or 2", len(pts),
+                                   int(seed), float(tol), [] if ok else [{"kind": "structure"}]))
+        _collect(reports[-1], [("rank", got != expected,
+                                {"F": pts, "expected": expected, "got": got})])
     return reports
 
 

@@ -10,12 +10,12 @@ against the family-4 representative, type-two (family 8) against F8(1, pi/2).
 import cmath
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import _REPRESENTATIVE
-from .coadjoint import _chart, orbit_chart, same_leaf
+from .coadjoint import CheckReport, _chart, _collect, orbit_chart, same_leaf
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "equivalence_map",
     "apply_equivalence",
     "rho_apply",
-    "CheckReport",
     "verify_classification",
     "verify_classification_grid",
     "fibration_check",
@@ -36,9 +35,10 @@ __all__ = [
 
 def in_V(p):
     """True iff the point lies on a two-dimensional orbit: (z,t,s) != 0; for
-    an (N, 5) stack of points, a boolean array with one entry per row."""
+    an (N, 5) stack of points, a boolean array with one entry per row.  No
+    coordinate is squared, so none over- or underflows; NaN rows lie outside."""
     p = np.asarray(p, dtype=float)
-    out = p[..., 2] * p[..., 2] + p[..., 3] * p[..., 3] + p[..., 4] * p[..., 4] > 0.0
+    out = np.abs(p[..., 2:]).max(axis=-1) > 0.0
     return bool(out) if p.ndim == 1 else out
 
 
@@ -307,27 +307,6 @@ def apply_equivalence(emap, p, direction="fwd"):
 # batch verifiers
 
 
-@dataclass
-class CheckReport:
-    """Shared result shape for the sampled verifiers."""
-
-    check: str
-    source: str
-    target: str
-    n: int
-    seed: int
-    tol: float
-    failures: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_json(self):
-        return {**asdict(self), "ok": self.ok}
-
-
 _AMAX = 1.5  # chart-parameter sweep, matching the flow-word time range
 _CUT_MARGIN = 1e-3
 
@@ -395,14 +374,6 @@ def _draw_samples(rng, spec, n, extra):
     shifted[:, 0] += _signed(rng, 0.1, 1.0, n)
     # _sample_base never returns a point orbit, so every chart is 2-dimensional
     return np.concatenate((base, base, shifted)), b.T.ravel(), a.T.ravel(), extra(rng, base)
-
-
-def _collect(rep, checks):
-    """Append the failures of (kind, failed, fields) checks, whose mask and
-    fields have one row per sample: by sample, then in check order."""
-    for i in np.flatnonzero(np.any([bad for _, bad, _ in checks], axis=0)):
-        rep.failures.extend({"kind": kind, **{k: list(v[i]) for k, v in fields.items()}}
-                            for kind, bad, fields in checks if bad[i])
 
 
 # samples per same_leaf call of the grid check, unless one source has more:

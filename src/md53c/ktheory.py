@@ -535,7 +535,7 @@ def _ext_class(inp):
                 f"coker({name}) = {cok} has torsion, but it must embed in a free "
                 "middle K-group by exactness"
             )
-        checked.append({"node": name, "relation": f"coker({name}) torsion-free", "residual": 0})
+        checked.append({"node": name, "relation": f"coker({name}) torsion-free"})
     return replace(sol, consistency=tuple(checked))
 
 

@@ -1,8 +1,9 @@
 """The array kernels against their single-point calls: same_leaf, the
 equivalence maps and rho_apply on stacks give, row for row, what one point at
 a time gives, and raise for the same inputs; the batched checks, run on the
-points of the old one-sample-at-a-time stream, give the failure entries of
-their old one-sample loops, and the array samplers keep each field's range
+points of the old one-sample-at-a-time stream (the flow check on its own
+stream, read as tuple words), give the failure entries of their old
+one-sample loops, and the array samplers keep each field's range
 and rates; mat_exp, coadjoint_flow and jacobi_defect give what their old
 loops gave, the stacked leaf invariant gives what the three one-point
 invariant classes gave, and the closed-form Kirillov rank gives what the SVD
@@ -22,11 +23,11 @@ from hypothesis import strategies as st
 
 from md53c import cli, coadjoint, foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
-from md53c.coadjoint import coadjoint_flow, orbit_chart, same_leaf
+from md53c.coadjoint import coadjoint_flow, flow_check, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
-from md53c.foliation import (CheckReport, apply_equivalence, equivalence_map, fibration_check,
-                             leaf_invariant, rho_apply, verify_classification,
-                             verify_classification_grid)
+from md53c.coadjoint import CheckReport
+from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check, leaf_invariant,
+                             rho_apply, verify_classification, verify_classification_grid)
 from md53c.lie_core import (StructureConstants, ad_matrix, derived_subalgebra, jacobi_defect,
                             mat_exp)
 
@@ -261,27 +262,10 @@ def _old_draw_samples(rng, spec, n, extra):
             np.array(avals).T.ravel(), np.concatenate(extras))
 
 
-def _old_word_list(rng, n):
-    """The old stream of flow words: a start point, its word length, then
-    each step's direction and time, word by word."""
-    start, words = [], []
-    for _ in range(n):
-        start.append(rng.uniform(-2.0, 2.0, 5))
-        words.append([(int(rng.integers(1, 6)), float(rng.uniform(-1.0, 1.0)))
-                      for _ in range(int(rng.integers(1, 7)))])
-    return np.array(start), words
-
-
 def _flat_words(words):
     # the (directions, times, lengths) form of a list of (i, t) words
     steps = np.array([st for w in words for st in w]).reshape(-1, 2)
     return steps[:, 0].astype(int), steps[:, 1], np.array([len(w) for w in words])
-
-
-def _old_flow_words(rng, n):
-    """_draw_flow_words on the old stream, in its flat form."""
-    start, words = _old_word_list(rng, n)
-    return (start, *_flat_words(words))
 
 
 @pytest.fixture
@@ -291,7 +275,6 @@ def old_stream(monkeypatch):
     monkeypatch.setattr(foliation, "_draw_samples", _old_draw_samples)
     monkeypatch.setattr(foliation, "_sample_base", lambda rng, spec, n: np.array(
         [_old_sample_base(rng, spec) for _ in range(n)]))
-    monkeypatch.setattr(cli, "_draw_flow_words", _old_flow_words)
 
 
 def _scalar_classification(spec, n, seed, tol):
@@ -659,32 +642,35 @@ def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch, 
 
 
 def _scalar_flow_failures(spec, n, seed, tol):
-    """The one-word-at-a-time flow check, kept as the oracle for
-    _flow_consistency_failures: old stream, the per-step flow, and same_leaf
-    point by point through the cli module, so a patched kernel reaches it."""
+    """The one-word-at-a-time flow check, kept as the oracle for flow_check:
+    its stream read as (i, t) tuples, the per-step flow, and same_leaf point
+    by point through the coadjoint module, so a patched kernel reaches it."""
     sc = build_algebra(spec)
-    start, words = _old_word_list(np.random.default_rng(seed), n)
-    return sum(not cli.same_leaf(spec, f, _scalar_flow(sc, f, w), tol=tol)
-               for f, w in zip(start, words))
+    start, words = _tuple_flow_words(np.random.default_rng(seed), n)
+    ends = [_scalar_flow(sc, f, w) for f, w in zip(start, words)]
+    return [{"kind": "flow", "p": list(f), "q": list(g)} for f, g in zip(start, ends)
+            if not coadjoint.same_leaf(spec, f, g, tol=tol)]
 
 
 @pytest.mark.parametrize("broken", [False, True])
-def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch, old_stream):
+def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch):
     if broken:
-        monkeypatch.setattr(cli, "same_leaf", _broken_same_leaf)
+        monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
     for spec in FAMILY_REPS:
-        got = cli._flow_consistency_failures(spec, 40, 1729, 1e-8)
-        assert got == _scalar_flow_failures(spec, 40, 1729, 1e-8)
-        assert (got > 0) == broken, spec.label()
+        rep = flow_check(spec, 40, 1729, 1e-8)
+        want = _scalar_flow_failures(spec, 40, 1729, 1e-8)
+        _assert_same_failures(rep.failures, want)
+        assert rep.failures_total == len(want)
+        assert (rep.failures_total > 0) == broken, spec.label()
 
 
 @pytest.mark.parametrize("kind,broken", FIBRATION_CASES)
 def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatch):
     if broken:
         _break_kernels(monkeypatch)
-        monkeypatch.setattr(cli, "same_leaf", _broken_same_leaf)
+        monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
     assert {f["kind"] for f in fibration_check(kind, n=200, seed=3).failures} == broken
-    assert (cli._flow_consistency_failures(FAMILY_REPS[0], 200, 3, 1e-8) > 0) == bool(broken)
+    assert (not flow_check(FAMILY_REPS[0], 200, 3, 1e-8).ok) == bool(broken)
 
 
 def _c_only_approx_eq(self, other, tol=1e-8):
@@ -814,8 +800,8 @@ def test_array_draws_repeat_per_seed(spec):
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
     assert not np.array_equal(first[0], draw(8)[0])
     assert all(v.shape == (500, 5) and foliation.in_V(v).all() for v in first)
-    words = cli._draw_flow_words(np.random.default_rng(7), 500)
-    again = cli._draw_flow_words(np.random.default_rng(7), 500)
+    words = _flow_check_words(spec, 500, 7)[1][:4]
+    again = _flow_check_words(spec, 500, 7)[1][:4]
     assert all(np.array_equal(a, b) for a, b in zip(words, again))
     start, i, t, lengths = words
     assert start.shape == (500, 5) and set(lengths) == set(range(1, 7))
@@ -922,9 +908,26 @@ def test_flow_bad_direction_names_it():
         coadjoint_flow(sc, np.zeros((2, 6, 5)), [[]] * 2)
 
 
+def _flow_check_words(spec, n, seed):
+    """flow_check's report, and the start points, flat words and flowed
+    points of its one _flow call: (start, i, t, lengths, flowed)."""
+    calls = []
+    flow = coadjoint._flow
+
+    def spy(sc, *args):
+        calls.append((*args, flow(sc, *args)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coadjoint, "_flow", spy)
+        rep = flow_check(spec, n, seed)
+    (call,) = calls
+    return rep, call
+
+
 def _tuple_flow_words(rng, n):
     """The flow words as (i, t) tuples, drawn from the stream of
-    _draw_flow_words, as the flow check read them before it took them flat."""
+    flow_check, as the flow check read them before it took them flat."""
     start = rng.uniform(-2.0, 2.0, (n, 5))
     ends = np.cumsum(rng.integers(1, 7, n)).tolist()
     steps = list(zip(rng.integers(1, 6, ends[-1]).tolist(),
@@ -936,10 +939,9 @@ def _tuple_flow_words(rng, n):
 @settings(max_examples=30, deadline=None)
 def test_flat_flow_words_match_the_tuple_path(seed, spec):
     sc = build_algebra(spec)
-    start, i, t, lengths = cli._draw_flow_words(np.random.default_rng(seed), 300)
+    start, i, t, lengths, flowed = _flow_check_words(spec, 300, seed)[1]
     start2, words = _tuple_flow_words(np.random.default_rng(seed), 300)
     assert np.array_equal(start, start2) and _flat_words(words)[2].tolist() == lengths.tolist()
-    flowed = coadjoint._flow(sc, start, i, t, lengths)
     assert np.array_equal(flowed, coadjoint_flow(sc, start, words))
     # and the per-step loop, word by word
     assert all(np.array_equal(g, _scalar_flow(sc, f, w))
@@ -1062,8 +1064,11 @@ def test_rank4_kirillov_form_is_reported(monkeypatch):
     sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
     monkeypatch.setattr(coadjoint, "build_algebra", lambda _: sc)
     rep = coadjoint.md_property_check(spec, n=400, seed=3)
-    assert not rep.ok and len(rep.failures) == 50
-    assert {(f["expected"], f["got"]) for f in rep.failures} == {(2, 4)}
+    doc = rep.to_json()
+    # the payload lists the first 50 failures and counts every one
+    assert not rep.ok and len(doc["failures"]) == 50 < doc["failures_total"] == rep.failures_total
+    assert rep.failures[0] == {"kind": "structure"}
+    assert {(f["expected"], f["got"]) for f in rep.failures[1:]} == {(2, 4)}
     assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 0.0, 1.0])[1] == 4
     assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 1.0, 0.0])[1] == 2
     # the closed form is for 5x5 forms only
@@ -1084,16 +1089,16 @@ def _member_md_report(spec, n, seed, tol=1e-9):
     pts[2 * k:3 * k, 3:] = 0.0
     ranks = coadjoint._skew5_ranks(sc.c @ pts.T, tol)
     expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
-    failures = [{"F": [float(x) for x in pts[i]], "expected": int(expected[i]),
-                 "got": int(ranks[i])} for i in np.nonzero(ranks != expected)[0][:50]]
+    failures = [{"kind": "rank", "F": [float(x) for x in pts[i]], "expected": int(expected[i]),
+                 "got": int(ranks[i])} for i in np.nonzero(ranks != expected)[0]]
     basis = np.linalg.svd([sc.c[i, j] for i in range(5) for j in range(i + 1, 5)])[2]
     structure_ok = (_scalar_jacobi_defect(sc) <= 1e-12 and _member_derived_dim(sc) == 3
                     and np.abs(basis[:3, :2]).max() <= 1e-12
                     and np.abs(sc.c[2:5][:, 2:5]).max() <= 1e-12
                     and np.abs(sc.c[0, 2:5]).max() <= 1e-12)
-    return coadjoint.MDReport(spec.family, {k2: v for k2, v in spec.to_json().items()
-                                            if k2 != "family"},
-                              len(pts), seed, tol, bool(structure_ok), failures)
+    # a failed structure check is one "structure" entry, ahead of the ranks
+    return CheckReport("dichotomy", spec.label(), "rank 0 or 2", len(pts), seed, tol,
+                       ([] if structure_ok else [{"kind": "structure"}]) + failures)
 
 
 @given(seeds, st.integers(1, 1200))
@@ -1101,9 +1106,9 @@ def _member_md_report(spec, n, seed, tol=1e-9):
 def test_md_grid_matches_member_loop(seed, n):
     # n crosses the column blocks of the grid's forms; below 4 the check
     # still draws 4 points
-    got = [r.to_json() for r in coadjoint.md_property_grid(GRID, n=n, seed=seed)]
-    assert got == [_member_md_report(spec, n, seed).to_json() for spec in GRID]
-    assert all(r["ok"] and r["samples"] == max(n, 4) for r in got)
+    got = coadjoint.md_property_grid(GRID, n=n, seed=seed)
+    assert got == [_member_md_report(spec, n, seed) for spec in GRID]
+    assert all(r.ok and r.n == max(n, 4) for r in got)
 
 
 def _rank4(c):
@@ -1129,16 +1134,25 @@ def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
 
     monkeypatch.setattr(coadjoint, "build_algebra", patched)
     reps = coadjoint.md_property_grid(GRID, n=400, seed=3)
-    assert [r.to_json() for r in reps] == [_member_md_report(s, 400, 3).to_json() for s in GRID]
+    want = [_member_md_report(s, 400, 3) for s in GRID]
+    # the full failure lists, and the payloads cut from them
+    assert reps == want
+    assert [r.to_json() for r in reps] == [r.to_json() for r in want]
     assert [r.ok for r in reps] == [i != member for i in range(len(GRID))]
     bad = reps[member]
-    assert not bad.structure_ok
+    assert bad.failures[0] == {"kind": "structure"}
+    ranks = bad.failures[1:]
+    assert all(f["kind"] == "rank" for f in ranks)
     if breaks is _rank4:
-        # cut off at the cap of 50
-        assert len(bad.failures) == 50
-        assert {(f["expected"], f["got"]) for f in bad.failures} == {(2, 4)}
+        # past the cap of 50: the payload lists 50 and counts every one
+        doc = bad.to_json()
+        mismatches = sum(f["kind"] == "rank" for f in want[member].failures)
+        assert mismatches > 50
+        assert doc["failures_total"] == bad.failures_total == 1 + mismatches
+        assert doc["failures"] == bad.failures[:50]
+        assert {(f["expected"], f["got"]) for f in ranks} == {(2, 4)}
     else:
         assert jacobi_defect(patched(GRID[member]).c[None])[0] >= 1.0
         # <F, [X2, X3]> = beta leaves the 20 points of the zero slice rank 2
-        assert len(bad.failures) == 20
-        assert {(f["expected"], f["got"]) for f in bad.failures} == {(0, 2)}
+        assert len(ranks) == 20
+        assert {(f["expected"], f["got"]) for f in ranks} == {(0, 2)}

@@ -9,8 +9,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from md53c import coadjoint
+from md53c.catalog import family_spec
 from md53c.cli import RunConfig, main
 
 
@@ -23,7 +26,7 @@ def run_json(args, tmp_path, name="out.json"):
 def test_catalog_payload(tmp_path):
     code, doc = run_json(["catalog"], tmp_path)
     assert code == 0
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["command"] == "catalog"
     assert len(doc["grid"]) == 36
     assert len(doc["families"]) == 8
@@ -75,6 +78,54 @@ def test_classify_small(tmp_path):
     assert len(doc["fibration"]) == 2
 
 
+# the payload keys of a CheckReport, the one record of every sampled check
+REPORT_KEYS = {"check", "source", "target", "n", "seed", "tol", "failures", "failures_total",
+               "discrepancies", "ok"}
+
+
+def test_every_sampled_check_reports_one_record(tmp_path):
+    _, md = run_json(["verify-md", "--md-samples", "100"], tmp_path, "md.json")
+    _, cl = run_json(["classify", "--samples", "10"], tmp_path, "cl.json")
+    flow = json.loads(json.dumps(coadjoint.flow_check(family_spec("F1", -2, 3), 10).to_json()))
+    records = md["entries"] + cl["checks"] + cl["fibration"] + [flow]
+    assert len(records) == 36 + 34 + 2 + 1
+    assert all(set(r) == REPORT_KEYS for r in records)
+    assert {r["check"] for r in records} == {"dichotomy", "classification", "fibration-F1",
+                                             "fibration-F2", "flow"}
+
+
+def _rank4_on_f4(build):
+    # [X3, X4] = X5 on F4: its form at gamma, sigma != 0 has rank 4
+    def patched(spec):
+        sc = build(spec)
+        if spec.family == "F4":
+            sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
+        return sc
+    return patched
+
+
+def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
+    # a member that fails more than 50 times: its record lists 50 failures,
+    # and the summary counts every one
+    monkeypatch.setattr(coadjoint, "build_algebra", _rank4_on_f4(coadjoint.build_algebra))
+    code, doc = run_json(["verify-md", "--md-samples", "400"], tmp_path)
+    assert code == 1
+    (bad,) = [e for e in doc["entries"] if not e["ok"]]
+    assert bad["source"] == "F4" and bad["failures_total"] > 50
+    assert len(bad["failures"]) == 50
+    assert doc["summary"]["failures"] == sum(e["failures_total"] for e in doc["entries"])
+    assert doc["summary"]["failures"] == bad["failures_total"]
+    # verify-claims counts the same: one structure failure, the rest ranks
+    code, doc = run_json(["verify-claims", "--samples", "10", "--md-samples", "400"], tmp_path,
+                         "claims.json")
+    claims = {c["id"]: c for c in doc["claims"]}
+    assert code == 1 and claims["md-structure"]["status"] == "failed"
+    dichotomy = claims["orbit-dimension-dichotomy"]
+    assert dichotomy["evidence"]["failures"] == bad["failures_total"] - 1 > 50
+    assert {"claim": "orbit-dimension-dichotomy",
+            "detail": f"{bad['failures_total'] - 1} rank mismatches"} in doc["failures"]
+
+
 def test_halfplane_texts_claim_no_comparison(tmp_path):
     # no check compares the lambda = 0 half-plane leaves, so neither payload
     # may say they are compared
@@ -112,7 +163,7 @@ def test_ktheory_doubled_map_rejected(tmp_path):
     code = main(["ktheory", "--delta0", "2,2", "-o", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert "error" in doc and doc["schema"] == 1
+    assert "error" in doc and doc["schema"] == 2
 
 
 def test_ktheory_empty_delta0_rejected(tmp_path, capsys):
@@ -329,7 +380,7 @@ def test_missing_parameter_names_the_flag(capsys):
 
 def test_flow_failures_are_all_counted(tmp_path, monkeypatch):
     # every flow sample is counted, not the first 20 per family
-    monkeypatch.setattr("md53c.cli.same_leaf", lambda *args, **kwargs: False)
+    monkeypatch.setattr(coadjoint, "same_leaf", lambda spec, p, q, tol: np.zeros(len(p), bool))
     code, doc = run_json(["verify-claims", "--samples", "30", "--md-samples", "300"], tmp_path)
     assert code == 1
     claim = next(c for c in doc["claims"] if c["id"] == "orbit-closed-forms")

@@ -224,11 +224,12 @@ def test_same_leaf_symmetric_property(seed):
 
 def test_md_property_check_report():
     rep = md_property_check(F1_23, n=2000, seed=5, tol=1e-9)
-    assert rep.ok and rep.structure_ok and rep.failures == []
+    assert rep.ok and rep.failures == []
     doc = rep.to_json()
     assert doc["ok"] is True
-    assert doc["samples"] == 2000
-    assert doc["family"] == "F1"
+    assert doc["n"] == 2000
+    assert doc["check"] == "dichotomy" and doc["source"] == "F1(2, 3)"
+    assert doc["failures_total"] == 0
 
 
 def test_md_property_check_across_grid():

@@ -16,12 +16,12 @@ README_ORBIT = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
                 "--point", "1,0,1,0,0", "--word", "2:0.693", "--eval", "5,0.693"]
 
 DIGESTS = [
-    (["catalog"], "525f1e284e19db52968e82f10f84ebc99651424d22234ac32134c711972689f0"),
-    (["verify-md"], "1c3e3c4569f9ab55d80457322e5a9141718228a0ca21a409f59bce975569f1a8"),
-    (["classify"], "3ab2b2777a7764c9252f135ac7df1bbfa3497bb47e7dafc4aacde7aaac98f4d2"),
-    (["ktheory"], "426dae7a4094bb0050311c67abd4088e843122c277a175ee52367787a218604c"),
-    (["verify-claims"], "512435865a174a525ae22fabf213899d4014db627246284ad04e08c8683ecc75"),
-    (README_ORBIT, "9afb5f819e3474bca1bb63f709cf4f05c9e8e294efaa8c64cc3bb89369d058b9"),
+    (["catalog"], "019b0590e08d15cd93343f958aec07cee9bc147881cd726e76f1c7acca073eba"),
+    (["verify-md"], "1a75bd107fd4851df00136ff9b50aabdcbdc8430e49797f08c321e7cdc377c14"),
+    (["classify"], "9460f5aed1be5d763e04d361853dd71a4ff9bbe4ec5cb179dae531a9430bdd4a"),
+    (["ktheory"], "307b9bc8189bab2b7001c143f1f0caf6b24fb22e2d9f0df2693d4b28b143a833"),
+    (["verify-claims"], "a294e2ac5d2fba24e476797a41bc98ca91d0168537fc9065aa33c0b43d44afdc"),
+    (README_ORBIT, "6ab916f66e3334261fe43bed0c36b64c363933c0a5318f263e415dcdeffa28ea"),
 ]
 
 

@@ -2,6 +2,7 @@
 the sampled classification verifiers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ def test_in_V():
     assert not in_V([1.0, 2.0, 0.0, 0.0, 0.0])
     assert in_V([0.0, 0.0, 1e-12, 0.0, 0.0])
     assert in_V([0.0, 0.0, 0.0, -0.2, 0.0])
+    # no coordinate is squared: tiny coordinates, down to the smallest
+    # subnormal, and huge ones lie in V, the huge ones without an overflow
+    # warning; NaN does not
+    assert in_V([0.0, 0.0, 1e-200, 0.0, 0.0]) and in_V([0.0, 0.0, 0.0, 0.0, -5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert in_V([0.0, 0.0, 1e200, 0.0, 0.0]) and in_V([0.0, 0.0, 1e308, -1e308, 1e308])
+    assert not in_V([0.0, 0.0, np.nan, 0.0, 0.0]) and not in_V([0.0, 0.0, np.nan, 1.0, 0.0])
+    assert in_V(np.array([[0, 0, 1e-200, 0, 0], [0, 0, 1e200, 0, 0],
+                          [0, 0, np.nan, 0, 0], [1, 1, 0, 0, 0]])).tolist() == [
+        True, True, False, False]
 
 
 def test_equivalence_map_targets_and_names():
