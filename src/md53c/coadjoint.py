@@ -303,7 +303,7 @@ class CheckReport:
 def _collect(rep, checks):
     """Append the failures of (kind, failed, fields) checks, whose mask and
     fields have one row per sample: by sample, then in check order."""
-    for i in np.flatnonzero(np.any([bad for _, bad, _ in checks], axis=0)):
+    for i in np.flatnonzero(functools.reduce(np.logical_or, [bad for _, bad, _ in checks])):
         rep.failures.extend({"kind": kind, **{k: v[i].tolist() for k, v in fields.items()}}
                             for kind, bad, fields in checks if bad[i])
 

@@ -35,10 +35,10 @@ __all__ = [
 
 def in_V(p):
     """True iff the point lies on a two-dimensional orbit: (z,t,s) != 0; for
-    an (N, 5) stack of points, a boolean array with one entry per row.  No
-    coordinate is squared, so none over- or underflows; NaN rows lie outside."""
+    an (N, 5) stack of points, a boolean array with one entry per row: max
+    |(z, t, s)| > 0, with no square to over- or underflow; NaN rows lie outside."""
     p = np.asarray(p, dtype=float)
-    out = np.abs(p[..., 2:]).max(axis=-1) > 0.0
+    out = np.maximum(np.maximum(np.abs(p[..., 2]), np.abs(p[..., 3])), np.abs(p[..., 4])) > 0.0
     return bool(out) if p.ndim == 1 else out
 
 
