@@ -94,20 +94,19 @@ def test_every_sampled_check_reports_one_record(tmp_path):
                                              "fibration-F2", "flow"}
 
 
-def _rank4_on_f4(build):
-    # [X3, X4] = X5 on F4: its form at gamma, sigma != 0 has rank 4
-    def patched(spec):
+def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
+    # a member that fails more than 50 times: its record lists 50 failures,
+    # and the summary counts every one
+    build = coadjoint.build_algebra
+
+    def rank4_on_f4(spec):
+        # [X3, X4] = X5 on F4: its form at gamma, sigma != 0 has rank 4
         sc = build(spec)
         if spec.family == "F4":
             sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
         return sc
-    return patched
 
-
-def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
-    # a member that fails more than 50 times: its record lists 50 failures,
-    # and the summary counts every one
-    monkeypatch.setattr(coadjoint, "build_algebra", _rank4_on_f4(coadjoint.build_algebra))
+    monkeypatch.setattr(coadjoint, "build_algebra", rank4_on_f4)
     code, doc = run_json(["verify-md", "--md-samples", "400"], tmp_path)
     assert code == 1
     (bad,) = [e for e in doc["entries"] if not e["ok"]]
