@@ -227,53 +227,33 @@ def list_catalog(grid=None):
     return list(grid) if grid is not None else default_grid()
 
 
-def _eigen_clusters(m, tol):
-    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-    clusters = []
-    for z in eigs:
-        if clusters and abs(z - clusters[-1][0]) <= tol:
-            clusters[-1][1] += 1
-        else:
-            clusters.append([z, 1])
-    return clusters
-
-
 def jordan_signature(spec, tol=1e-6):
     """Numeric Jordan data of the ad_X2 block, refined by the weight of X3.
 
     Returns (blocks, x3_weights): ``blocks`` lists (re, im, size) of the
-    Jordan blocks; ``x3_weights`` lists the generalized eigenvalues acting on
-    the cyclic subspace generated by X3 = [X1, X2].  The weights are needed
+    Jordan blocks; ``x3_weights`` lists the eigenvalues of the block on the
+    cyclic subspace generated by X3 = [X1, X2].  The weights are needed
     because the Jordan type alone coincides for pairs such as diag(1,1,l)
     and diag(l,1,1), which differ in where the derived generator sits.
+    The block must be 3x3: only up to that size do the multiplicity of an
+    eigenvalue and its number g of eigenvectors fix the block sizes.
     """
-    m = ad2_block(spec).astype(complex)
-    n = m.shape[0]
+    m = ad2_block(spec)
+    clusters = []  # [eigenvalue, multiplicity]: the eigenvalues within tol of it
+    for z in sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag)):
+        if clusters and abs(z - clusters[-1][0]) <= tol:
+            clusters[-1][1] += 1
+        else:
+            clusters.append([z, 1])
     blocks = []
-    for z, mult in _eigen_clusters(m, tol):
-        shifted = m - z * np.eye(n)
-        ranks = [n]
-        power = np.eye(n, dtype=complex)
-        for _ in range(mult):
-            power = power @ shifted
-            ranks.append(numeric_rank(power, tol))
-        # number of blocks of size >= k is rank((m-z)^{k-1}) - rank((m-z)^k)
-        for k in range(1, mult + 1):
-            geq_k = ranks[k - 1] - ranks[k]
-            geq_next = ranks[k] - ranks[k + 1] if k < mult else 0
-            for _ in range(geq_k - geq_next):
-                blocks.append((round(z.real, 6), round(z.imag, 6), k))
-    # minimal polynomial of m on e1 via the Krylov chain e1, m e1, ...
-    krylov = [np.zeros(n, dtype=complex)]
-    krylov[0][0] = 1.0
-    degree = n
-    for d in range(1, n + 1):
-        krylov.append(m @ krylov[-1])
-        if numeric_rank(np.array(krylov[: d + 1]), tol) == d:
-            degree = d
-            break
-    basis = np.array(krylov[:degree]).T
-    coeffs, *_ = np.linalg.lstsq(basis, krylov[degree], rcond=None)
-    monic = np.concatenate(([1.0], -coeffs[::-1]))
-    weights = sorted((round(z.real, 6), round(z.imag, 6)) for z in np.roots(monic))
+    for z, mult in clusters:
+        # close but distinct eigenvalues can show more eigenvectors than mult
+        g = min(mult, 3 - numeric_rank(m - z * np.eye(3), tol))
+        key = (round(z.real, 6), round(z.imag, 6))
+        blocks += [(*key, mult - g + 1)] + [(*key, 1)] * (g - 1)
+    # m compressed onto the Krylov space of e1 = X3
+    krylov = np.stack([np.eye(3)[0], m[:, 0], m @ m[:, 0]], axis=1)
+    q, _ = np.linalg.qr(krylov[:, :numeric_rank(krylov, tol)])
+    weights = sorted((round(z.real, 6), round(z.imag, 6))
+                     for z in np.linalg.eigvals(q.T @ m @ q))
     return tuple(sorted(blocks)), tuple(weights)

@@ -120,12 +120,6 @@ def _parse_delta0(text):
     return ZMat(len(vals), 1, tuple((v,) for v in vals))
 
 
-def _spec_from_args(args):
-    if not args.family:
-        raise InvalidParams("--family is required")
-    return family_spec(args.family, **{attr: getattr(args, attr) for attr in _SPELLING})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -190,9 +184,7 @@ def cmd_verify_md(config, args):
 
 
 def cmd_orbit(config, args):
-    spec = _spec_from_args(args)
-    if args.point is None:
-        raise InvalidParams("--point is required")
+    spec = family_spec(args.family, **{attr: getattr(args, attr) for attr in _SPELLING})
     point = np.array(_parse_reals(args.point, 5, "--point"))
     sc = build_algebra(spec)
     _, rank = kirillov_form_rank(sc, point, tol=config.tol_rank)
@@ -565,23 +557,10 @@ def _render_text(payload):
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(payload, config):
     if config.format == "json":
         try:
-            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                              default=_json_default) + "\n"
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError:
             raise DomainError("the result overflowed: the payload holds a non-finite value")
     else:

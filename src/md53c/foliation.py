@@ -86,7 +86,8 @@ def leaf_invariant(kind, p):
         raise DomainError("point lies outside V: (z, t, s) = 0")
     x, _, z, t, s = np.moveaxis(p, -1, 0)
     if kind == "F1":
-        v = p[..., 2:]
+        # scaled by its largest modulus first, so the norm neither under- nor overflows
+        v = p[..., 2:] / np.maximum(np.maximum(np.abs(z), np.abs(t)), np.abs(s))[..., None]
         return LeafInvariant(kind, x + z, v / np.linalg.norm(v, axis=-1, keepdims=True), 0)
     if kind == "F2":
         w = z + 1j * t

@@ -84,32 +84,9 @@ class ZMat:
         ]
         return ZMat(self.rows, other.cols, out)
 
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise InvalidParams("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def is_unimodular(self):
-        return self.rows == self.cols and abs(self.det()) == 1
+        """Square with every invariant factor 1, so invertible over Z."""
+        return self.rows == self.cols and _invariant_factors(self) == (1,) * self.rows
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
@@ -324,8 +301,9 @@ def space_k_groups(x):
 
     Rules: a point gives (Z, 0); Euclidean factors Bott-shift by their
     dimension; spheres use the unital convention (Z^2, 0) / (Z, Z); a
-    punctured R^n is rewritten as S^{n-1} x R; products use the torsion-free
-    Kunneth formula; disjoint unions add componentwise.
+    punctured R^n is rewritten as S^{n-1} x R; products use the Kunneth
+    formula without Tor terms, as every rule gives free groups; disjoint
+    unions add componentwise.
     """
     if isinstance(x, Point):
         return AbGroup(1), AbGroup(0)
@@ -340,8 +318,6 @@ def space_k_groups(x):
     if isinstance(x, Product):
         a0, a1 = space_k_groups(x.a)
         b0, b1 = space_k_groups(x.b)
-        if not (a0.is_free and a1.is_free and b0.is_free and b1.is_free):
-            raise UnsupportedExpr("Kunneth rule implemented for torsion-free factors only")
         k0 = a0.free_rank * b0.free_rank + a1.free_rank * b1.free_rank
         k1 = a0.free_rank * b1.free_rank + a1.free_rank * b0.free_rank
         return AbGroup(k0), AbGroup(k1)

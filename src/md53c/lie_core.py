@@ -142,6 +142,4 @@ def numeric_rank(m, tol=1e-9):
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from md53c.catalog import (
     FAMILIES,
@@ -179,3 +182,76 @@ def test_jordan_signature_fixture():
     # the first derived generator is an eigenvector, so its weight list
     # carries just its own eigenvalue
     assert weights == ((-2.0, 0.0),)
+
+
+def _rounded(z):
+    return round(float(sp.re(z)), 6), round(float(sp.im(z)), 6)
+
+
+def _exact_signature(mat):
+    """jordan_signature of an exact sympy matrix: the blocks read off sympy's
+    Jordan form, the X3 weights as the eigenvalues of mat restricted to the
+    span of e1, mat e1, mat^2 e1."""
+    _, j = mat.jordan_form()
+    blocks, start = [], 0
+    for i in range(3):
+        if i == 2 or j[i, i + 1] == 0:
+            blocks.append((*_rounded(j[i, i]), i - start + 1))
+            start = i + 1
+    e1 = sp.Matrix([1, 0, 0])
+    k = sp.Matrix.hstack(e1, mat * e1, mat**2 * e1)
+    k = k[:, :k.rank()]
+    restricted = (k.T * k).inv() * k.T * mat * k
+    weights = [_rounded(z) for z, mult in restricted.eigenvals().items() for _ in range(mult)]
+    return tuple(sorted(blocks)), tuple(sorted(weights))
+
+
+def _near_one_specs():
+    # eigenvalue gaps 1e-1 .. 1e-5 at 1, the eigenvalue every F1..F7 block has
+    for k in range(1, 6):
+        for gap in (sp.Rational(1, 10**k), -sp.Rational(1, 10**k)):
+            yield "F1", (1 + gap, 1 - gap)
+            yield "F1", (2 + gap, 2)
+            for fam in ("F2", "F3", "F5", "F6"):
+                yield fam, (1 + gap,)
+
+
+def test_jordan_signature_matches_exact_jordan_form():
+    cases = [*_near_one_specs(), ("F4", ()), ("F7", ())]
+    for fam, params in cases:
+        spec = family_spec(fam, *(float(v) for v in params))
+        exact = sp.Matrix(3, 3, [sp.Rational(v) for v in ad2_block(spec).flat])
+        assert jordan_signature(spec) == _exact_signature(exact), spec.label()
+    for spec in default_grid():
+        if spec.family == "F8":
+            phi = {math.pi / 6: sp.pi / 6, math.pi / 2: sp.pi / 2,
+                   3 * math.pi / 4: 3 * sp.pi / 4}[spec.phi]
+            exact = sp.Matrix([[sp.cos(phi), -sp.sin(phi), 0], [sp.sin(phi), sp.cos(phi), 0],
+                               [0, 0, sp.Rational(spec.lam)]])
+            assert jordan_signature(spec) == _exact_signature(exact), spec.label()
+
+
+def test_jordan_signature_close_eigenvalues():
+    # eigenvalue gaps below sqrt(tol): the block sizes still add up to 3
+    assert jordan_signature(family_spec("F2", 1.001)) == (
+        ((1.0, 0.0, 1), (1.0, 0.0, 1), (1.001, 0.0, 1)), ((1.0, 0.0),))
+    assert jordan_signature(family_spec("F6", 1.001)) == (
+        ((1.0, 0.0, 2), (1.001, 0.0, 1)), ((1.0, 0.0),))
+
+
+_PARAM = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-2, 1e-2).map(lambda d: 1.0 + d),
+                   st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0, 3.0]))
+
+
+@given(st.sampled_from(FAMILIES), _PARAM, _PARAM, st.floats(1e-3, math.pi - 1e-3))
+@settings(max_examples=300, deadline=None)
+def test_jordan_blocks_partition_the_block(family, a, b, phi):
+    params = {"F1": (a, b), "F4": (), "F7": (), "F8": (a, phi)}.get(family, (a,))
+    try:
+        spec = family_spec(family, *params)
+    except InvalidParams:
+        assume(False)
+    blocks, weights = jordan_signature(spec)
+    assert all(size >= 1 for *_, size in blocks)
+    assert sum(size for *_, size in blocks) == 3
+    assert 1 <= len(weights) <= 3

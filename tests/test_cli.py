@@ -59,6 +59,9 @@ def test_orbit_usage_errors(capsys):
                  "--point", "1,2"]) == 2
     assert main(["orbit", "--family", "F2", "--lambda", "1", "--point", "0,0,1,0,0"]) == 2
     capsys.readouterr()
+    # argparse requires --family; an empty one is an unknown family
+    assert main(["orbit", "--family", "", "--point", "0,0,1,0,0"]) == 2
+    assert capsys.readouterr().err == "error: unknown family ''\n"
 
 
 def test_verify_md_small(tmp_path):
@@ -181,6 +184,30 @@ def test_ktheory_text_grid(capsys):
     assert "ext class" in txt
 
 
+def test_generic_text_rendering(tmp_path):
+    # every payload but ktheory's is dumped key by key
+    args = ["verify-md", "--md-samples", "40", "--format", "text", "-o"]
+    assert main([*args, str(tmp_path / "a.txt")]) == 0
+    assert main([*args, str(tmp_path / "b.txt")]) == 0
+    text = (tmp_path / "a.txt").read_bytes()
+    assert text == (tmp_path / "b.txt").read_bytes()
+    lines = text.decode().splitlines()
+    top = [line.split(":")[0] for line in lines if not line.startswith(" ")]
+    assert top == ["command", "config", "entries", "schema", "summary"]
+    assert "schema: 2" in lines
+    # each CheckReport record is one "-" item with its keys sorted beneath it
+    starts = [i for i, line in enumerate(lines) if line == "  -"]
+    assert len(starts) == 36
+    for i in starts:
+        keys = []
+        for line in lines[i + 1:]:
+            if not line.startswith("    "):
+                break
+            if not line.startswith("     "):
+                keys.append(line.split(":")[0].strip())
+        assert keys == sorted(keys) and "failures_total" in keys and "source" in keys
+
+
 def test_env_mirror(tmp_path, monkeypatch):
     monkeypatch.setenv("MD53C_SEED", "7")
     monkeypatch.setenv("MD53C_MD_SAMPLES", "300")
@@ -242,6 +269,10 @@ def test_bad_config_rejected(monkeypatch, capsys):
     monkeypatch.setenv("MD53C_FORMAT", "xml")
     assert main(["catalog"]) == 2
     assert capsys.readouterr().err == "error: format must be 'json' or 'text'\n" * 2
+    # a value of an MD53C_ variable that its setting cannot read
+    monkeypatch.setenv("MD53C_SAMPLES", "many")
+    assert main(["catalog"]) == 2
+    assert capsys.readouterr().err == "error: bad value for MD53C_SAMPLES: 'many'\n"
 
 
 @pytest.mark.parametrize("command", ["verify-md", "classify", "verify-claims", "ktheory"])

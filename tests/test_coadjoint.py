@@ -84,6 +84,9 @@ def test_point_orbit_chart():
     chart = orbit_chart(F1_23, [1.0, 2.0, 0.0, 0.0, 0.0])
     assert chart.dim == 0
     assert np.array_equal(chart.eval(9.0, 3.0), [1.0, 2.0, 0.0, 0.0, 0.0])
+    for bad in ([1.0, 2.0, 0.0], np.zeros((2, 5))):
+        with pytest.raises(InvalidParams):
+            orbit_chart(F1_23, bad)
 
 
 def test_chart_matches_flow_on_grid():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from md53c.catalog import default_grid, family_spec
-from md53c.coadjoint import md_property_check, orbit_chart, same_leaf
+from md53c.coadjoint import flow_check, md_property_check, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (
     apply_equivalence,
@@ -198,6 +198,19 @@ def test_leaf_invariant_separates():
     assert not u.approx_eq(leaf_invariant("F2", [0.0, 0.0, 1.0, 0.0, -1.0]))
 
 
+def test_f1_invariant_is_scale_free_on_a_ray():
+    # the norm of (z, t, s) used to underflow at 1e-200 and overflow at 1e200
+    ray = np.array([[-r, 0.0, r, 0.0, 0.0] for r in (1e-200, 1.0, 1e200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        invs = [leaf_invariant("F1", p) for p in ray]
+        stacked = leaf_invariant("F1", ray)
+    for inv in invs:
+        assert np.array_equal(inv.u, [1.0, 0.0, 0.0]) and inv.c == 0.0
+        assert all(inv.approx_eq(other) for other in invs)
+    assert np.array_equal(stacked.u, np.tile([1.0, 0.0, 0.0], (3, 1)))
+
+
 def test_leaf_invariant_errors():
     with pytest.raises(DomainError):
         leaf_invariant("F1", [1.0, 1.0, 0.0, 0.0, 0.0])
@@ -241,3 +254,5 @@ def test_empty_sample_rejected():
     for n in (0, -3):
         with pytest.raises(InvalidParams):
             md_property_check(family_spec("F2", 2.0), n=n)
+        with pytest.raises(InvalidParams):
+            flow_check(family_spec("F2", 2.0), n=n)

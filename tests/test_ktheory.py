@@ -81,9 +81,10 @@ def _mul(a, b):
 def test_zmat_basics():
     m = ZMat.from_rows([[1, 2], [3, 4]])
     assert (m.rows, m.cols) == (2, 2)
-    assert m.det() == -2
-    assert not m.is_unimodular()
+    assert not m.is_unimodular()  # determinant -2
     assert ZMat.identity(3).is_unimodular()
+    assert ZMat.identity(0).is_unimodular()
+    assert not ZMat.from_rows([[1, 0]]).is_unimodular()  # not square
     prod = ZMat.from_rows([[0, 1], [1, 0]]).mul(m)
     assert prod.entries == ((3, 4), (1, 2))
     assert ZMat.zeros(2, 3).entries == ((0, 0, 0), (0, 0, 0))
@@ -91,14 +92,41 @@ def test_zmat_basics():
         ZMat(2, 2, ((1, 2), (3,)))
     with pytest.raises(InvalidParams):
         ZMat(2, 2, ((1, 2.5), (3, 4)))
+    with pytest.raises(InvalidParams):
+        ZMat(-1, 0, ())
+    with pytest.raises(InvalidParams):
+        ZMat.zeros(2, 3).mul(ZMat.zeros(2, 3))
 
 
-def test_bareiss_det_matches_expansion():
+def _elementary(n, rng):
+    # I plus q at one off-diagonal place, a row swap, or a sign flip
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    i, j = (int(v) for v in rng.integers(0, n, 2))
+    kind = int(rng.integers(3))
+    if i != j and kind == 0:
+        e[i][j] = int(rng.integers(-5, 6))
+    elif i != j and kind == 1:
+        e[i], e[j] = e[j], e[i]
+    else:
+        e[i][i] = -1
+    return ZMat.from_rows(e)
+
+
+def test_is_unimodular_matches_cofactor_det():
     rng = np.random.default_rng(8)
     for _ in range(60):
         n = int(rng.integers(1, 5))
         rows = [[int(v) for v in rng.integers(-9, 10, n)] for _ in range(n)]
-        assert ZMat.from_rows(rows).det() == _det(rows)
+        assert ZMat.from_rows(rows).is_unimodular() == (abs(_det(rows)) == 1)
+        # a product of elementary matrices is unimodular; scaling a row by 2 is not
+        u = ZMat.identity(n)
+        for _ in range(6):
+            u = u.mul(_elementary(n, rng))
+        rows = [list(r) for r in u.entries]
+        assert abs(_det(rows)) == 1 and u.is_unimodular()
+        i = int(rng.integers(n))
+        rows[i] = [2 * v for v in rows[i]]
+        assert abs(_det(rows)) == 2 and not ZMat.from_rows(rows).is_unimodular()
 
 
 def test_snf_fixtures():
@@ -213,9 +241,14 @@ def test_disjoint_union_adds():
 
 
 def test_kunneth_needs_free_factors():
-    # no torsion appears for these spaces, so Product never sees any; the
-    # guard is exercised through a descriptor product with a torsion side
+    # every rule gives free groups, so the Kunneth formula needs no Tor term
     assert space_k_groups(Product(Sphere(2), Sphere(2))) == (AbGroup(4), ZERO)
+    leaves = [Point(), Euclid(1), Euclid(2), Sphere(0), Sphere(1), Punctured(3), HalfLine()]
+    for a, b in itertools.product(leaves, repeat=2):
+        for x in (Product(a, b), DisjointUnion(a, b), Product(Product(a, b), DisjointUnion(b, a))):
+            assert all(g.is_free for g in space_k_groups(x))
+    with pytest.raises(UnsupportedExpr):
+        space_k_groups("not a space")
 
 
 def test_descriptor_k_groups():
@@ -230,6 +263,8 @@ def test_descriptor_k_groups():
     assert descriptor_k_groups(CrossedByRn(plane, 2)) == (Z, ZERO)
     with pytest.raises(InvalidParams):
         CrossedByRn(CrossedByRn(CrossedByRn(plane, 1), 1), 1)
+    with pytest.raises(InvalidParams):
+        CrossedByRn(plane, 0)
     with pytest.raises(UnsupportedExpr):
         descriptor_k_groups("not a descriptor")
 
@@ -295,6 +330,8 @@ def test_six_term_input_checks():
 
     with pytest.raises(InvalidParams):
         six_term_solve(SixTermInput(ZERO, Z2, Z, Z, ZMat.zeros(3, 1), ZMat.zeros(0, 1)))
+    with pytest.raises(InvalidParams, match="delta1 shape"):
+        six_term_solve(SixTermInput(ZERO, Z2, Z, Z, ZMat.zeros(2, 1), ZMat.zeros(1, 1)))
     with pytest.raises(UnsupportedExpr):
         six_term_solve(
             SixTermInput(AbGroup(0, (2,)), Z2, Z, Z, ZMat.zeros(2, 1), ZMat.zeros(0, 1))

@@ -55,6 +55,9 @@ def test_from_array_checks_antisymmetry():
     bad[0, 1, 2] = 1.0  # missing the mirrored entry
     with pytest.raises(ValueError):
         StructureConstants.from_array(bad)
+    for shape in ((3, 3), (3, 3, 2)):
+        with pytest.raises(ValueError, match="dim x dim x dim"):
+            StructureConstants.from_array(np.zeros(shape))
 
 
 def test_ad_matrix_columns():
