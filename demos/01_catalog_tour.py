@@ -16,7 +16,7 @@ from md53c import (
     derived_subalgebra,
     family_spec,
     jacobi_defect,
-    jordan_signature,
+    jordan_signature_grid,
     list_catalog,
 )
 
@@ -47,15 +47,11 @@ print(ad_matrix(sc, 2))
 
 # Families can share eigenvalues yet differ as algebras: F2(1/2) is
 # diagonalizable, F3(1/2) too, but their eigenvalue multiplicities differ,
-# and F5/F6/F7 carry genuine Jordan blocks.  The signature captures this.
-for label, s in [
-    ("F2(0.5)", family_spec("F2", 0.5)),
-    ("F3(0.5)", family_spec("F3", 0.5)),
-    ("F5(0.5)", family_spec("F5", 0.5)),
-    ("F6(0.5)", family_spec("F6", 0.5)),
-    ("F7", family_spec("F7")),
-]:
-    blocks, weights = jordan_signature(s)
+# and F5/F6/F7 carry genuine Jordan blocks.  The signature captures this;
+# one grid call derives it for all five members together.
+members = [family_spec("F2", 0.5), family_spec("F3", 0.5), family_spec("F5", 0.5),
+           family_spec("F6", 0.5), family_spec("F7")]
+for s, (blocks, weights) in zip(members, jordan_signature_grid(members)):
     shown = ", ".join(f"{re:g}{'' if im == 0 else f'{im:+g}i'} x{size}" for re, im, size in blocks)
     lead = ", ".join(f"{re:g}{'' if im == 0 else f'{im:+g}i'}" for re, im in weights)
-    print(f"{label:8s} blocks [{shown}]  first-generator weight [{lead}]")
+    print(f"{s.label():8s} blocks [{shown}]  first-generator weight [{lead}]")

@@ -30,6 +30,7 @@ __all__ = [
     "default_grid",
     "list_catalog",
     "jordan_signature",
+    "jordan_signature_grid",
 ]
 
 
@@ -222,9 +223,9 @@ def default_grid():
     return [family_spec(name, *params) for name, fam in _FAMILIES.items() for params in fam.grid]
 
 
-def list_catalog(grid=None):
-    """The grid (default if None) as a list."""
-    return list(grid) if grid is not None else default_grid()
+def list_catalog():
+    """The default grid as a list."""
+    return default_grid()
 
 
 def jordan_signature(spec, tol=1e-6):
@@ -238,22 +239,59 @@ def jordan_signature(spec, tol=1e-6):
     The block must be 3x3: only up to that size do the multiplicity of an
     eigenvalue and its number g of eigenvectors fix the block sizes.
     """
-    m = ad2_block(spec)
-    clusters = []  # [eigenvalue, multiplicity]: the eigenvalues within tol of it
-    for z in sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag)):
-        if clusters and abs(z - clusters[-1][0]) <= tol:
-            clusters[-1][1] += 1
-        else:
-            clusters.append([z, 1])
-    blocks = []
-    for z, mult in clusters:
-        # close but distinct eigenvalues can show more eigenvectors than mult
-        g = min(mult, 3 - numeric_rank(m - z * np.eye(3), tol))
-        key = (round(z.real, 6), round(z.imag, 6))
-        blocks += [(*key, mult - g + 1)] + [(*key, 1)] * (g - 1)
-    # m compressed onto the Krylov space of e1 = X3
-    krylov = np.stack([np.eye(3)[0], m[:, 0], m @ m[:, 0]], axis=1)
-    q, _ = np.linalg.qr(krylov[:, :numeric_rank(krylov, tol)])
-    weights = sorted((round(z.real, 6), round(z.imag, 6))
-                     for z in np.linalg.eigvals(q.T @ m @ q))
-    return tuple(sorted(blocks)), tuple(weights)
+    return jordan_signature_grid([spec], tol)[0]
+
+
+def _keys(z):
+    """(re, im) of each value, rounded to 6 digits by np.round: it rounds
+    the value times 10**6 half to even, so 2.0000005 gives 2.0 where Python's
+    round gives 2.000001."""
+    return np.round(np.stack([z.real, z.imag], axis=-1), 6).tolist()
+
+
+def jordan_signature_grid(grid, tol=1e-6):
+    """``jordan_signature`` of each grid member, from stacked LAPACK calls:
+    one ``eigvals`` of the blocks, the ranks of every (m - zI) and of the
+    Krylov matrices [e1, m e1, m^2 e1], one QR, and one ``eigvals`` per
+    Krylov rank.  Each member gets the numbers it would get alone."""
+    m = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3)
+    member, shift, mults = [], [], []  # one entry per cluster
+    real_rows = []  # one entry per member
+    for i, zs in enumerate(np.linalg.eigvals(m).tolist()):
+        first = len(shift)
+        # clusters: eigenvalues within tol of the cluster's first one
+        for z in sorted(zs, key=lambda z: (z.real, z.imag)):
+            if len(shift) > first and abs(z - shift[-1]) <= tol:
+                mults[-1] += 1
+            else:
+                member.append(i)
+                shift.append(z)
+                mults.append(1)
+        real_rows.append(not any(z.imag for z in zs))
+    shift = np.array(shift, dtype=complex)
+    shifted = m[member] - shift[:, None, None] * np.eye(3)
+    # a member with real eigenvalues keeps a real SVD, as it has alone
+    real = np.array(real_rows, dtype=bool)[member]
+    ranks = np.empty(len(shift), dtype=int)
+    ranks[real] = numeric_rank(shifted[real].real, tol)
+    ranks[~real] = numeric_rank(shifted[~real], tol)
+    # close but distinct eigenvalues can show more eigenvectors than mult
+    g = np.minimum(mults, 3 - ranks).tolist()
+    blocks = [[] for _ in range(len(m))]
+    for i, (re, im), mult, gi in zip(member, _keys(shift), mults, g):
+        blocks[i] += [(re, im, mult - gi + 1)] + [(re, im, 1)] * (gi - 1)
+    # m compressed onto the Krylov space of e1 = X3; the first r columns of
+    # Q span the first r Krylov vectors
+    col = m[:, :, :1]
+    krylov = np.concatenate([np.broadcast_to([[1.0], [0.0], [0.0]], col.shape),
+                             col, m @ col], axis=-1)
+    rank = numeric_rank(krylov, tol)
+    q = np.linalg.qr(krylov).Q
+    weights = [None] * len(m)
+    for r in set(rank.tolist()):
+        sel = np.flatnonzero(rank == r)
+        qk = q[sel, :, :r]
+        w = np.linalg.eigvals(qk.transpose(0, 2, 1) @ m[sel] @ qk)
+        for i, row in zip(sel.tolist(), _keys(w)):
+            weights[i] = tuple(sorted(map(tuple, row)))
+    return [(tuple(sorted(b)), w) for b, w in zip(blocks, weights)]

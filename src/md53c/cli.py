@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
-                      family_spec, jordan_signature, list_catalog)
+                      family_spec, jordan_signature_grid, list_catalog)
 from .coadjoint import (coadjoint_flow, flow_check, kirillov_form_rank, md_property_grid,
                         orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
@@ -126,12 +126,12 @@ def _parse_delta0(text):
 
 def cmd_catalog(config, args):
     grid = list_catalog()
-    # the structure checks of the whole grid, one call each
+    # the structure checks and the Jordan data of the whole grid, one call each
     c = np.array([build_algebra(spec).c for spec in grid])
     defects, dims = jacobi_defect(c), derived_subalgebra(c)[0]
+    signatures = jordan_signature_grid(grid)
     entries = []
-    for spec, defect, dim in zip(grid, defects, dims):
-        blocks, weights = jordan_signature(spec)
+    for spec, defect, dim, (blocks, weights) in zip(grid, defects, dims, signatures):
         entry = dict(spec.to_json())
         entry.update({
             "label": spec.label(),

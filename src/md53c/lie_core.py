@@ -137,9 +137,9 @@ def mat_exp(m, t=1.0):
 
 
 def numeric_rank(m, tol=1e-9):
-    """Number of singular values exceeding tol * max(1, largest singular value)."""
+    """Number of singular values exceeding tol * max(1, largest singular value),
+    for one matrix (an int) or per matrix of a stack (..., r, c)."""
     m = np.asarray(m)
-    if m.size == 0:
-        return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    ranks = np.count_nonzero(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks

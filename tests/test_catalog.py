@@ -1,6 +1,7 @@
 """The eight families: parameter validation, printed matrices, and the
 spectral signature that tells members apart."""
 
+import collections
 import dataclasses
 import math
 
@@ -10,6 +11,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from md53c import catalog
 from md53c.catalog import (
     FAMILIES,
     FamilySpec,
@@ -18,6 +20,7 @@ from md53c.catalog import (
     default_grid,
     family_spec,
     jordan_signature,
+    jordan_signature_grid,
     list_catalog,
 )
 from md53c.errors import InvalidParams
@@ -216,19 +219,76 @@ def _near_one_specs():
                 yield fam, (1 + gap,)
 
 
-def test_jordan_signature_matches_exact_jordan_form():
-    cases = [*_near_one_specs(), ("F4", ()), ("F7", ())]
-    for fam, params in cases:
+def _oracle_cases():
+    for fam, params in [*_near_one_specs(), ("F4", ()), ("F7", ())]:
         spec = family_spec(fam, *(float(v) for v in params))
-        exact = sp.Matrix(3, 3, [sp.Rational(v) for v in ad2_block(spec).flat])
-        assert jordan_signature(spec) == _exact_signature(exact), spec.label()
+        yield spec, sp.Matrix(3, 3, [sp.Rational(v) for v in ad2_block(spec).flat])
     for spec in default_grid():
         if spec.family == "F8":
             phi = {math.pi / 6: sp.pi / 6, math.pi / 2: sp.pi / 2,
                    3 * math.pi / 4: 3 * sp.pi / 4}[spec.phi]
-            exact = sp.Matrix([[sp.cos(phi), -sp.sin(phi), 0], [sp.sin(phi), sp.cos(phi), 0],
-                               [0, 0, sp.Rational(spec.lam)]])
-            assert jordan_signature(spec) == _exact_signature(exact), spec.label()
+            yield spec, sp.Matrix([[sp.cos(phi), -sp.sin(phi), 0],
+                                   [sp.sin(phi), sp.cos(phi), 0],
+                                   [0, 0, sp.Rational(spec.lam)]])
+
+
+def test_jordan_signature_matches_exact_jordan_form():
+    specs, expected = zip(*[(spec, _exact_signature(exact)) for spec, exact in _oracle_cases()])
+    for spec, want in zip(specs, expected):
+        assert jordan_signature(spec) == want, spec.label()
+    # the same cases in one stack: Krylov ranks 1 and 2, one to three
+    # eigenvalue clusters per member, real and complex members
+    assert {len(weights) for _, weights in expected} == {1, 2}
+    assert {len({b[:2] for b in blocks}) for blocks, _ in expected} == {1, 2, 3}
+    assert jordan_signature_grid(specs) == list(expected)
+
+
+def test_jordan_signature_grid_krylov_rank_three(monkeypatch):
+    # no family reaches Krylov rank 3 (e1 is an eigenvector of the F1..F7
+    # blocks and lies in the rotation plane of F8), so stand-in blocks with
+    # e1 cyclic share one stack with members of rank 1 and 2
+    stand_ins = {
+        family_spec("F2", 0.5): [[0, 0, 6], [1, 0, -11], [0, 1, 6]],  # roots 1, 2, 3
+        family_spec("F3", 0.5): [[0, 0, 2], [1, 0, -1], [0, 1, 2]],  # roots 2, +-i
+        family_spec("F4"): [[1, 0, 0], [1, 1, 0], [0, 1, 1]],  # one Jordan block at 1
+    }
+    members = [family_spec("F5", 0.5), family_spec("F8", 2.0, math.pi / 2)]
+    alone = [jordan_signature(spec) for spec in members]
+    block = catalog.ad2_block
+    monkeypatch.setattr(catalog, "ad2_block", lambda spec: np.array(stand_ins[spec], dtype=float)
+                        if spec in stand_ins else block(spec))
+    *got, f5, f8 = jordan_signature_grid([*stand_ins, *members])
+    assert [f5, f8] == alone
+    for (spec, exact), sig in zip(stand_ins.items(), got):
+        assert len(sig[1]) == 3
+        assert sig == _exact_signature(sp.Matrix(exact)), spec.label()
+
+
+def test_jordan_signature_grid_empty():
+    assert jordan_signature_grid([]) == []
+
+
+def test_jordan_signature_grid_calls_do_not_grow_with_the_grid(monkeypatch):
+    # a loop over members would make LAPACK calls in proportion to the grid
+    counts = collections.Counter()
+    for name in ("eigvals", "svd", "qr"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    made = []
+    for grid in (default_grid(), default_grid() * 2):
+        counts.clear()
+        jordan_signature_grid(grid)
+        made.append(dict(counts))
+    assert made[0] == made[1] == {"eigvals": 3, "svd": 3, "qr": 1}
+
+
+def test_jordan_keys_round_as_numpy_does():
+    # 2.0000005 * 10**6 rounds half to even under np.round, which is what
+    # round() on a numpy float does; Python's round of a float gives 2.000001
+    blocks, _ = jordan_signature(family_spec("F2", 2.0000005))
+    assert (2.0, 0.0, 1) in blocks
 
 
 def test_jordan_signature_close_eigenvalues():

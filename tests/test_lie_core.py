@@ -158,12 +158,19 @@ def test_mat_exp_inverse(args):
 
 
 def test_numeric_rank():
-    assert numeric_rank(np.zeros((4, 4))) == 0
-    assert numeric_rank(np.eye(5)) == 5
     noisy = np.diag([1.0, 1.0, 0.0]) + 1e-13 * np.ones((3, 3))
-    assert numeric_rank(noisy) == 2
-    assert numeric_rank(1e6 * noisy) == 2  # relative threshold
-    assert numeric_rank(np.zeros((0, 3))) == 0
+    cases = [(np.zeros((4, 4)), 0), (np.eye(5), 5), (noisy, 2),
+             (1e6 * noisy, 2),  # relative threshold
+             (np.zeros((0, 3)), 0)]
+    for m, rank in cases:
+        assert numeric_rank(m) == rank
+        assert type(numeric_rank(m)) is int
+        # a stack gives one rank per matrix, shaped as its leading axes
+        stack = np.stack([m, 0 * m, m]).reshape(3, 1, *m.shape)
+        assert numeric_rank(stack).tolist() == [[rank], [0], [rank]]
+    mixed = np.stack([np.zeros((3, 3)), np.eye(3), noisy, 1e6 * noisy])
+    assert numeric_rank(mixed).tolist() == [0, 3, 2, 2]
+    assert numeric_rank(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_numeric_rank_skew_pair():
