@@ -15,7 +15,7 @@ from md53c import (
     coadjoint_flow,
     family_spec,
     kirillov_form_rank,
-    md_property_check,
+    md_property_grid,
     orbit_chart,
     same_leaf,
 )
@@ -52,6 +52,7 @@ print("\nF3(0) half-plane leaf:",
       same_leaf(half, [0.3, -0.5, 1.2, 0.0, 0.0], [9.0, 4.0, 1.2, 0.0, 0.0]))
 
 # The randomized dichotomy check: every sampled functional lands on a point
-# (rank 0) or a plane (rank 2), never anything else.
-rep = md_property_check(spec, n=5000, seed=1729)
+# (rank 0) or a plane (rank 2), never anything else.  The check takes a grid
+# of members; here the grid is the one member.
+[rep] = md_property_grid([spec], n=5000, seed=1729)
 print(f"\ndichotomy check on {rep.n} samples: ok={rep.ok}, failures={rep.failures_total}")

@@ -21,7 +21,7 @@ from md53c import (
     printed_u_submersion,
     rho_apply,
     same_leaf,
-    verify_classification,
+    verify_classification_grid,
 )
 
 # Each family maps onto a representative: F4 for the untwisted type, the
@@ -42,9 +42,11 @@ print("leaf preserved?",
       same_leaf(emap.target, apply_equivalence(emap, a), apply_equivalence(emap, b), tol=1e-6))
 
 # The sampled verifier does this wholesale: positive pairs, negative pairs,
-# and round-trips, for any grid entry.
-rep = verify_classification((spec, emap.target), n=300, seed=7)
-print(f"verify_classification: n={rep.n}, ok={rep.ok}, failures={rep.failures_total}")
+# and round-trips, for any list of grid entries, each against its own
+# representative.
+[rep] = verify_classification_grid([spec], n=300, seed=7)
+print(f"classification check of {rep.source} onto {rep.target}: n={rep.n}, ok={rep.ok}, "
+      f"failures={rep.failures_total}")
 
 # Type one has a complete invariant (x + z, ray of (z, t, s)); type two is
 # governed by the R^2-action rho and its twisted invariant.

@@ -28,8 +28,6 @@ __all__ = [
     "ad2_block",
     "build_algebra",
     "default_grid",
-    "list_catalog",
-    "jordan_signature",
     "jordan_signature_grid",
 ]
 
@@ -219,27 +217,9 @@ def build_algebra(spec):
 
 
 def default_grid():
-    """The fixed verification grid used by the batch checks and the CLI."""
+    """The fixed verification grid, as a list: the members that the batch
+    checks and every CLI subcommand run on."""
     return [family_spec(name, *params) for name, fam in _FAMILIES.items() for params in fam.grid]
-
-
-def list_catalog():
-    """The default grid as a list."""
-    return default_grid()
-
-
-def jordan_signature(spec, tol=1e-6):
-    """Numeric Jordan data of the ad_X2 block, refined by the weight of X3.
-
-    Returns (blocks, x3_weights): ``blocks`` lists (re, im, size) of the
-    Jordan blocks; ``x3_weights`` lists the eigenvalues of the block on the
-    cyclic subspace generated by X3 = [X1, X2].  The weights are needed
-    because the Jordan type alone coincides for pairs such as diag(1,1,l)
-    and diag(l,1,1), which differ in where the derived generator sits.
-    The block must be 3x3: only up to that size do the multiplicity of an
-    eigenvalue and its number g of eigenvectors fix the block sizes.
-    """
-    return jordan_signature_grid([spec], tol)[0]
 
 
 def _keys(z):
@@ -250,10 +230,21 @@ def _keys(z):
 
 
 def jordan_signature_grid(grid, tol=1e-6):
-    """``jordan_signature`` of each grid member, from stacked LAPACK calls:
-    one ``eigvals`` of the blocks, the ranks of every (m - zI) and of the
-    Krylov matrices [e1, m e1, m^2 e1], one QR, and one ``eigvals`` per
-    Krylov rank.  Each member gets the numbers it would get alone."""
+    """Numeric Jordan data of each grid member's ad_X2 block, refined by the
+    weight of X3; one spec is the grid [spec].
+
+    Each member gets (blocks, x3_weights): ``blocks`` lists (re, im, size) of
+    the Jordan blocks; ``x3_weights`` lists the eigenvalues of the block on
+    the cyclic subspace generated by X3 = [X1, X2].  The weights are needed
+    because the Jordan type alone coincides for pairs such as diag(1,1,l)
+    and diag(l,1,1), which differ in where the derived generator sits.
+    The block must be 3x3: only up to that size do the multiplicity of an
+    eigenvalue and its number g of eigenvectors fix the block sizes.
+
+    The data come from stacked LAPACK calls: one ``eigvals`` of the blocks,
+    the ranks of every (m - zI) and of the Krylov matrices
+    [e1, m e1, m^2 e1], one QR, and one ``eigvals`` per Krylov rank.  Each
+    member gets the numbers it would get alone."""
     m = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3)
     member, shift, mults = [], [], []  # one entry per cluster
     real_rows = []  # one entry per member

@@ -13,16 +13,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
-                      family_spec, jordan_signature_grid, list_catalog)
+                      default_grid, family_spec, jordan_signature_grid)
 from .coadjoint import (coadjoint_flow, flow_check, kirillov_form_rank, md_property_grid,
                         orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
-from .foliation import equivalence_map, fibration_check, verify_classification_grid
+from .foliation import fibration_check, verify_classification_grid
 from .ktheory import (
     AbGroup,
     B_CROSSED,
@@ -43,16 +43,6 @@ from .ktheory import (
 from .lie_core import derived_subalgebra, jacobi_defect
 
 _ENV_PREFIX = "MD53C_"
-
-
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InvalidParams(f"bad value for {_ENV_PREFIX}{name}: {raw!r}")
 
 
 @dataclass
@@ -80,6 +70,19 @@ class RunConfig:
     def to_json(self):
         # every field but where and how the payload is written
         return {k: v for k, v in asdict(self).items() if k not in ("output", "format")}
+
+
+def _setting(args, f):
+    # RunConfig field f from its flag if given, else from its MD53C_ variable,
+    # else its default; a variable that f cannot read fails even under a flag
+    name = _ENV_PREFIX + f.name.upper()
+    raw = os.environ.get(name)
+    try:
+        env = f.default if raw is None else f.type(raw)
+    except ValueError:
+        raise InvalidParams(f"bad value for {name}: {raw!r}")
+    flag = getattr(args, f.name)
+    return env if flag is None else flag
 
 
 def _finite(text):
@@ -125,7 +128,7 @@ def _parse_delta0(text):
 
 
 def cmd_catalog(config, args):
-    grid = list_catalog()
+    grid = default_grid()
     # the structure checks and the Jordan data of the whole grid, one call each
     c = np.array([build_algebra(spec).c for spec in grid])
     defects, dims = jacobi_defect(c), derived_subalgebra(c)[0]
@@ -149,7 +152,7 @@ def cmd_catalog(config, args):
 
 
 def _md_reports(config):
-    return md_property_grid(list_catalog(), n=config.md_samples, seed=config.seed,
+    return md_property_grid(default_grid(), n=config.md_samples, seed=config.seed,
                             tol=config.tol_rank)
 
 
@@ -157,9 +160,8 @@ def _classifications(config, grid):
     """The classification check of each grid member against its type
     representative, in one grid call, and the labels of the half-plane
     members, which no map covers and which are skipped."""
-    pairs = [(spec, equivalence_map(spec).target) for spec in grid if not spec.is_halfplane]
-    checks = verify_classification_grid(pairs, n=config.samples, seed=config.seed,
-                                        tol=config.tol_map)
+    checks = verify_classification_grid([spec for spec in grid if not spec.is_halfplane],
+                                        n=config.samples, seed=config.seed, tol=config.tol_map)
     return checks, [spec.label() for spec in grid if spec.is_halfplane]
 
 
@@ -217,7 +219,7 @@ def cmd_orbit(config, args):
 
 
 def cmd_classify(config, args):
-    grid = list_catalog()
+    grid = default_grid()
     members = {}
     for spec in grid:
         members.setdefault(_REPRESENTATIVE[spec.family].label(), []).append(spec.label())
@@ -280,7 +282,7 @@ def cmd_verify_claims(config, args):
         add(cid, location, "verified", details, {**evidence, "failures": bad},
             [f"{bad} {what}"] if bad else ())
 
-    grid = list_catalog()
+    grid = default_grid()
 
     # structure and orbit dichotomy across the grid
     md_reports = _md_reports(config)
@@ -428,8 +430,10 @@ def cmd_verify_claims(config, args):
         {"K0": str(j0), "K1": str(j1)},
         () if ideal_ok else [f"got ({j0}, {j1})"])
 
-    # the two readings of the quotient and the middle algebra
-    paper_doc = _scenario_doc("paper", DELTA0_DEFAULT)
+    # the two readings of the quotient and the middle algebra; the paper
+    # reading is solved with its middle left free, so that six-term-middle
+    # can read failed instead of the solve raising
+    paper_doc = _ext_class(replace(scenario_input("paper"), expected_middle=None)).to_json()
     fib_doc = _scenario_doc("fibration", DELTA0_DEFAULT)
     add("quotient-k1",
         "quotient algebra description versus the final diagram (K1 position)",
@@ -493,22 +497,15 @@ def cmd_verify_claims(config, args):
 # rendering
 
 
-def _grid_cell(label, group):
-    return f"{label} = {group}"
-
-
 def _render_six_term(doc):
-    g = {k: str(AbGroup.from_json(v)) for k, v in doc["corners"].items()}
-    m0 = str(AbGroup.from_json(doc["middle"]["K0"]))
-    m1 = str(AbGroup.from_json(doc["middle"]["K1"]))
-    top = [_grid_cell("K0(J)", g["K0(J)"]), _grid_cell("K0(A)", m0),
-           _grid_cell("K0(B)", g["K0(B)"])]
-    bot = [_grid_cell("K1(B)", g["K1(B)"]), _grid_cell("K1(A)", m1),
-           _grid_cell("K1(J)", g["K1(J)"])]
+    g = {k: AbGroup.from_json(v) for k, v in doc["corners"].items()}
+    g.update({f"{k}(A)": AbGroup.from_json(v) for k, v in doc["middle"].items()})
+    top = [f"{k} = {g[k]}" for k in ("K0(J)", "K0(A)", "K0(B)")]
+    bot = [f"{k} = {g[k]}" for k in ("K1(B)", "K1(A)", "K1(J)")]
     w = max(len(c) for c in top + bot) + 2
     d0 = doc["delta0"]["entries"]
     d1 = doc["delta1"]["entries"]
-    lines = [
+    return [
         f"scenario: {doc['scenario']}",
         "  " + "  -->  ".join(c.ljust(w) for c in top).rstrip(),
         "  " + "^".ljust(w + 7) + "".ljust(w + 7) + "|",
@@ -520,28 +517,20 @@ def _render_six_term(doc):
         f"{doc['ext_class']['invariant_factors']['delta0']}, "
         f"Ext(B, J) = {AbGroup.from_json(doc['ext_class']['ext_group'])}",
     ]
-    return lines
 
 
 def _dump_text(obj, indent, lines):
+    # a dict item reads "key: value" in key order, a list item "- value"; a
+    # nested value follows on its own lines, one level deeper
     pad = "  " * indent
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                _dump_text(v, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                _dump_text(v, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{obj}")
+    items = ([(f"{k}:", obj[k]) for k in sorted(obj)] if isinstance(obj, dict)
+             else [("-", v) for v in obj])
+    for head, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(pad + head)
+            _dump_text(v, indent + 1, lines)
+        else:
+            lines.append(f"{pad}{head} {v}")
 
 
 def _render_text(payload):
@@ -586,11 +575,10 @@ def _emit(payload, config):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    # one flag and one MD53C_ variable per RunConfig field, with its type and default
+    # one flag per RunConfig field, None when not given: _setting settles it
     for f in fields(RunConfig):
         flags = ["--" + f.name.replace("_", "-")] + (["-o"] if f.name == "output" else [])
-        common.add_argument(*flags, type=f.type,
-                            default=_env_default(f.name.upper(), f.type, f.default))
+        common.add_argument(*flags, type=f.type)
 
     parser = argparse.ArgumentParser(
         prog="md53c",
@@ -599,12 +587,18 @@ def _build_parser():
                     "leaf-space K-theory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("catalog", parents=[common],
-                   help="list the families and the verification grid")
-    sub.add_parser("verify-md", parents=[common],
-                   help="orbit-dimension dichotomy across the grid")
-    orbit = sub.add_parser("orbit", parents=[common],
-                           help="Kirillov rank, orbit chart, and flows at a point")
+    # each subcommand carries the function that runs it
+    for name, run, text in (
+        ("catalog", cmd_catalog, "list the families and the verification grid"),
+        ("verify-md", cmd_verify_md, "orbit-dimension dichotomy across the grid"),
+        ("orbit", cmd_orbit, "Kirillov rank, orbit chart, and flows at a point"),
+        ("classify", cmd_classify, "coordinate-change and fibration checks for both types"),
+        ("ktheory", cmd_ktheory, "six-term diagrams and the extension class"),
+        ("verify-claims", cmd_verify_claims,
+         "run the whole battery and aggregate the claim ledger"),
+    ):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(run=run)
+    orbit = sub.choices["orbit"]
     orbit.add_argument("--family", required=True)
     for attr, key in _SPELLING.items():
         orbit.add_argument(f"--{key}", dest=attr, type=float, default=None)
@@ -614,41 +608,28 @@ def _build_parser():
                        help="flow word i:t,i:t,... (1-based generator indices)")
     orbit.add_argument("--eval", dest="eval_at", default=None,
                        help="evaluate the chart at b,a")
-    sub.add_parser("classify", parents=[common],
-                   help="coordinate-change and fibration checks for both types")
-    kt = sub.add_parser("ktheory", parents=[common],
-                        help="six-term diagrams and the extension class")
+    kt = sub.choices["ktheory"]
     kt.add_argument("--scenario", choices=("paper", "fibration", "both"),
                     default="both")
     kt.add_argument("--delta0", default=None,
                     help="integer column for the exponential connecting map, "
                          "e.g. 1,1")
-    sub.add_parser("verify-claims", parents=[common],
-                   help="run the whole battery and aggregate the claim ledger")
     return parser
 
 
-_DISPATCH = {
-    "catalog": cmd_catalog,
-    "verify-md": cmd_verify_md,
-    "orbit": cmd_orbit,
-    "classify": cmd_classify,
-    "ktheory": cmd_ktheory,
-    "verify-claims": cmd_verify_claims,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None):
     try:
-        # a bad MD53C_ value fails while the parser is built
-        args = _build_parser().parse_args(argv)
-        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        args = _PARSER.parse_args(argv)
+        config = RunConfig(**{f.name: _setting(args, f) for f in fields(RunConfig)})
         config.validate()
         # an overflow surfaces as a non-finite payload value, which _emit
         # reports as an error; inconsistent input is reported in the payload
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                payload, code = _DISPATCH[args.command](config, args)
+                payload, code = args.run(config, args)
         except InconsistentInput as e:
             payload, code = {"error": str(e)}, 1
         _emit({"schema": 2, "command": args.command,

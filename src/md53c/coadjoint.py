@@ -20,14 +20,12 @@ from .lie_core import derived_subalgebra, jacobi_defect, mat_exp
 
 __all__ = [
     "kirillov_form_rank",
-    "orbit_dimension",
     "coadjoint_flow",
     "OrbitChart",
     "orbit_chart",
     "same_leaf",
     "CheckReport",
     "flow_check",
-    "md_property_check",
     "md_property_grid",
 ]
 
@@ -57,16 +55,13 @@ def _triu_ranks(u, tol):
 
 def kirillov_form_rank(sc, F, tol=1e-9):
     """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its rank: how many of its
-    singular values s1, s1, s2, s2, 0, in closed form, exceed tol * max(1, s1)."""
+    singular values s1, s1, s2, s2, 0, in closed form, exceed tol * max(1, s1).
+    The rank is the dimension of the coadjoint orbit through F."""
     F = np.asarray(F, dtype=float)
     if F.shape != (sc.dim,) or sc.dim != 5:
         raise InvalidParams("need a 5-dimensional algebra and a point of 5 coordinates")
     B = np.einsum("ijk,k->ij", sc.c, F)
     return B, int(_skew5_ranks(B[..., None], tol)[0])
-
-
-def orbit_dimension(sc, F, tol=1e-9):
-    return kirillov_form_rank(sc, F, tol)[1]
 
 
 def coadjoint_flow(sc, F, word):
@@ -344,8 +339,15 @@ _RANK_BLOCK = 256
 
 
 def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
-    """md_property_check on every member of grid, a list of FamilySpecs, in
-    one pass: the points are drawn once, since every member draws the same
+    """Sample n points of the dual and verify, for every member of grid, a
+    list of FamilySpecs (one spec is the grid [spec]), its structure and the
+    dichotomy: the Kirillov form has rank 2 where (gamma, delta, sigma) != 0
+    and rank 0 exactly on the zero slice.  A twentieth of the samples is
+    forced onto thin slices (full zero, gamma = 0, delta = sigma = 0) so both
+    branches are hit.  Ranks are kirillov_form_rank's:
+    2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1).
+
+    One pass: the points are drawn once, since every member draws the same
     ones, and the Kirillov forms of all members come from one product of the
     grid's structure tensor with the points, upper triangles only, in fixed
     blocks of sample columns.  One CheckReport per member, in grid order."""
@@ -375,12 +377,3 @@ def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
                                 {"F": pts, "expected": expected, "got": got})])
     return reports
 
-
-def md_property_check(spec, n=10000, seed=1729, tol=1e-9):
-    """Sample n points of the dual and verify the dichotomy: the Kirillov
-    form has rank 2 where (gamma, delta, sigma) != 0 and rank 0 exactly on
-    the zero slice.  A twentieth of the samples is forced onto thin slices
-    (full zero, gamma = 0, delta = sigma = 0) so both branches are hit.
-    Ranks are kirillov_form_rank's: 2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1).
-    The one-member case of md_property_grid."""
-    return md_property_grid([spec], n, seed, tol)[0]

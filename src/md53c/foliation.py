@@ -420,19 +420,21 @@ def _classification_stack(target, members, tol):
                        ("negative", neg, {"p": p, "q": r}), *checks])
 
 
-def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
-    """verify_classification on every (source, target) pair of pairs, in one
-    pass.  The draw reads a source only through its family and phi, so it is
-    made once per (family, phi); each source then makes one chart, one
+def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
+    """For each source, sample n same-leaf and n different-leaf pairs in its
+    family and check that its equivalence map onto its type representative
+    preserves both relations, plus forward/inverse round-trips to 1e-9 on
+    branch-safe points; one source is the grid [source].  The samples are
+    drawn as arrays from one seeded stream, the round-trip points last.
+
+    One pass: the draw reads a source only through its family and phi, so it
+    is made once per (family, phi); each source then makes one chart, one
     forward-map and one inverse-map call.  The same-leaf tests of the sources
     of one target run in one call per relation and per _STACK_SAMPLES samples
-    of sources, so memory stays flat.  One CheckReport per pair, in order."""
+    of sources, so memory stays flat.  One CheckReport per source, in order."""
     reports, groups = [], {}
-    for source, target in pairs:
+    for source in sources:
         emap = equivalence_map(source)
-        if target != emap.target:
-            raise InvalidParams("target must be the type representative: F4 for F1..F7, "
-                                "F8(1, pi/2) for F8")
         reports.append(CheckReport("classification", source.label(), emap.target.label(),
                                    int(n), int(seed), float(tol)))
         streams = groups.setdefault(emap.target, {})
@@ -447,12 +449,14 @@ def verify_classification_grid(pairs, n=1000, seed=1729, tol=1e-6):
 
 
 def verify_classification(pair, n=1000, seed=1729, tol=1e-6):
-    """Sample n same-leaf and n different-leaf pairs in the source family and
-    check that the equivalence map preserves both relations in the target,
-    plus forward/inverse round-trips to 1e-9 on branch-safe points.  The
-    samples are drawn as arrays from one seeded stream, the round-trip points
-    last.  The one-pair case of verify_classification_grid."""
-    return verify_classification_grid([pair], n, seed, tol)[0]
+    """verify_classification_grid of one (source, target) pair, whose target
+    must be the source's type representative.  The pair form stays because
+    the benchmark harness in perfbench/ calls it with a pair."""
+    source, target = pair
+    if target != equivalence_map(source).target:
+        raise InvalidParams("target must be the type representative: F4 for F1..F7, "
+                            "F8(1, pi/2) for F8")
+    return verify_classification_grid([source], n, seed, tol)[0]
 
 
 def _hard_negatives(kind, p):
@@ -476,10 +480,10 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     is also paired with a point of the same c on another leaf, which an
     invariant cut down to c alone would match.
 
-    Samples are drawn as arrays as in verify_classification, F2 then drawing
-    g1, g2 and a chart parameter (b, a) as one (n, 6) array; all are checked
-    at once, the leaf invariant of the stack p computed once and compared
-    with those of q, r and the paired points."""
+    Samples are drawn as arrays as in verify_classification_grid, F2 then
+    drawing g1, g2 and a chart parameter (b, a) as one (n, 6) array; all are
+    checked at once, the leaf invariant of the stack p computed once and
+    compared with those of q, r and the paired points."""
     if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
     spec = _REPRESENTATIVE["F4" if kind == "F1" else "F8"]

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from md53c.catalog import build_algebra, default_grid, list_catalog
+from md53c.catalog import build_algebra, default_grid
 from md53c.cli import main
-from md53c.coadjoint import coadjoint_flow, md_property_check, same_leaf
+from md53c.coadjoint import coadjoint_flow, md_property_grid, same_leaf
 from md53c.errors import InconsistentInput
 from md53c.foliation import equivalence_map, fibration_check, rho_apply, verify_classification
 from md53c.ktheory import (
@@ -66,7 +66,7 @@ def test_criterion_1_catalog_integrity():
     from md53c.lie_core import derived_subalgebra, jacobi_defect
 
     start = time.perf_counter()
-    grid = list_catalog()
+    grid = default_grid()
     assert len(grid) == 36
     for spec in grid:
         sc = build_algebra(spec)
@@ -87,8 +87,8 @@ def test_criterion_1_catalog_integrity():
 
 def test_criterion_2_md_dichotomy():
     start = time.perf_counter()
-    for spec in list_catalog():
-        rep = md_property_check(spec, n=10000, seed=1729, tol=1e-9)
+    for spec in default_grid():
+        rep = md_property_grid([spec], n=10000, seed=1729, tol=1e-9)[0]
         assert rep.ok, (spec.label(), rep.failures[:3])
         assert rep.failures == []
     elapsed = time.perf_counter() - start
@@ -99,7 +99,7 @@ def test_criterion_2_md_dichotomy():
 def test_criterion_3_orbit_closed_forms():
     start = time.perf_counter()
     bad = 0
-    for spec in list_catalog():
+    for spec in default_grid():
         sc = build_algebra(spec)
         rng = np.random.default_rng(1729)
         for _ in range(1000):
@@ -122,7 +122,7 @@ def test_criterion_3_orbit_closed_forms():
 def test_criterion_4_classification_maps():
     start = time.perf_counter()
     checked = 0
-    for spec in list_catalog():
+    for spec in default_grid():
         if spec.family == "F4" or _halfplane(spec):
             continue
         emap = equivalence_map(spec)

@@ -362,13 +362,13 @@ def test_classification_mutations_caught_on_the_array_stream(broken, kinds, monk
     assert {f["kind"] for f in rep.failures} == kinds
 
 
-def _one_source_classification(pair, n, seed, tol):
+def _one_source_classification(source, n, seed, tol):
     """The classification check of one source with its own same_leaf calls,
     as it ran before the grid call, kept as the oracle for
     verify_classification_grid.  It calls the kernels through the module, so
     a patched map or same_leaf reaches it too."""
-    source, target = pair
     emap = equivalence_map(source)
+    target = emap.target
     rep = CheckReport("classification", source.label(), target.label(), n, seed, tol)
     bases, b, a, rt = foliation._draw_samples(
         np.random.default_rng(seed), source, n,
@@ -398,9 +398,8 @@ def test_grid_classification_matches_per_source_loop(broken, kinds, stack, monke
         monkeypatch.setattr(foliation, "same_leaf", _broken_same_leaf)
     elif broken:
         _break_map(monkeypatch, broken)
-    pairs = [(s, equivalence_map(s).target) for s in MAPPED]
-    got = [r.to_json() for r in verify_classification_grid(pairs, n=60, seed=5, tol=1e-6)]
-    assert got == [_one_source_classification(pair, 60, 5, 1e-6).to_json() for pair in pairs]
+    got = [r.to_json() for r in verify_classification_grid(MAPPED, n=60, seed=5, tol=1e-6)]
+    assert got == [_one_source_classification(s, 60, 5, 1e-6).to_json() for s in MAPPED]
     assert {f["kind"] for r in got for f in r["failures"]} == kinds
     if broken in ("fwd", "inv"):
         assert {r["source"] for r in got if r["failures"]} == \
@@ -431,9 +430,8 @@ def test_member_draw_equals_the_shared_draw(n):
 def test_grid_classification_matches_per_source_loop_at_sizes(n):
     # one sample per source, and more samples than a stack holds, so that a
     # key's draw is carried across stacks of one source each
-    pairs = [(s, equivalence_map(s).target) for s in MAPPED]
-    got = [r.to_json() for r in verify_classification_grid(pairs, n=n, seed=5, tol=1e-6)]
-    assert got == [_one_source_classification(pair, n, 5, 1e-6).to_json() for pair in pairs]
+    got = [r.to_json() for r in verify_classification_grid(MAPPED, n=n, seed=5, tol=1e-6)]
+    assert got == [_one_source_classification(s, n, 5, 1e-6).to_json() for s in MAPPED]
 
 
 def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
@@ -445,10 +443,10 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
         keys.append((spec.family, spec.phi))
         return draw(rng, spec, n, extra)
 
-    def counted_grid(pairs, *args, **kwargs):
+    def counted_grid(sources, *args, **kwargs):
         keys.clear()
-        out = grid(pairs, *args, **kwargs)
-        calls.append((len(pairs), len(keys), len(set(keys))))
+        out = grid(sources, *args, **kwargs)
+        calls.append((len(sources), len(keys), len(set(keys))))
         return out
 
     monkeypatch.setattr(foliation, "_draw_samples", counted_draw)
@@ -1063,7 +1061,7 @@ def test_rank4_kirillov_form_is_reported(monkeypatch):
     sc = build_algebra(spec)
     sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
     monkeypatch.setattr(coadjoint, "build_algebra", lambda _: sc)
-    rep = coadjoint.md_property_check(spec, n=400, seed=3)
+    [rep] = coadjoint.md_property_grid([spec], n=400, seed=3)
     doc = rep.to_json()
     # the payload lists the first 50 failures and counts every one
     assert not rep.ok and len(doc["failures"]) == 50 < doc["failures_total"] == rep.failures_total

@@ -19,9 +19,7 @@ from md53c.catalog import (
     build_algebra,
     default_grid,
     family_spec,
-    jordan_signature,
     jordan_signature_grid,
-    list_catalog,
 )
 from md53c.errors import InvalidParams
 from md53c.lie_core import ad_matrix, jacobi_defect
@@ -40,7 +38,7 @@ def test_default_grid_shape():
     assert "F3(0)" in labels and "F5(0)" in labels  # lambda = 0 allowed here
     assert "F6(0)" not in labels
     assert any(s.family == "F8" and s.lam == 1.0 and s.phi == math.pi / 2 for s in grid)
-    assert list_catalog() == grid
+    assert default_grid() == grid
 
 
 @pytest.mark.parametrize(
@@ -172,15 +170,18 @@ def test_json_round_trip():
 
 def test_jordan_signature_separates_members():
     # same eigenvalues, different block structure
-    assert jordan_signature(family_spec("F2", 0.5)) != jordan_signature(family_spec("F3", 0.5))
-    assert jordan_signature(family_spec("F5", 0.5)) != jordan_signature(family_spec("F6", 0.5))
-    assert jordan_signature(family_spec("F4")) != jordan_signature(family_spec("F7"))
-    blocks, _ = jordan_signature(family_spec("F8", 1.0, math.pi / 2))
+    f2, f3, f5, f6, f4, f7, (blocks, _) = jordan_signature_grid([
+        family_spec("F2", 0.5), family_spec("F3", 0.5), family_spec("F5", 0.5),
+        family_spec("F6", 0.5), family_spec("F4"), family_spec("F7"),
+        family_spec("F8", 1.0, math.pi / 2)])
+    assert f2 != f3
+    assert f5 != f6
+    assert f4 != f7
     assert any(im != 0.0 for _, im, _ in blocks)
 
 
 def test_jordan_signature_fixture():
-    blocks, weights = jordan_signature(family_spec("F5", -2.0))
+    blocks, weights = jordan_signature_grid([family_spec("F5", -2.0)])[0]
     assert set(blocks) == {(-2.0, 0.0, 1), (1.0, 0.0, 2)}
     # the first derived generator is an eigenvector, so its weight list
     # carries just its own eigenvalue
@@ -192,7 +193,7 @@ def _rounded(z):
 
 
 def _exact_signature(mat):
-    """jordan_signature of an exact sympy matrix: the blocks read off sympy's
+    """The Jordan data of an exact sympy matrix: the blocks read off sympy's
     Jordan form, the X3 weights as the eigenvalues of mat restricted to the
     span of e1, mat e1, mat^2 e1."""
     _, j = mat.jordan_form()
@@ -235,7 +236,7 @@ def _oracle_cases():
 def test_jordan_signature_matches_exact_jordan_form():
     specs, expected = zip(*[(spec, _exact_signature(exact)) for spec, exact in _oracle_cases()])
     for spec, want in zip(specs, expected):
-        assert jordan_signature(spec) == want, spec.label()
+        assert jordan_signature_grid([spec])[0] == want, spec.label()
     # the same cases in one stack: Krylov ranks 1 and 2, one to three
     # eigenvalue clusters per member, real and complex members
     assert {len(weights) for _, weights in expected} == {1, 2}
@@ -253,7 +254,7 @@ def test_jordan_signature_grid_krylov_rank_three(monkeypatch):
         family_spec("F4"): [[1, 0, 0], [1, 1, 0], [0, 1, 1]],  # one Jordan block at 1
     }
     members = [family_spec("F5", 0.5), family_spec("F8", 2.0, math.pi / 2)]
-    alone = [jordan_signature(spec) for spec in members]
+    alone = [jordan_signature_grid([spec])[0] for spec in members]
     block = catalog.ad2_block
     monkeypatch.setattr(catalog, "ad2_block", lambda spec: np.array(stand_ins[spec], dtype=float)
                         if spec in stand_ins else block(spec))
@@ -287,15 +288,15 @@ def test_jordan_signature_grid_calls_do_not_grow_with_the_grid(monkeypatch):
 def test_jordan_keys_round_as_numpy_does():
     # 2.0000005 * 10**6 rounds half to even under np.round, which is what
     # round() on a numpy float does; Python's round of a float gives 2.000001
-    blocks, _ = jordan_signature(family_spec("F2", 2.0000005))
+    blocks, _ = jordan_signature_grid([family_spec("F2", 2.0000005)])[0]
     assert (2.0, 0.0, 1) in blocks
 
 
 def test_jordan_signature_close_eigenvalues():
     # eigenvalue gaps below sqrt(tol): the block sizes still add up to 3
-    assert jordan_signature(family_spec("F2", 1.001)) == (
+    assert jordan_signature_grid([family_spec("F2", 1.001)])[0] == (
         ((1.0, 0.0, 1), (1.0, 0.0, 1), (1.001, 0.0, 1)), ((1.0, 0.0),))
-    assert jordan_signature(family_spec("F6", 1.001)) == (
+    assert jordan_signature_grid([family_spec("F6", 1.001)])[0] == (
         ((1.0, 0.0, 2), (1.001, 0.0, 1)), ((1.0, 0.0),))
 
 
@@ -311,7 +312,7 @@ def test_jordan_blocks_partition_the_block(family, a, b, phi):
         spec = family_spec(family, *params)
     except InvalidParams:
         assume(False)
-    blocks, weights = jordan_signature(spec)
+    blocks, weights = jordan_signature_grid([spec])[0]
     assert all(size >= 1 for *_, size in blocks)
     assert sum(size for *_, size in blocks) == 3
     assert 1 <= len(weights) <= 3

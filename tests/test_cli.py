@@ -1,6 +1,7 @@
 """The command-line surface: payload schemas, exit codes, determinism, and
 the environment-variable mirror of every flag."""
 
+import argparse
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from md53c import coadjoint
+from md53c import coadjoint, ktheory
 from md53c.catalog import family_spec
 from md53c.cli import RunConfig, main
 
@@ -208,6 +209,19 @@ def test_generic_text_rendering(tmp_path):
         assert keys == sorted(keys) and "failures_total" in keys and "source" in keys
 
 
+def test_text_lists_scalars_one_per_line(tmp_path):
+    # a list of numbers, such as the orbit payload's point, is one "- value"
+    # line per entry under its key
+    out = tmp_path / "orbit.txt"
+    assert main(["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
+                 "--point", "1,0,-1.5,0,2", "--format", "text", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    i = lines.index("point:")
+    assert lines[i + 1:i + 7] == ["  - 1.0", "  - 0.0", "  - -1.5", "  - 0.0", "  - 2.0",
+                                  "schema: 2"]
+    assert "orbit_dim: 2" in lines and "  family: F1" in lines
+
+
 def test_env_mirror(tmp_path, monkeypatch):
     monkeypatch.setenv("MD53C_SEED", "7")
     monkeypatch.setenv("MD53C_MD_SAMPLES", "300")
@@ -269,10 +283,30 @@ def test_bad_config_rejected(monkeypatch, capsys):
     monkeypatch.setenv("MD53C_FORMAT", "xml")
     assert main(["catalog"]) == 2
     assert capsys.readouterr().err == "error: format must be 'json' or 'text'\n" * 2
-    # a value of an MD53C_ variable that its setting cannot read
+    # a value of an MD53C_ variable that its setting cannot read, also when
+    # the flag gives the setting
     monkeypatch.setenv("MD53C_SAMPLES", "many")
     assert main(["catalog"]) == 2
-    assert capsys.readouterr().err == "error: bad value for MD53C_SAMPLES: 'many'\n"
+    assert main(["catalog", "--samples", "5"]) == 2
+    assert capsys.readouterr().err == "error: bad value for MD53C_SAMPLES: 'many'\n" * 2
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    # main parses with the parser built at import: no call builds another
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    out = str(tmp_path / "out")
+    for args in (["catalog"], ["ktheory", "--scenario", "paper"], ["verify-md", "--md-samples", "20"],
+                 ["orbit", "--family", "F4", "--point", "1,0,1,0,0"]):
+        assert main([*args, "-o", out]) == 0
+    assert main(["catalog", "--samples", "0"]) == 2
+    assert made == []
 
 
 @pytest.mark.parametrize("command", ["verify-md", "classify", "verify-claims", "ktheory"])
@@ -427,6 +461,25 @@ def test_output_is_deterministic(tmp_path):
     assert main([*args, "-o", str(a)]) == 0
     assert main([*args, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_six_term_middle_can_fail(tmp_path, monkeypatch):
+    # a kernel with one generator too many gives the middle (Z, Z^3): the
+    # claim reads failed with the middle it got, and the ledger is whole
+    kernel_cokernel = ktheory._kernel_cokernel
+
+    def one_more(m, factors):
+        ker, cok = kernel_cokernel(m, factors)
+        return ktheory.AbGroup(ker.free_rank + 1), cok
+
+    monkeypatch.setattr(ktheory, "_kernel_cokernel", one_more)
+    code, doc = run_json(["verify-claims", "--samples", "10", "--md-samples", "100"], tmp_path)
+    assert code == 1
+    assert doc["summary"]["claims"] == len(doc["claims"]) == 16
+    claim = next(c for c in doc["claims"] if c["id"] == "six-term-middle")
+    middle = {"K0": {"free": 1, "torsion": []}, "K1": {"free": 3, "torsion": []}}
+    assert claim["status"] == "failed" and claim["evidence"] == {"middle": middle}
+    assert doc["failures"] == [{"claim": "six-term-middle", "detail": f"middle was {middle}"}]
 
 
 def test_claims_payload(tmp_path):

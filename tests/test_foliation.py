@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from md53c.catalog import default_grid, family_spec
-from md53c.coadjoint import flow_check, md_property_check, orbit_chart, same_leaf
+from md53c.coadjoint import flow_check, md_property_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (
     apply_equivalence,
@@ -19,6 +19,7 @@ from md53c.foliation import (
     printed_u_submersion,
     rho_apply,
     verify_classification,
+    verify_classification_grid,
 )
 
 F8_REP = family_spec("F8", 1.0, math.pi / 2)
@@ -251,8 +252,10 @@ def test_empty_sample_rejected():
             fibration_check(kind, n=0)
     with pytest.raises(InvalidParams):
         verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=0)
+    with pytest.raises(InvalidParams):
+        verify_classification_grid([family_spec("F2", 2.0)], n=0)
     for n in (0, -3):
         with pytest.raises(InvalidParams):
-            md_property_check(family_spec("F2", 2.0), n=n)
+            md_property_grid([family_spec("F2", 2.0)], n=n)
         with pytest.raises(InvalidParams):
             flow_check(family_spec("F2", 2.0), n=n)
