@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
                       default_grid, family_spec, jordan_signature_grid)
-from .coadjoint import (coadjoint_flow, flow_check, kirillov_form_rank, md_property_grid,
+from .coadjoint import (coadjoint_flow, flow_check_grid, kirillov_form_rank, md_property_grid,
                         orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
 from .foliation import fibration_check, verify_classification_grid
@@ -321,8 +321,8 @@ def cmd_verify_claims(config, args):
 
     # closed orbit charts agree with the integrated flow, on each family's
     # first grid member
-    flows = [flow_check(family_spec(name, *fam.grid[0]), config.samples, config.seed,
-                        config.tol_leaf) for name, fam in _FAMILIES.items()]
+    flows = flow_check_grid([family_spec(name, *fam.grid[0]) for name, fam in _FAMILIES.items()],
+                            config.samples, config.seed, config.tol_leaf)
     sampled("orbit-closed-forms",
             "orbit description proposition (orbit formulas per family)",
             "points moved by random coadjoint flow words of up to six steps stay "

@@ -6,7 +6,6 @@ basis dual to X1..X5.  Orbits are parametrized by (b, a): b is the free second
 coordinate and a is the time along the X2 coadjoint flow.
 """
 
-import cmath
 import functools
 import itertools
 import math
@@ -25,7 +24,7 @@ __all__ = [
     "orbit_chart",
     "same_leaf",
     "CheckReport",
-    "flow_check",
+    "flow_check_grid",
     "md_property_grid",
 ]
 
@@ -75,34 +74,41 @@ def coadjoint_flow(sc, F, word):
         raise InvalidParams(f"need one word per point of {sc.dim} coordinates")
     i = np.array([int(i) for w in words for i, _ in w], dtype=int)
     t = np.array([float(t) for w in words for _, t in w])
-    return _flow(sc, np.atleast_2d(F), i, t, [len(w) for w in words]).reshape(F.shape)
-
-
-def _flow(sc, F, i, t, lengths):
-    """The coadjoint flow of each row of F (N, 5) along its word, the words
-    given flat: directions i and times t of all steps, word after word, and
-    the number of steps of each word."""
     bad = (i < 1) | (i > sc.dim)
     if bad.any():
         raise InvalidParams(f"flow direction {i[bad][0]} outside 1..{sc.dim}")
-    out = F.copy()
+    return _flow(sc.c, np.atleast_2d(F), i, t, [len(w) for w in words]).reshape(F.shape)
+
+
+def _flow(c, F, i, t, lengths):
+    """The coadjoint flow of each row of F (N, 5) along its word, under the
+    structure array c (n, n, n), or under each array of a stack c (M, n, n, n)
+    into (M, N, 5); the words are given flat: directions i and times t of all
+    steps, word after word, and the number of steps of each word.  The
+    exponentials of every step under every structure come from one mat_exp
+    call, where the steps whose matrix squares to zero cost no Taylor series."""
+    out = np.empty(c.shape[:-3] + F.shape)
+    out[...] = F
     if len(i):
         rows = np.repeat(np.arange(len(F)), lengths)
         # each step's place in its word
         order = np.arange(len(i)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         # C-ordered as ad_matrix gives them, so each step matches it bit for bit
-        E = mat_exp(sc.c[i - 1].swapaxes(-1, -2).copy(), -t)
+        E = mat_exp(c[..., i - 1, :, :].swapaxes(-1, -2).copy(), -t)
         for k in range(order.max() + 1):
             at = order == k
-            out[rows[at]] = (E[at].swapaxes(-1, -2) @ out[rows[at], :, None])[..., 0]
+            out[..., rows[at], :] = (E[..., at, :, :].swapaxes(-1, -2)
+                                     @ out[..., rows[at], :, None])[..., 0]
     return out
 
 
 def _phi(lam, a):
-    # (1 - e^{lam a}) / lam, continued to -a at lam = 0
-    if lam == 0.0:
-        return -a
-    return -np.expm1(lam * a) / lam
+    # (1 - e^{lam a}) / lam, continued to -a at lam = 0, elementwise; the lam
+    # of one block is a scalar, which needs no mask
+    if lam.ndim == 0:
+        return -a if lam == 0.0 else -np.expm1(lam * a) / lam
+    zero = lam == 0.0
+    return np.where(zero, -a, -np.expm1(lam * a) / np.where(zero, 1.0, lam))
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,36 +120,45 @@ def _block(spec):
     return m
 
 
-def _chart(spec, base, b, a):
+def _rot(m):
+    # e^{i phi} of family 8's rotation block, or of each of a stack of them
+    return m[..., 0, 0] + 1j * m[..., 1, 0]
+
+
+def _chart(m, base, b, a):
     """The point reached from each row of ``base`` (shape (..., 5)) by the X2
     coadjoint flow for time ``a``, with the free second coordinate set to
-    ``b``; ``b`` and ``a`` broadcast against the rows.
+    ``b``; ``b`` and ``a`` broadcast against the rows.  ``m`` is the ad_X2
+    block M, read as m[..., i, j]: one (3, 3) block, or blocks (..., 3, 3)
+    whose leading axes broadcast against those of the rows.
 
-    (gamma, delta, sigma) moves by exp(a M^T) for the ad_X2 block M.  For
-    families 1..7 M is upper triangular and each coupling joins two equal
-    rates, so a coupling adds a polynomial factor in a; for family 8 the
-    (gamma, delta) pair rotates and scales as a complex number.
+    (gamma, delta, sigma) moves by exp(a M^T).  For families 1..7 M is upper
+    triangular and each coupling joins two equal rates, so a coupling adds a
+    polynomial factor in a; for family 8, the blocks with a (1, 0) entry, the
+    (gamma, delta) pair rotates and scales as a complex number by
+    e^{i phi} = M[0, 0] + i M[1, 0].  The blocks of one call share their zero
+    pattern, as the members of one family do, so it is read off the first.
     """
-    al, _, g, d, s = base.T
-    m = _block(spec)
-    if spec.family == "F8":
-        rot = cmath.exp(1j * spec.phi)
+    al, g, d, s = base[..., 0], base[..., 2], base[..., 3], base[..., 4]
+    pattern = m.reshape(-1, 3, 3)[0]
+    if pattern[1, 0]:
+        rot = _rot(m)
         w = g + 1j * d
         w2 = w * np.exp(a / rot)
         x = al - (np.conj(w) * (np.exp(a * rot) - 1.0) / rot).real
         z, t = w2.real, w2.imag
     else:
-        x = al + _phi(m[0, 0], a) * g
-        z = np.exp(m[0, 0] * a) * g
+        x = al + _phi(m[..., 0, 0], a) * g
+        z = np.exp(m[..., 0, 0] * a) * g
         t = d
-        if m[1, 2]:
-            s = s + m[1, 2] * a * (d + 0.5 * m[0, 1] * a * g)
-        if m[0, 1]:
-            t = d + m[0, 1] * a * g
-        t = np.exp(m[1, 1] * a) * t
+        if pattern[1, 2]:
+            s = s + m[..., 1, 2] * a * (d + 0.5 * m[..., 0, 1] * a * g)
+        if pattern[0, 1]:
+            t = d + m[..., 0, 1] * a * g
+        t = np.exp(m[..., 1, 1] * a) * t
     out = np.empty(np.broadcast(x, b).shape + (5,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, b, z, t
-    out[..., 4] = np.exp(m[2, 2] * a) * s
+    out[..., 4] = np.exp(m[..., 2, 2] * a) * s
     return out
 
 
@@ -164,7 +179,7 @@ class OrbitChart:
     def eval(self, b, a):
         if self.dim == 0:
             return np.array(self.base)
-        return _chart(self.spec, np.array(self.base), b, a)
+        return _chart(_block(self.spec), np.array(self.base), b, a)
 
 
 def orbit_chart(spec, F, tol=1e-9):
@@ -257,7 +272,7 @@ def _same_leaf(spec, p, q, tol):
     for a in _leaf_times(spec, pq, eps_pq):
         if decided.all():
             break
-        r = _chart(spec, p, q[:, 1], a)
+        r = _chart(_block(spec), p, q[:, 1], a)
         bound = tol * np.maximum(1.0, np.maximum(np.abs(q), np.abs(r)))
         hit = ~decided & (np.abs(q - r) <= bound).all(axis=1)
         out |= hit
@@ -303,11 +318,22 @@ def _collect(rep, checks):
                             for kind, bad, fields in checks if bad[i])
 
 
-def flow_check(spec, n=1000, seed=1729, tol=1e-8):
-    """Flow n random points along random coadjoint flow words of 1..6 steps
-    and check that each stays on its leaf as the closed-form chart predicts.
-    The points, the word lengths, then the directions and times of all
-    steps are drawn as arrays, then flowed and tested at once."""
+# samples per _flow call of the flow check, summed over the members: a call
+# holds about 3 KB a sample, no more than one member's flow at n = 1000 did
+_FLOW_SAMPLES = 1024
+
+
+def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
+    """For every member of grid, a list of FamilySpecs (one spec is the grid
+    [spec]), flow n random points along random coadjoint flow words of 1..6
+    steps and check that each stays on its leaf as the closed-form chart
+    predicts.  The points, the word lengths, then the directions and times
+    of all steps are drawn as arrays from the seeded stream.
+
+    One pass: every member's stream draws the same points and words, so they
+    are drawn once; one _flow call, so one mat_exp call, flows every step of
+    every member, _FLOW_SAMPLES samples of members at a time, and each member
+    then makes one same_leaf call.  One CheckReport per member, in order."""
     n = int(n)
     if n < 1:
         # a check over no samples would pass vacuously
@@ -316,11 +342,22 @@ def flow_check(spec, n=1000, seed=1729, tol=1e-8):
     start = rng.uniform(-2.0, 2.0, (n, 5))
     lengths = rng.integers(1, 7, n)
     steps = int(lengths.sum())
-    end = _flow(build_algebra(spec), start, rng.integers(1, 6, steps),
-                rng.uniform(-1.0, 1.0, steps), lengths)
-    rep = CheckReport("flow", spec.label(), "closed-form chart", n, int(seed), float(tol))
-    _collect(rep, [("flow", ~same_leaf(spec, start, end, tol), {"p": start, "q": end})])
-    return rep
+    i, t = rng.integers(1, 6, steps), rng.uniform(-1.0, 1.0, steps)
+    c = np.array([build_algebra(spec).c for spec in grid]).reshape(-1, 5, 5, 5)
+    ends = np.empty((len(c), n, 5))
+    # each word's first step, and the samples of one _flow call
+    first = np.concatenate(([0], np.cumsum(lengths)))
+    size = max(1, _FLOW_SAMPLES // max(1, len(c)))
+    for lo in range(0, n, size):
+        rows, at = slice(lo, lo + size), slice(first[lo], first[min(lo + size, n)])
+        ends[:, rows] = _flow(c, start[rows], i[at], t[at], lengths[rows])
+    reports = []
+    for spec, end in zip(grid, ends):
+        reports.append(CheckReport("flow", spec.label(), "closed-form chart", n, int(seed),
+                                   float(tol)))
+        _collect(reports[-1], [("flow", ~same_leaf(spec, start, end, tol),
+                                {"p": start, "q": end})])
+    return reports
 
 
 def _structure_ok(c):

@@ -7,7 +7,6 @@ open set z^2 + t^2 + s^2 > 0.  Type-one foliations (families 1..7) compare
 against the family-4 representative, type-two (family 8) against F8(1, pi/2).
 """
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _REPRESENTATIVE
-from .coadjoint import CheckReport, _chart, _collect, orbit_chart, same_leaf
+from .coadjoint import CheckReport, _block, _chart, _collect, _rot, orbit_chart, same_leaf
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
 __all__ = [
@@ -124,18 +123,27 @@ def rho_apply(g, p):
 # the equivalence maps
 
 
-# Each map takes and returns the five coordinates as arrays of one shape, so
-# one formula serves a single point and a stack of points.  The exact-zero
-# tests pick the branch per entry.
+# Each map takes its source's ad_X2 blocks m and the five coordinates as
+# arrays of one shape, against which the blocks' leading axes broadcast, and
+# reads lambda1, lambda2, lambda and e^{i phi} from the blocks' entries: one
+# formula serves a point, a stack, or the rows of several members of a
+# family.  The exact-zero tests pick the branch per entry.
 
 
 def _pw(v, lam):
     # sgn(v) |v|^{1/lam}, with sgn(0) := 0
-    return np.where(v == 0.0, 0.0, np.copysign(np.abs(v) ** (1.0 / lam), v))
+    return np.where(v == 0.0, 0.0, np.copysign(_abs_pow(v, 1.0 / lam), v))
 
 
 def _pw_inv(v, lam):
-    return np.where(v == 0.0, 0.0, np.copysign(np.abs(v) ** lam, v))
+    return np.where(v == 0.0, 0.0, np.copysign(_abs_pow(v, lam), v))
+
+
+def _abs_pow(v, e):
+    # |v|^e through pow, with e as an array of v's shape: numpy takes a scalar
+    # exponent 2, 0.5 or -1 as a square, square root or reciprocal, which can
+    # round apart from pow, and one block must give a stack's bits
+    return np.power(np.abs(v), np.full(np.shape(v), e))
 
 
 def _log_abs(v):
@@ -149,54 +157,54 @@ def _xlog(v):
     return v * _log_abs(v)
 
 
-def _h1_fwd(spec, x, y, z, t, s):
-    zz = _pw(z, spec.lambda1)
-    return (spec.lambda1 * x + z - zz, y, zz, _pw(t, spec.lambda2), s)
+def _h1_fwd(m, x, y, z, t, s):
+    zz = _pw(z, m[..., 0, 0])
+    return (m[..., 0, 0] * x + z - zz, y, zz, _pw(t, m[..., 1, 1]), s)
 
 
-def _h1_inv(spec, x, y, z, t, s):
-    z0 = _pw_inv(z, spec.lambda1)
-    return ((x - z0 + z) / spec.lambda1, y, z0, _pw_inv(t, spec.lambda2), s)
+def _h1_inv(m, x, y, z, t, s):
+    z0 = _pw_inv(z, m[..., 0, 0])
+    return ((x - z0 + z) / m[..., 0, 0], y, z0, _pw_inv(t, m[..., 1, 1]), s)
 
 
-def _h2_fwd(spec, x, y, z, t, s):
-    return (x, y, z, t, _pw(s, spec.lam))
+def _h2_fwd(m, x, y, z, t, s):
+    return (x, y, z, t, _pw(s, m[..., 2, 2]))
 
 
-def _h2_inv(spec, x, y, z, t, s):
-    return (x, y, z, t, _pw_inv(s, spec.lam))
+def _h2_inv(m, x, y, z, t, s):
+    return (x, y, z, t, _pw_inv(s, m[..., 2, 2]))
 
 
-def _h3_fwd(spec, x, y, z, t, s):
-    zz = _pw(z, spec.lam)
-    return (spec.lam * x + z - zz, y, zz, t, s)
+def _h3_fwd(m, x, y, z, t, s):
+    zz = _pw(z, m[..., 0, 0])
+    return (m[..., 0, 0] * x + z - zz, y, zz, t, s)
 
 
-def _h3_inv(spec, x, y, z, t, s):
-    z0 = _pw_inv(z, spec.lam)
-    return ((x - z0 + z) / spec.lam, y, z0, t, s)
+def _h3_inv(m, x, y, z, t, s):
+    z0 = _pw_inv(z, m[..., 0, 0])
+    return ((x - z0 + z) / m[..., 0, 0], y, z0, t, s)
 
 
-def _h5_fwd(spec, x, y, z, t, s):
+def _h5_fwd(m, x, y, z, t, s):
     # straighten the Jordan pair (t, s), then the z factor exactly as h3;
     # without the h3 step the x+z invariant fails off the z = 0 slice
-    return _h3_fwd(spec, x, y, z, t, s - _xlog(t))
+    return _h3_fwd(m, x, y, z, t, s - _xlog(t))
 
 
-def _h5_inv(spec, x, y, z, t, s):
-    x0, y0, z0, t0, s0 = _h3_inv(spec, x, y, z, t, s)
+def _h5_inv(m, x, y, z, t, s):
+    x0, y0, z0, t0, s0 = _h3_inv(m, x, y, z, t, s)
     return (x0, y0, z0, t0, s0 + _xlog(t0))
 
 
-def _h6_fwd(spec, x, y, z, t, s):
-    return (x, y, z, t - _xlog(z), _pw(s, spec.lam))
+def _h6_fwd(m, x, y, z, t, s):
+    return (x, y, z, t - _xlog(z), _pw(s, m[..., 2, 2]))
 
 
-def _h6_inv(spec, x, y, z, t, s):
-    return (x, y, z, t + _xlog(z), _pw_inv(s, spec.lam))
+def _h6_inv(m, x, y, z, t, s):
+    return (x, y, z, t + _xlog(z), _pw_inv(s, m[..., 2, 2]))
 
 
-def _h7_fwd(spec, x, y, z, t, s):
+def _h7_fwd(m, x, y, z, t, s):
     # on z = 0 only the (t, s) pair is straightened
     lz = _log_abs(z)
     u = t - z * lz
@@ -204,7 +212,7 @@ def _h7_fwd(spec, x, y, z, t, s):
     return (x, y, z, u, s2)
 
 
-def _h7_inv(spec, x, y, z, t, s):
+def _h7_inv(m, x, y, z, t, s):
     lz = _log_abs(z)
     t0 = t + z * lz
     s0 = np.where(z == 0.0, s + _xlog(t), s + 0.5 * t0 * lz + 0.5 * _xlog(t))
@@ -216,32 +224,32 @@ def _pow_log(w, m):
     return np.where(w == 0.0, 0.0, np.exp((_log_abs(w) + 1j * np.angle(w)) * m))
 
 
-def _h8_fwd(spec, x, y, z, t, s):
+def _h8_fwd(m, x, y, z, t, s):
     w = z + 1j * t
-    w2 = _pow_log(w, -1j * cmath.exp(1j * spec.phi))
-    x2 = x + (w * cmath.exp(1j * spec.phi)).real + w2.imag
-    return (x2, y, w2.real, w2.imag, _pw(s, spec.lam))
+    w2 = _pow_log(w, -1j * _rot(m))
+    x2 = x + (w * _rot(m)).real + w2.imag
+    return (x2, y, w2.real, w2.imag, _pw(s, m[..., 2, 2]))
 
 
-def _h8_inv(spec, x, y, z, t, s):
+def _h8_inv(m, x, y, z, t, s):
     w2 = z + 1j * t
-    w = _pow_log(w2, 1j * cmath.exp(-1j * spec.phi))
-    x0 = x - (w * cmath.exp(1j * spec.phi)).real - w2.imag
-    return (x0, y, w.real, w.imag, _pw_inv(s, spec.lam))
+    w = _pow_log(w2, 1j * np.conj(_rot(m)))
+    x0 = x - (w * _rot(m)).real - w2.imag
+    return (x0, y, w.real, w.imag, _pw_inv(s, m[..., 2, 2]))
 
 
-def _h8_seams(spec, z, t, s):
+def _h8_seams(m, z, t, s):
     # |w| and s, then the distances of arg w and of the image angle from the
     # principal-argument cut at pi, the latter read as 0 when the image angle
     # lies past the cut; log|w| is read as 0 at w = 0, where the first
     # quantity already fails
     w = z + 1j * t
     arg = np.angle(w)
-    th2 = ((_log_abs(w) + 1j * arg) * (-1j * cmath.exp(1j * spec.phi))).imag
+    th2 = ((_log_abs(w) + 1j * arg) * (-1j * _rot(m))).imag
     return (np.abs(w), s, np.pi - np.abs(arg), np.maximum(0.0, np.pi - np.abs(th2)))
 
 
-def _h4_id(spec, x, y, z, t, s):
+def _h4_id(m, x, y, z, t, s):
     return (x, y, z, t, s)
 
 
@@ -249,14 +257,14 @@ def _h4_id(spec, x, y, z, t, s):
 # coordinates (z, t, s), arrays of one shape, that vanish on the seams of the
 # maps' piecewise branches.
 _MAPS = {
-    "F1": (_h1_fwd, _h1_inv, lambda spec, z, t, s: (z, t)),
-    "F2": (_h2_fwd, _h2_inv, lambda spec, z, t, s: (s,)),
-    "F3": (_h3_fwd, _h3_inv, lambda spec, z, t, s: (z,)),
-    "F4": (_h4_id, _h4_id, lambda spec, z, t, s: ()),
-    "F5": (_h5_fwd, _h5_inv, lambda spec, z, t, s: (z, t)),
-    "F6": (_h6_fwd, _h6_inv, lambda spec, z, t, s: (z, s)),
+    "F1": (_h1_fwd, _h1_inv, lambda m, z, t, s: (z, t)),
+    "F2": (_h2_fwd, _h2_inv, lambda m, z, t, s: (s,)),
+    "F3": (_h3_fwd, _h3_inv, lambda m, z, t, s: (z,)),
+    "F4": (_h4_id, _h4_id, lambda m, z, t, s: ()),
+    "F5": (_h5_fwd, _h5_inv, lambda m, z, t, s: (z, t)),
+    "F6": (_h6_fwd, _h6_inv, lambda m, z, t, s: (z, s)),
     # u = t - z log|z| is the straightened t of h7 (log|z| read as 0 at z = 0)
-    "F7": (_h7_fwd, _h7_inv, lambda spec, z, t, s: (z, t, t - z * _log_abs(z))),
+    "F7": (_h7_fwd, _h7_inv, lambda m, z, t, s: (z, t, t - z * _log_abs(z))),
     "F8": (_h8_fwd, _h8_inv, _h8_seams),
 }
 
@@ -296,10 +304,17 @@ def apply_equivalence(emap, p, direction="fwd"):
     if direction not in ("fwd", "inv"):
         raise InvalidParams("direction must be 'fwd' or 'inv'")
     fwd, inv, _ = _MAPS[src.family]
-    fn = fwd if direction == "fwd" else inv
+    return _equivalence(fwd if direction == "fwd" else inv, _block(src),
+                        p.reshape(-1, 5)).reshape(p.shape)
+
+
+def _equivalence(fn, m, p):
+    """The formula fn of _MAPS at each row of p (..., 5), read with the ad_X2
+    blocks m: one (3, 3) block for every row, or blocks (..., 3, 3) whose
+    leading axes broadcast against those of p."""
     out = np.empty_like(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, col in enumerate(fn(src, *p.T)):
+        for i, col in enumerate(fn(m, *(p[..., k] for k in range(5)))):
             out[..., i] = col
     return out
 
@@ -343,7 +358,7 @@ def _sample_base(rng, spec, n):
 
 def _roundtrip_safe(spec, p):
     # row by row for an (N, 5) stack: every seam quantity at least 1e-3 from 0
-    seams = _MAPS[spec.family][2](spec, *p[:, 2:].T)
+    seams = _MAPS[spec.family][2](_block(spec), *p[:, 2:].T)
     return np.abs([np.full(len(p), np.inf), *seams]).min(axis=0) >= 1e-3
 
 
@@ -377,40 +392,56 @@ def _draw_samples(rng, spec, n, extra):
     return np.concatenate((base, base, shifted)), b.T.ravel(), a.T.ravel(), extra(rng, base)
 
 
-# samples per same_leaf call of the grid check, unless one source has more:
-# every source of one target at small n, and at large n few enough that the
-# samples held at once stay few and the call's temporaries stay small
+# samples per stack of the grid check, unless one source has more: every
+# source of one target at small n, and at large n few enough that the samples
+# held at once stay few and the calls' temporaries stay small
 _STACK_SAMPLES = 1024
 
 
-def _map_samples(emap, chart_in, rt):
-    """One member's chart points (p, q, r), their images and its round-trip
-    checks, from one _chart, one forward-map and one inverse-map call."""
-    pqrt = np.concatenate((_chart(emap.source, *chart_in), rt))
-    *images, image = apply_equivalence(emap, pqrt, "fwd").reshape(4, -1, 5)
-    # an image off V or not finite has no inverse to check
-    off = ~(np.isfinite(image).all(axis=1) & in_V(image))
-    back = np.full_like(rt, np.nan)
-    back[~off] = apply_equivalence(emap, image[~off], "inv")
-    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
-    return pqrt.reshape(4, -1, 5)[:3], images, [("range", off, {"p": rt, "image": image}),
-                                                ("roundtrip", drift, {"p": rt, "back": back})]
-
-
-def _mapped_samples(streams, n, seed):
+def _member_draws(streams, n, seed):
     """Per (map, report) of streams, which lists them by the key (family, phi)
-    of their draw: the report and its _map_samples, one draw held at a time."""
+    of their draw: the map, the report, and the _chart inputs and round-trip
+    points of the draw, which is made once per key, one key at a time."""
     for members in streams.values():
         first = members[0][0].source
         *chart_in, rt = _draw_samples(np.random.default_rng(seed), first, n,
                                       lambda rng, base: _roundtrip_points(rng, first, base))
         for emap, rep in members:
-            yield rep, *_map_samples(emap, chart_in, rt)
+            yield emap, rep, chart_in, rt
+
+
+def _stacked(arrays):
+    # the arrays on a new first axis, one array as a view: no copy at large n
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _map_family(members):
+    """The chart points (p, q, r), their images and the round-trip checks of
+    members of one family, _member_draws items, from one _chart, one
+    forward-map and one inverse-map call on a (member, sample) stack, each
+    member's rows reading its own ad_X2 block: (report, (p, q, r), their
+    images, checks) per member."""
+    fwd, inv, _ = _MAPS[members[0][0].source.family]
+    m = np.array([_block(emap.source) for emap, *_ in members])[:, None]
+    base, b, a = map(_stacked, zip(*(chart_in for *_, chart_in, _ in members)))
+    rt = _stacked([r for *_, r in members])
+    k, n = rt.shape[:2]
+    pqr = _chart(m, base, b, a)
+    images = _equivalence(fwd, m, np.concatenate((pqr, rt), axis=1)).reshape(k, 4, n, 5)
+    image = images[:, 3]
+    # an image off V or not finite has no inverse to check
+    off = ~(np.isfinite(image).all(axis=2) & in_V(image))
+    back = np.where(off[..., None], np.nan, _equivalence(inv, m, image))
+    drift = np.abs(back - rt).max(axis=2) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=2))
+    return [(rep, pqr[j].reshape(3, n, 5), images[j, :3],
+             [("range", off[j], {"p": rt[j], "image": image[j]}),
+              ("roundtrip", drift[j], {"p": rt[j], "back": back[j]})])
+            for j, (_, rep, *_) in enumerate(members)]
 
 
 def _classification_stack(target, members, tol):
-    """Test the positive and the negative pairs of members, _mapped_samples
-    items of one target, in one same_leaf call each; fill in their reports."""
+    """Test the positive and the negative pairs of members, _map_family items
+    of one target, in one same_leaf call each; fill in their reports."""
     hp, hq, hr = (h[0] if len(h) == 1 else np.concatenate(h)
                   for h in zip(*(images for _, _, images, _ in members)))
     positive = np.split(same_leaf(target, hp, hq, tol), len(members))
@@ -428,10 +459,12 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
     drawn as arrays from one seeded stream, the round-trip points last.
 
     One pass: the draw reads a source only through its family and phi, so it
-    is made once per (family, phi); each source then makes one chart, one
-    forward-map and one inverse-map call.  The same-leaf tests of the sources
-    of one target run in one call per relation and per _STACK_SAMPLES samples
-    of sources, so memory stays flat.  One CheckReport per source, in order."""
+    is made once per (family, phi).  The sources of one target are taken in
+    stacks of _STACK_SAMPLES samples, so memory stays flat.  Within a stack,
+    the sources of one family make one chart, one forward-map and one
+    inverse-map call, each reading every source's parameters from its ad_X2
+    block, row by row; the same-leaf tests of the stack run in one call per
+    relation.  One CheckReport per source, in order."""
     reports, groups = [], {}
     for source in sources:
         emap = equivalence_map(source)
@@ -441,10 +474,14 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
         streams.setdefault((source.family, source.phi), []).append((emap, reports[-1]))
     size = max(1, _STACK_SAMPLES // max(int(n), 1))
     for target, streams in groups.items():
-        mapped = _mapped_samples(streams, n, seed)
-        while stack := list(itertools.islice(mapped, size)):
-            _classification_stack(target, stack, tol)
-            del stack  # free its samples before the next stack is mapped
+        draws = _member_draws(streams, n, seed)
+        while stack := list(itertools.islice(draws, size)):
+            families = {}
+            for member in stack:
+                families.setdefault(member[0].source.family, []).append(member)
+            _classification_stack(target, [item for members in families.values()
+                                           for item in _map_family(members)], tol)
+            del stack, families  # free their samples before the next stack is drawn
     return reports
 
 
@@ -493,7 +530,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     extra = (lambda rng, base: ()) if kind == "F1" else \
         (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3, (len(base), 6)))
     *chart_in, g = _draw_samples(np.random.default_rng(seed), spec, n, extra)
-    p, q, r = _chart(spec, *chart_in).reshape(3, -1, 5)
+    p, q, r = _chart(_block(spec), *chart_in).reshape(3, -1, 5)
     h = _hard_negatives(kind, p)
     itol = max(tol, 1e-8)
     ip = leaf_invariant(kind, p)
@@ -514,7 +551,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     lhs, rhs = rho_apply(g1, rho_apply(g2, p)), rho_apply(g1 + g2, p)
     # (r, a) recovered from coordinates: a from sigma where it is nonzero,
     # else from the angle of z + it
-    qab = _chart(spec, p, g[:, 4], g[:, 5])
+    qab = _chart(_block(spec), p, g[:, 4], g[:, 5])
     with np.errstate(divide="ignore", invalid="ignore"):
         a_rec = np.where(p[:, 4] != 0.0, np.log(qab[:, 4] / p[:, 4]),
                          -np.angle((qab[:, 2] + 1j * qab[:, 3]) / (p[:, 2] + 1j * p[:, 3])))

@@ -117,13 +117,24 @@ def derived_subalgebra(sc, tol=1e-9):
 
 def mat_exp(m, t=1.0):
     """exp(t*m) for one matrix or a stack (..., n, n), t broadcasting against
-    the leading axes: each matrix is scaled by its own power of two to an
-    inf-norm of at most 1/2, where the degree-13 Taylor polynomial is accurate
-    to full double precision, and squared back; no eigendecomposition is used."""
+    the leading axes.  Where a = t*m squares to exactly zero the series stops
+    at I + a, which is returned as it is.  Every other matrix is scaled by its
+    own power of two to an inf-norm of at most 1/2, where the degree-13 Taylor
+    polynomial is accurate to full double precision, and squared back; no
+    eigendecomposition is used."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.asarray(t, dtype=float)[..., None, None] * np.asarray(m, dtype=float)
+        taylor = (a @ a).any(axis=(-2, -1))
     if not np.isfinite(a).all():
         raise DomainError("the matrix exponential is out of range: t*m has a non-finite entry")
+    x = np.eye(a.shape[-1]) + a
+    if taylor.any():
+        x[taylor] = _taylor_exp(a[taylor])
+    return x
+
+
+def _taylor_exp(a):
+    # exp of each matrix of the stack a (k, n, n) by scaling and squaring
     squarings = np.ceil(np.log2(np.maximum(np.linalg.norm(a, np.inf, axis=(-2, -1)), 0.5) / 0.5))
     a = a / np.ldexp(1.0, squarings.astype(int))[..., None, None]
     x = term = np.eye(a.shape[-1])

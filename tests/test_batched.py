@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from md53c import cli, coadjoint, foliation
 from md53c.catalog import build_algebra, default_grid, family_spec
-from md53c.coadjoint import coadjoint_flow, flow_check, orbit_chart, same_leaf
+from md53c.coadjoint import coadjoint_flow, flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.coadjoint import CheckReport
 from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check, leaf_invariant,
@@ -164,6 +164,42 @@ def test_stacked_maps_match_rows(seed, spec):
         assert np.array_equal(stacked == 0.0, rows == 0.0)
     back = apply_equivalence(emap, apply_equivalence(emap, pts), "inv")
     assert np.all(np.isfinite(back))
+
+
+@pytest.mark.parametrize("family", sorted({s.family for s in GRID}))
+@given(seed=seeds)
+@settings(max_examples=10, deadline=None)
+def test_stacked_blocks_match_members(family, seed):
+    # one _chart call on a (member, row) stack of every grid member of a
+    # family, each member's rows reading its own ad_X2 block, gives each
+    # member's chart bit for bit, the lambda = 0 rows of F3(0) and F5(0)
+    # included; so does one map call per direction on the mapped members,
+    # against apply_equivalence
+    rng = np.random.default_rng(seed)
+    members = [s for s in GRID if s.family == family]
+    blocks = np.array([coadjoint._block(s) for s in members])[:, None]
+    base = _map_points(rng, members[0], 20 * len(members)).reshape(len(members), 20, 5)
+    b, a = rng.uniform(-2.0, 2.0, base.shape[:2]), rng.uniform(-1.5, 1.5, base.shape[:2])
+    got = coadjoint._chart(blocks, base, b, a)
+    for spec, m, *rows in zip(members, blocks, got, base, b, a):
+        pts, base_j, b_j, a_j = rows
+        assert np.array_equal(pts, coadjoint._chart(m[0], base_j, b_j, a_j))
+        if spec.family == "F8":
+            # e^{i phi} as the block holds it is the chart's rotation
+            assert m[0, 0, 0] + 1j * m[0, 1, 0] == cmath.exp(1j * spec.phi)
+        if spec.is_halfplane:
+            # (1 - e^{lambda a}) / lambda continued to -a
+            assert np.array_equal(pts[:, 0], base_j[:, 0] - a_j * base_j[:, 2])
+    mapped = [s for s in members if s in MAPPED]
+    if not mapped:
+        return
+    fwd, inv, _ = foliation._MAPS[family]
+    m = np.array([coadjoint._block(s) for s in mapped])[:, None]
+    pts = _map_points(rng, mapped[0], 20 * len(mapped)).reshape(len(mapped), 20, 5)
+    for fn, direction in ((fwd, "fwd"), (inv, "inv")):
+        want = [apply_equivalence(equivalence_map(s), rows, direction)
+                for s, rows in zip(mapped, pts)]
+        assert np.array_equal(foliation._equivalence(fn, m, pts), want, equal_nan=True)
 
 
 @given(seeds, st.sampled_from(GRID))
@@ -373,7 +409,7 @@ def _one_source_classification(source, n, seed, tol):
     bases, b, a, rt = foliation._draw_samples(
         np.random.default_rng(seed), source, n,
         lambda rng, base: foliation._roundtrip_points(rng, source, base))
-    p, q, r = (coadjoint._chart(source, *v) for v in zip(
+    p, q, r = (coadjoint._chart(coadjoint._block(source), *v) for v in zip(
         bases.reshape(3, -1, 5), b.reshape(3, -1), a.reshape(3, -1)))
     hp = apply_equivalence(emap, p, "fwd")
     positive = foliation.same_leaf(target, hp, apply_equivalence(emap, q, "fwd"), tol)
@@ -454,6 +490,44 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
     for cmd in ("classify", "verify-claims"):
         cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
     assert calls == [(34, 10, 10), (33, 9, 9)]
+
+
+def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
+    # verify-claims flows its 8 members in one mat_exp call; classify maps its
+    # 34 members with one chart, one forward-map and one inverse-map call per
+    # family and stack: 7 families onto F4 and one onto F8(1, pi/2), in one
+    # stack per target, or one source per stack when a stack holds 5
+    # samples; verify-claims maps the same but F4
+    counts, calls = {}, []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def recorded(name, *kernels):
+        grid = getattr(cli, name)
+
+        def wrapper(members, *args, **kwargs):
+            counts.clear()
+            out = grid(members, *args, **kwargs)
+            calls.append((len(members), *(counts.get(k, 0) for k in kernels)))
+            return out
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted(coadjoint, "mat_exp")
+    counted(foliation, "_chart")
+    counted(foliation, "_equivalence")
+    recorded("flow_check_grid", "mat_exp")
+    recorded("verify_classification_grid", "_chart", "_equivalence")
+    for cmd in ("verify-claims", "classify"):
+        cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
+    monkeypatch.setattr(foliation, "_STACK_SAMPLES", 5)
+    cli.main(["classify", "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / "one")])
+    assert calls == [(8, 1), (33, 7, 14), (34, 8, 16), (34, 34, 68)]
 
 
 @pytest.mark.parametrize("args", [("F2", 1e-3), ("F3", 1e-3), ("F3", -1e-3)])
@@ -640,9 +714,10 @@ def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch, 
 
 
 def _scalar_flow_failures(spec, n, seed, tol):
-    """The one-word-at-a-time flow check, kept as the oracle for flow_check:
-    its stream read as (i, t) tuples, the per-step flow, and same_leaf point
-    by point through the coadjoint module, so a patched kernel reaches it."""
+    """The one-word-at-a-time flow check, kept as the oracle for
+    flow_check_grid: its stream read as (i, t) tuples, the per-step flow, and
+    same_leaf point by point through the coadjoint module, so a patched
+    kernel reaches it."""
     sc = build_algebra(spec)
     start, words = _tuple_flow_words(np.random.default_rng(seed), n)
     ends = [_scalar_flow(sc, f, w) for f, w in zip(start, words)]
@@ -654,12 +729,19 @@ def _scalar_flow_failures(spec, n, seed, tol):
 def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch):
     if broken:
         monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
-    for spec in FAMILY_REPS:
-        rep = flow_check(spec, 40, 1729, 1e-8)
-        want = _scalar_flow_failures(spec, 40, 1729, 1e-8)
-        _assert_same_failures(rep.failures, want)
-        assert rep.failures_total == len(want)
-        assert (rep.failures_total > 0) == broken, spec.label()
+    want = [_scalar_flow_failures(spec, 40, 1729, 1e-8) for spec in FAMILY_REPS]
+    # the whole grid in one _flow call, then in blocks of 7 samples, the last
+    # one short, which must give the same bits
+    payloads = []
+    for block in (coadjoint._FLOW_SAMPLES, 60):
+        monkeypatch.setattr(coadjoint, "_FLOW_SAMPLES", block)
+        got = flow_check_grid(FAMILY_REPS, 40, 1729, 1e-8)
+        for spec, rep, failures in zip(FAMILY_REPS, got, want, strict=True):
+            _assert_same_failures(rep.failures, failures)
+            assert rep.failures_total == len(failures)
+            assert (rep.failures_total > 0) == broken, spec.label()
+        payloads.append([rep.to_json() for rep in got])
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("kind,broken", FIBRATION_CASES)
@@ -668,7 +750,7 @@ def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatc
         _break_kernels(monkeypatch)
         monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
     assert {f["kind"] for f in fibration_check(kind, n=200, seed=3).failures} == broken
-    assert (not flow_check(FAMILY_REPS[0], 200, 3, 1e-8).ok) == bool(broken)
+    assert (not flow_check_grid(FAMILY_REPS[:1], 200, 3, 1e-8)[0].ok) == bool(broken)
 
 
 def _c_only_approx_eq(self, other, tol=1e-8):
@@ -780,9 +862,10 @@ def test_draw_follows_the_stream_order(spec):
     extra = rng.random(50)
     *chart_in, got = foliation._draw_samples(np.random.default_rng(11), spec, 50,
                                              lambda rng, base: rng.random(len(base)))
-    pqr = coadjoint._chart(spec, *chart_in).reshape(3, -1, 5)
+    m = coadjoint._block(spec)
+    pqr = coadjoint._chart(m, *chart_in).reshape(3, -1, 5)
     for k, start in enumerate((base, base, shifted)):
-        np.testing.assert_array_equal(pqr[k], coadjoint._chart(spec, start, b[:, k], a[:, k]))
+        np.testing.assert_array_equal(pqr[k], coadjoint._chart(m, start, b[:, k], a[:, k]))
     np.testing.assert_array_equal(got, extra)
 
 
@@ -792,7 +875,7 @@ def test_array_draws_repeat_per_seed(spec):
         *chart_in, rt = foliation._draw_samples(
             np.random.default_rng(seed), spec, n,
             lambda rng, base: foliation._roundtrip_points(rng, spec, base))
-        return (*coadjoint._chart(spec, *chart_in).reshape(3, -1, 5), rt)
+        return (*coadjoint._chart(coadjoint._block(spec), *chart_in).reshape(3, -1, 5), rt)
 
     first = draw(7)
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
@@ -907,25 +990,41 @@ def test_flow_bad_direction_names_it():
 
 
 def _flow_check_words(spec, n, seed):
-    """flow_check's report, and the start points, flat words and flowed
-    points of its one _flow call: (start, i, t, lengths, flowed)."""
+    """flow_check_grid's report of [spec], and the start points, flat words
+    and flowed points of its one _flow call: (start, i, t, lengths, flowed)."""
     calls = []
     flow = coadjoint._flow
 
-    def spy(sc, *args):
-        calls.append((*args, flow(sc, *args)))
-        return calls[-1][-1]
+    def spy(c, *args):
+        out = flow(c, *args)
+        calls.append((*args, out[0]))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coadjoint, "_flow", spy)
-        rep = flow_check(spec, n, seed)
+        [rep] = flow_check_grid([spec], n, seed)
     (call,) = calls
     return rep, call
 
 
+def test_grid_flow_matches_member_flows():
+    # one _flow call under the grid's stacked structures flows each member's
+    # points as that member's own call does, bit for bit
+    c = np.array([build_algebra(spec).c for spec in GRID])
+    rng = np.random.default_rng(5)
+    start = rng.uniform(-2.0, 2.0, (200, 5))
+    lengths = rng.integers(0, 7, 200)
+    i = rng.integers(1, 6, lengths.sum())
+    t = rng.uniform(-1.5, 1.5, lengths.sum())
+    got = coadjoint._flow(c, start, i, t, lengths)
+    assert got.shape == (len(GRID), 200, 5)
+    for member, flowed in zip(c, got):
+        assert np.array_equal(flowed, coadjoint._flow(member, start, i, t, lengths))
+
+
 def _tuple_flow_words(rng, n):
     """The flow words as (i, t) tuples, drawn from the stream of
-    flow_check, as the flow check read them before it took them flat."""
+    flow_check_grid, as the flow check read them before it took them flat."""
     start = rng.uniform(-2.0, 2.0, (n, 5))
     ends = np.cumsum(rng.integers(1, 7, n)).tolist()
     steps = list(zip(rng.integers(1, 6, ends[-1]).tolist(),

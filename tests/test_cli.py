@@ -90,7 +90,8 @@ REPORT_KEYS = {"check", "source", "target", "n", "seed", "tol", "failures", "fai
 def test_every_sampled_check_reports_one_record(tmp_path):
     _, md = run_json(["verify-md", "--md-samples", "100"], tmp_path, "md.json")
     _, cl = run_json(["classify", "--samples", "10"], tmp_path, "cl.json")
-    flow = json.loads(json.dumps(coadjoint.flow_check(family_spec("F1", -2, 3), 10).to_json()))
+    [flow] = coadjoint.flow_check_grid([family_spec("F1", -2, 3)], 10)
+    flow = json.loads(json.dumps(flow.to_json()))
     records = md["entries"] + cl["checks"] + cl["fibration"] + [flow]
     assert len(records) == 36 + 34 + 2 + 1
     assert all(set(r) == REPORT_KEYS for r in records)

@@ -6,6 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from md53c import lie_core
+from md53c.catalog import build_algebra, default_grid
 from md53c.errors import DomainError
 from md53c.lie_core import (
     StructureConstants,
@@ -125,6 +127,50 @@ def test_mat_exp_against_scipy():
         want = scipy.linalg.expm(t * m)
         got = mat_exp(m, t)
         assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
+
+
+def _grid_ads():
+    # ad_X1..ad_X5 of every grid member, shape (36, 5, 5, 5)
+    return np.array([[ad_matrix(build_algebra(spec), i) for i in range(1, 6)]
+                     for spec in default_grid()])
+
+
+def test_mat_exp_on_the_grid_against_scipy():
+    ad = _grid_ads()
+    for t in (-1.5, -0.3, 0.7, 2.0):
+        got = mat_exp(ad, t).reshape(-1, 5, 5)
+        for a, g in zip(ad.reshape(-1, 5, 5), got):
+            want = scipy.linalg.expm(t * a)
+            assert np.abs(g - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_square_zero_steps_are_exact(monkeypatch):
+    # ad_X1, ad_X3, ad_X4 and ad_X5 square to zero on every grid member, and
+    # ad_X2 on none, so a stack of all five mixes both paths; only the ad_X2
+    # steps take the Taylor path
+    ad = _grid_ads()
+    nil = ~(ad @ ad).any(axis=(-2, -1))
+    assert nil[:, [0, 2, 3, 4]].all() and not nil[:, 1].any()
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-2.0, 2.0, nil.shape)
+    taylor, seen = lie_core._taylor_exp, []
+    monkeypatch.setattr(lie_core, "_taylor_exp", lambda a: seen.append(len(a)) or taylor(a))
+    got = mat_exp(ad, t)
+    assert seen == [len(ad)]
+    monkeypatch.undo()
+    assert np.array_equal(got[nil], np.eye(5) + t[nil][:, None, None] * ad[nil])
+    # on these sparse matrices the Taylor path gives the same bits, so no
+    # flow moved when the exact steps came in
+    assert np.array_equal(got[nil], lie_core._taylor_exp(t[nil][:, None, None] * ad[nil]))
+    for a, tt, g in zip(ad.reshape(-1, 5, 5), t.ravel(), got.reshape(-1, 5, 5)):
+        assert np.array_equal(g, mat_exp(a, tt))
+    # the finiteness check comes first, on square-zero matrices too
+    with pytest.raises(DomainError):
+        mat_exp(ad[0, 0], np.inf)
+    bad = ad.copy()
+    bad[5, 3, 0, 4] = np.nan
+    with pytest.raises(DomainError):
+        mat_exp(bad, t)
 
 
 @st.composite
