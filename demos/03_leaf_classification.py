@@ -42,8 +42,9 @@ print("leaf preserved?",
       same_leaf(emap.target, apply_equivalence(emap, a), apply_equivalence(emap, b), tol=1e-6))
 
 # The sampled verifier does this wholesale: positive pairs, negative pairs,
-# and round-trips, for any list of grid entries, each against its own
-# representative.
+# and round-trips, for any list of grid entries that have a map, each
+# against its own representative; F3(0) and F5(0), whose leaves are
+# half-planes, have none and raise UnsupportedMap.
 [rep] = verify_classification_grid([spec], n=300, seed=7)
 print(f"classification check of {rep.source} onto {rep.target}: n={rep.n}, ok={rep.ok}, "
       f"failures={rep.failures_total}")

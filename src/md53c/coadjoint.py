@@ -103,10 +103,7 @@ def _flow(c, F, i, t, lengths):
 
 
 def _phi(lam, a):
-    # (1 - e^{lam a}) / lam, continued to -a at lam = 0, elementwise; the lam
-    # of one block is a scalar, which needs no mask
-    if lam.ndim == 0:
-        return -a if lam == 0.0 else -np.expm1(lam * a) / lam
+    # (1 - e^{lam a}) / lam, continued to -a at lam = 0, elementwise
     zero = lam == 0.0
     return np.where(zero, -a, -np.expm1(lam * a) / np.where(zero, 1.0, lam))
 
@@ -318,9 +315,12 @@ def _collect(rep, checks):
                             for kind, bad, fields in checks if bad[i])
 
 
-# samples per _flow call of the flow check, summed over the members: a call
-# holds about 3 KB a sample, no more than one member's flow at n = 1000 did
-_FLOW_SAMPLES = 1024
+# samples per kernel call of a grid check, summed over the members of the
+# call, unless one member has more: every member at small n, and at large n
+# few enough that the samples held at once stay few and the calls'
+# temporaries stay small; a _flow call holds about 3 KB a sample, no more
+# than one member's flow at n = 1000 did
+_STACK_SAMPLES = 1024
 
 
 def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
@@ -332,7 +332,7 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
 
     One pass: every member's stream draws the same points and words, so they
     are drawn once; one _flow call, so one mat_exp call, flows every step of
-    every member, _FLOW_SAMPLES samples of members at a time, and each member
+    every member, _STACK_SAMPLES samples of members at a time, and each member
     then makes one same_leaf call.  One CheckReport per member, in order."""
     n = int(n)
     if n < 1:
@@ -347,7 +347,7 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     ends = np.empty((len(c), n, 5))
     # each word's first step, and the samples of one _flow call
     first = np.concatenate(([0], np.cumsum(lengths)))
-    size = max(1, _FLOW_SAMPLES // max(1, len(c)))
+    size = max(1, _STACK_SAMPLES // max(1, len(c)))
     for lo in range(0, n, size):
         rows, at = slice(lo, lo + size), slice(first[lo], first[min(lo + size, n)])
         ends[:, rows] = _flow(c, start[rows], i[at], t[at], lengths[rows])

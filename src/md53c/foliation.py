@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _REPRESENTATIVE
-from .coadjoint import CheckReport, _block, _chart, _collect, _rot, orbit_chart, same_leaf
+from .coadjoint import (_STACK_SAMPLES, CheckReport, _block, _chart, _collect, _rot, orbit_chart,
+                        same_leaf)
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
 __all__ = [
@@ -293,19 +294,26 @@ def apply_equivalence(emap, p, direction="fwd"):
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (5,) or p.ndim > 2:
         raise InvalidParams("point must have 5 coordinates")
+    _require_V(p)
+    _require_formula(emap)
+    if direction not in ("fwd", "inv"):
+        raise InvalidParams("direction must be 'fwd' or 'inv'")
+    fwd, inv, _ = _MAPS[emap.source.family]
+    return _equivalence(fwd if direction == "fwd" else inv, _block(emap.source),
+                        p.reshape(-1, 5)).reshape(p.shape)
+
+
+def _require_V(p):
     if not np.all(in_V(p)):
         raise DomainError("point lies outside V: (z, t, s) = 0")
-    src = emap.source
-    if src.is_halfplane:
+
+
+def _require_formula(emap):
+    if emap.source.is_halfplane:
         raise UnsupportedMap(
             f"{emap.name} has no printed formula at lambda = 0; those leaves are "
             "half-planes and no map is checked for them"
         )
-    if direction not in ("fwd", "inv"):
-        raise InvalidParams("direction must be 'fwd' or 'inv'")
-    fwd, inv, _ = _MAPS[src.family]
-    return _equivalence(fwd if direction == "fwd" else inv, _block(src),
-                        p.reshape(-1, 5)).reshape(p.shape)
 
 
 def _equivalence(fn, m, p):
@@ -392,12 +400,6 @@ def _draw_samples(rng, spec, n, extra):
     return np.concatenate((base, base, shifted)), b.T.ravel(), a.T.ravel(), extra(rng, base)
 
 
-# samples per stack of the grid check, unless one source has more: every
-# source of one target at small n, and at large n few enough that the samples
-# held at once stay few and the calls' temporaries stay small
-_STACK_SAMPLES = 1024
-
-
 def _member_draws(streams, n, seed):
     """Per (map, report) of streams, which lists them by the key (family, phi)
     of their draw: the map, the report, and the _chart inputs and round-trip
@@ -410,9 +412,9 @@ def _member_draws(streams, n, seed):
             yield emap, rep, chart_in, rt
 
 
-def _stacked(arrays):
-    # the arrays on a new first axis, one array as a view: no copy at large n
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+def _joined(arrays):
+    # the arrays joined on their first axis, one array as a view: no copy at large n
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _map_family(members):
@@ -423,11 +425,13 @@ def _map_family(members):
     images, checks) per member."""
     fwd, inv, _ = _MAPS[members[0][0].source.family]
     m = np.array([_block(emap.source) for emap, *_ in members])[:, None]
-    base, b, a = map(_stacked, zip(*(chart_in for *_, chart_in, _ in members)))
-    rt = _stacked([r for *_, r in members])
+    base, b, a, rt = (_joined([x[None] for x in xs])
+                      for xs in zip(*(chart_in + [rt] for *_, chart_in, rt in members)))
     k, n = rt.shape[:2]
     pqr = _chart(m, base, b, a)
-    images = _equivalence(fwd, m, np.concatenate((pqr, rt), axis=1)).reshape(k, 4, n, 5)
+    pqrt = np.concatenate((pqr, rt), axis=1)
+    _require_V(pqrt)
+    images = _equivalence(fwd, m, pqrt).reshape(k, 4, n, 5)
     image = images[:, 3]
     # an image off V or not finite has no inverse to check
     off = ~(np.isfinite(image).all(axis=2) & in_V(image))
@@ -442,8 +446,7 @@ def _map_family(members):
 def _classification_stack(target, members, tol):
     """Test the positive and the negative pairs of members, _map_family items
     of one target, in one same_leaf call each; fill in their reports."""
-    hp, hq, hr = (h[0] if len(h) == 1 else np.concatenate(h)
-                  for h in zip(*(images for _, _, images, _ in members)))
+    hp, hq, hr = map(_joined, zip(*(images for _, _, images, _ in members)))
     positive = np.split(same_leaf(target, hp, hq, tol), len(members))
     negative = np.split(same_leaf(target, hp, hr, tol), len(members))
     for (rep, (p, q, r), _, checks), pos, neg in zip(members, positive, negative):
@@ -464,10 +467,12 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
     the sources of one family make one chart, one forward-map and one
     inverse-map call, each reading every source's parameters from its ad_X2
     block, row by row; the same-leaf tests of the stack run in one call per
-    relation.  One CheckReport per source, in order."""
+    relation.  One CheckReport per source, in order.  A half-plane source,
+    F3(0) or F5(0), has no map: UnsupportedMap, before anything is drawn."""
     reports, groups = [], {}
     for source in sources:
         emap = equivalence_map(source)
+        _require_formula(emap)
         reports.append(CheckReport("classification", source.label(), emap.target.label(),
                                    int(n), int(seed), float(tol)))
         streams = groups.setdefault(emap.target, {})

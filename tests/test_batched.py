@@ -14,6 +14,7 @@ oracles."""
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,6 +531,38 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
     assert calls == [(8, 1), (33, 7, 14), (34, 8, 16), (34, 34, 68)]
 
 
+@pytest.mark.parametrize("source", [family_spec("F3", 0.0), family_spec("F5", 0.0)])
+def test_grid_rejects_halfplane_sources(source, monkeypatch):
+    # the half-plane members have no map, as apply_equivalence says; the grid
+    # check raises the same, alone or among mapped sources, before it draws
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(foliation, "_draw_samples", no_draw)
+    emap = equivalence_map(source)
+    with pytest.raises(UnsupportedMap, match=re.escape(emap.name)):
+        verify_classification_grid([source], n=5)
+    with pytest.raises(UnsupportedMap, match=re.escape(emap.name)):
+        verify_classification_grid([MAPPED[0], source], n=5)
+    with pytest.raises(UnsupportedMap, match=re.escape(emap.name)):
+        verify_classification((source, emap.target), n=5)
+
+
+def test_grid_rejects_chart_points_off_V(monkeypatch):
+    # a chart point with (z, t, s) = 0 raises DomainError, as apply_equivalence
+    # raises on it, not a report built from the map's poles
+    chart = foliation._chart
+
+    def flattened(*args):
+        out = chart(*args)
+        out[..., 0, 2:] = 0.0
+        return out
+
+    monkeypatch.setattr(foliation, "_chart", flattened)
+    with pytest.raises(DomainError):
+        verify_classification_grid(MAPPED, n=5)
+
+
 @pytest.mark.parametrize("args", [("F2", 1e-3), ("F3", 1e-3), ("F3", -1e-3)])
 def test_map_out_of_range_is_a_failure(args):
     # |v|^(1/lambda) under- or overflows: a round-trip row's image leaves V
@@ -733,8 +766,8 @@ def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch):
     # the whole grid in one _flow call, then in blocks of 7 samples, the last
     # one short, which must give the same bits
     payloads = []
-    for block in (coadjoint._FLOW_SAMPLES, 60):
-        monkeypatch.setattr(coadjoint, "_FLOW_SAMPLES", block)
+    for block in (coadjoint._STACK_SAMPLES, 60):
+        monkeypatch.setattr(coadjoint, "_STACK_SAMPLES", block)
         got = flow_check_grid(FAMILY_REPS, 40, 1729, 1e-8)
         for spec, rep, failures in zip(FAMILY_REPS, got, want, strict=True):
             _assert_same_failures(rep.failures, failures)
