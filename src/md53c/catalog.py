@@ -13,6 +13,7 @@ families 1..7, F8(1, pi/2) for family 8).  Everything else about a family is
 derived from its record.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -199,27 +200,41 @@ def family_spec(family, *args, lambda1=None, lambda2=None, lam=None, phi=None):
 _REPRESENTATIVE = {name: family_spec(*fam.target) for name, fam in _FAMILIES.items()}
 
 
+@functools.lru_cache(maxsize=64)
 def ad2_block(spec):
-    """The 3x3 matrix of ad_X2 on the derived ideal span{X3, X4, X5}."""
-    return np.array(_FAMILIES[spec.family].block(*spec.params()), dtype=float)
+    """The 3x3 matrix of ad_X2 on the derived ideal span{X3, X4, X5}, built
+    once per spec and cached: the array is read-only, so copy it to write."""
+    m = np.array(_FAMILIES[spec.family].block(*spec.params()), dtype=float)
+    m.flags.writeable = False
+    return m
+
+
+def _structure_grid(grid):
+    """Structure arrays (M, 5, 5, 5) of the members of grid, a list of
+    FamilySpecs, from their stacked ad_X2 blocks: bit for bit build_algebra's."""
+    blocks = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3).transpose(0, 2, 1)
+    c = np.zeros((len(blocks), 5, 5, 5))
+    c[:, 0, 1, 2], c[:, 1, 0, 2] = 1.0, -1.0
+    # [X2, X_{col+3}] is column col of the block; a zero entry, -0.0 too, is +0.0
+    c[:, 1, 2:, 2:], c[:, 2:, 1, 2:] = blocks + 0.0, 0.0 - blocks
+    return c
 
 
 def build_algebra(spec):
-    """Structure constants of the algebra: [X1,X2]=X3 plus the ad_X2 block."""
-    block = ad2_block(spec)
-    entries = [(1, 2, 3, 1.0)]
-    for col in range(3):
-        for row in range(3):
-            v = block[row, col]
-            if v != 0.0:
-                entries.append((2, col + 3, row + 3, float(v)))
-    return StructureConstants(5, entries)
+    """Structure constants of the algebra: [X1,X2]=X3 plus the ad_X2 block,
+    in a writable array of its own."""
+    return StructureConstants.from_array(_structure_grid([spec])[0])
+
+
+# the fixed verification grid, built once
+_GRID = tuple(family_spec(name, *params) for name, fam in _FAMILIES.items()
+              for params in fam.grid)
 
 
 def default_grid():
-    """The fixed verification grid, as a list: the members that the batch
-    checks and every CLI subcommand run on."""
-    return [family_spec(name, *params) for name, fam in _FAMILIES.items() for params in fam.grid]
+    """The fixed verification grid: the members that the batch checks and
+    every CLI subcommand run on, as a new list of the specs built at import."""
+    return list(_GRID)
 
 
 def _keys(z):

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, ad2_block, build_algebra,
-                      default_grid, family_spec, jordan_signature_grid)
+from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, _structure_grid, ad2_block,
+                      build_algebra, default_grid, family_spec, jordan_signature_grid)
 from .coadjoint import (coadjoint_flow, flow_check_grid, kirillov_form_rank, md_property_grid,
                         orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
@@ -130,7 +130,7 @@ def _parse_delta0(text):
 def cmd_catalog(config, args):
     grid = default_grid()
     # the structure checks and the Jordan data of the whole grid, one call each
-    c = np.array([build_algebra(spec).c for spec in grid])
+    c = _structure_grid(grid)
     defects, dims = jacobi_defect(c), derived_subalgebra(c)[0]
     signatures = jordan_signature_grid(grid)
     entries = []
@@ -138,7 +138,7 @@ def cmd_catalog(config, args):
         entry = dict(spec.to_json())
         entry.update({
             "label": spec.label(),
-            "matrix": [[float(v) for v in row] for row in ad2_block(spec)],
+            "matrix": ad2_block(spec).tolist(),
             "jacobi_defect": float(defect),
             "derived_dim": int(dim),
             "jordan_blocks": [list(b) for b in blocks],

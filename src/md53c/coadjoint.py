@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import ad2_block, build_algebra
+from .catalog import _structure_grid, ad2_block
 from .errors import InvalidParams
 from .lie_core import derived_subalgebra, jacobi_defect, mat_exp
 
@@ -108,15 +108,6 @@ def _phi(lam, a):
     return np.where(zero, -a, -np.expm1(lam * a) / np.where(zero, 1.0, lam))
 
 
-@functools.lru_cache(maxsize=64)
-def _block(spec):
-    # ad2_block once per family member: the chart and the candidate times
-    # read it on every call
-    m = ad2_block(spec)
-    m.flags.writeable = False
-    return m
-
-
 def _rot(m):
     # e^{i phi} of family 8's rotation block, or of each of a stack of them
     return m[..., 0, 0] + 1j * m[..., 1, 0]
@@ -176,7 +167,7 @@ class OrbitChart:
     def eval(self, b, a):
         if self.dim == 0:
             return np.array(self.base)
-        return _chart(_block(self.spec), np.array(self.base), b, a)
+        return _chart(ad2_block(self.spec), np.array(self.base), b, a)
 
 
 def orbit_chart(spec, F, tol=1e-9):
@@ -199,7 +190,7 @@ def _leaf_times(spec, pq, eps_pq):
     points, each measured against its own point's scale, and is pure when
     every coordinate that couples into it vanishes at both points.
     """
-    m = _block(spec)
+    m = ad2_block(spec)
     vp, vq = pq[..., 2:]
     big_p, big_q = np.abs(pq[..., 2:]) > eps_pq[..., None]
     usable = big_p & big_q & (vp * vq > 0.0)
@@ -269,7 +260,7 @@ def _same_leaf(spec, p, q, tol):
     for a in _leaf_times(spec, pq, eps_pq):
         if decided.all():
             break
-        r = _chart(_block(spec), p, q[:, 1], a)
+        r = _chart(ad2_block(spec), p, q[:, 1], a)
         bound = tol * np.maximum(1.0, np.maximum(np.abs(q), np.abs(r)))
         hit = ~decided & (np.abs(q - r) <= bound).all(axis=1)
         out |= hit
@@ -343,7 +334,7 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     lengths = rng.integers(1, 7, n)
     steps = int(lengths.sum())
     i, t = rng.integers(1, 6, steps), rng.uniform(-1.0, 1.0, steps)
-    c = np.array([build_algebra(spec).c for spec in grid]).reshape(-1, 5, 5, 5)
+    c = _structure_grid(grid)
     ends = np.empty((len(c), n, 5))
     # each word's first step, and the samples of one _flow call
     first = np.concatenate(([0], np.cumsum(lengths)))
@@ -391,7 +382,7 @@ def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
     if int(n) < 1:
         # a check over no samples would pass vacuously
         raise InvalidParams("n must be >= 1")
-    c = np.array([build_algebra(spec).c for spec in grid]).reshape(-1, 5, 5, 5)
+    c = _structure_grid(grid)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
     k = max(1, pts.shape[0] // 20)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _REPRESENTATIVE
-from .coadjoint import (_STACK_SAMPLES, CheckReport, _block, _chart, _collect, _rot, orbit_chart,
-                        same_leaf)
+from .catalog import _REPRESENTATIVE, ad2_block
+from .coadjoint import _STACK_SAMPLES, CheckReport, _chart, _collect, _rot, orbit_chart, same_leaf
 from .errors import DomainError, InvalidParams, UnsupportedMap
 
 __all__ = [
@@ -299,7 +298,7 @@ def apply_equivalence(emap, p, direction="fwd"):
     if direction not in ("fwd", "inv"):
         raise InvalidParams("direction must be 'fwd' or 'inv'")
     fwd, inv, _ = _MAPS[emap.source.family]
-    return _equivalence(fwd if direction == "fwd" else inv, _block(emap.source),
+    return _equivalence(fwd if direction == "fwd" else inv, ad2_block(emap.source),
                         p.reshape(-1, 5)).reshape(p.shape)
 
 
@@ -366,7 +365,7 @@ def _sample_base(rng, spec, n):
 
 def _roundtrip_safe(spec, p):
     # row by row for an (N, 5) stack: every seam quantity at least 1e-3 from 0
-    seams = _MAPS[spec.family][2](_block(spec), *p[:, 2:].T)
+    seams = _MAPS[spec.family][2](ad2_block(spec), *p[:, 2:].T)
     return np.abs([np.full(len(p), np.inf), *seams]).min(axis=0) >= 1e-3
 
 
@@ -424,7 +423,7 @@ def _map_family(members):
     member's rows reading its own ad_X2 block: (report, (p, q, r), their
     images, checks) per member."""
     fwd, inv, _ = _MAPS[members[0][0].source.family]
-    m = np.array([_block(emap.source) for emap, *_ in members])[:, None]
+    m = np.array([ad2_block(emap.source) for emap, *_ in members])[:, None]
     base, b, a, rt = (_joined([x[None] for x in xs])
                       for xs in zip(*(chart_in + [rt] for *_, chart_in, rt in members)))
     k, n = rt.shape[:2]
@@ -445,10 +444,11 @@ def _map_family(members):
 
 def _classification_stack(target, members, tol):
     """Test the positive and the negative pairs of members, _map_family items
-    of one target, in one same_leaf call each; fill in their reports."""
+    of one target, in one same_leaf call; fill in their reports."""
     hp, hq, hr = map(_joined, zip(*(images for _, _, images, _ in members)))
-    positive = np.split(same_leaf(target, hp, hq, tol), len(members))
-    negative = np.split(same_leaf(target, hp, hr, tol), len(members))
+    # same_leaf decides each row alone, so each relation gets its own mask
+    both = same_leaf(target, np.concatenate((hp, hp)), np.concatenate((hq, hr)), tol)
+    positive, negative = (np.split(half, len(members)) for half in np.split(both, 2))
     for (rep, (p, q, r), _, checks), pos, neg in zip(members, positive, negative):
         _collect(rep, [("positive", ~pos, {"p": p, "q": q}),
                        ("negative", neg, {"p": p, "q": r}), *checks])
@@ -466,9 +466,10 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
     stacks of _STACK_SAMPLES samples, so memory stays flat.  Within a stack,
     the sources of one family make one chart, one forward-map and one
     inverse-map call, each reading every source's parameters from its ad_X2
-    block, row by row; the same-leaf tests of the stack run in one call per
-    relation.  One CheckReport per source, in order.  A half-plane source,
-    F3(0) or F5(0), has no map: UnsupportedMap, before anything is drawn."""
+    block, row by row; the positive and negative same-leaf tests of the
+    stack run in one call.  One CheckReport per source, in order.  A
+    half-plane source, F3(0) or F5(0), has no map: UnsupportedMap, before
+    anything is drawn."""
     reports, groups = [], {}
     for source in sources:
         emap = equivalence_map(source)
@@ -525,7 +526,8 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     Samples are drawn as arrays as in verify_classification_grid, F2 then
     drawing g1, g2 and a chart parameter (b, a) as one (n, 6) array; all are
     checked at once, the leaf invariant of the stack p computed once and
-    compared with those of q, r and the paired points."""
+    compared with those of q, r and the paired points, and p tested against
+    the three in one same_leaf call."""
     if kind not in ("F1", "F2"):
         raise InvalidParams("fibration kind must be 'F1' or 'F2'")
     spec = _REPRESENTATIVE["F4" if kind == "F1" else "F8"]
@@ -535,7 +537,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     extra = (lambda rng, base: ()) if kind == "F1" else \
         (lambda rng, base: rng.uniform([-2.0, -_AMAX] * 3, [2.0, _AMAX] * 3, (len(base), 6)))
     *chart_in, g = _draw_samples(np.random.default_rng(seed), spec, n, extra)
-    p, q, r = _chart(_block(spec), *chart_in).reshape(3, -1, 5)
+    p, q, r = _chart(ad2_block(spec), *chart_in).reshape(3, -1, 5)
     h = _hard_negatives(kind, p)
     itol = max(tol, 1e-8)
     ip = leaf_invariant(kind, p)
@@ -543,10 +545,13 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
         # p's invariant, computed once, against each row of v
         return ip.approx_eq(leaf_invariant(kind, v), itol)
 
+    # the three relations' rows in one same_leaf call, each row decided alone
+    pos, neg, hard = np.split(same_leaf(spec, np.concatenate((p, p, p)),
+                                        np.concatenate((q, r, h)), tol), 3)
     checks = [
-        ("positive", ~(same_leaf(spec, p, q, tol) & same(q)), {"p": p, "q": q}),
-        ("negative", same_leaf(spec, p, r, tol) | same(r), {"p": p, "q": r}),
-        ("hard-negative", same_leaf(spec, p, h, tol) | same(h), {"p": p, "q": h}),
+        ("positive", ~(pos & same(q)), {"p": p, "q": q}),
+        ("negative", neg | same(r), {"p": p, "q": r}),
+        ("hard-negative", hard | same(h), {"p": p, "q": h}),
     ]
     if kind == "F1":
         _collect(rep, checks)
@@ -556,7 +561,7 @@ def fibration_check(kind, n=1000, seed=1729, tol=1e-8):
     lhs, rhs = rho_apply(g1, rho_apply(g2, p)), rho_apply(g1 + g2, p)
     # (r, a) recovered from coordinates: a from sigma where it is nonzero,
     # else from the angle of z + it
-    qab = _chart(_block(spec), p, g[:, 4], g[:, 5])
+    qab = _chart(ad2_block(spec), p, g[:, 4], g[:, 5])
     with np.errstate(divide="ignore", invalid="ignore"):
         a_rec = np.where(p[:, 4] != 0.0, np.log(qab[:, 4] / p[:, 4]),
                          -np.angle((qab[:, 2] + 1j * qab[:, 3]) / (p[:, 2] + 1j * p[:, 3])))

@@ -8,6 +8,8 @@ index (ad_matrix, flow directions) use the 1-based X-numbering so the code
 reads like the bracket tables it implements.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import DomainError
@@ -92,14 +94,16 @@ def jacobi_defect(sc):
 
     Returns max over i<j<k of the sup-norm of
     [Xi,[Xj,Xk]] + [Xj,[Xk,Xi]] + [Xk,[Xi,Xj]]; zero for a Lie algebra.  For
-    a stack (..., n, n, n) of structure arrays, one defect per array.
+    a stack (..., n, n, n) of structure arrays, one defect per array.  Each
+    of the three cyclic terms of all C(n, 3) triples comes from one batched
+    product: [Xa, [Xb, Xc]] is the row c[b, c] times the matrix c[a].
     """
     c = _structure_array(sc)
-    # d[i, j, k] = [Xi, [Xj, Xk]]; the cyclic sum adds d[j, k, i] and d[k, i, j]
-    d = np.einsum("...jkl,...ilm->...ijkm", c, c)
-    cyc = d + np.moveaxis(d, -2, -4) + np.moveaxis(d, -4, -2)
-    i, j, k = np.indices(d.shape[-4:-1])
-    out = np.abs(cyc[..., (i < j) & (j < k), :]).max(axis=(-2, -1), initial=0.0)
+    ijk = np.array(list(itertools.combinations(range(c.shape[-1]), 3)), dtype=int).reshape(-1, 3).T
+    # the triples as (i, j, k), then as (j, k, i) and as (k, i, j)
+    a, b, e = np.concatenate([np.roll(ijk, -r, axis=0) for r in range(3)], axis=1)
+    terms = np.split((c[..., b, e, None, :] @ c[..., a, :, :])[..., 0, :], 3, axis=-2)
+    out = np.abs(sum(terms)).max(axis=(-2, -1), initial=0.0)
     return float(out) if out.ndim == 0 else out
 
 

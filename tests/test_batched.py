@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from md53c import cli, coadjoint, foliation
-from md53c.catalog import build_algebra, default_grid, family_spec
+from md53c.catalog import ad2_block, build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.coadjoint import CheckReport
@@ -178,7 +178,7 @@ def test_stacked_blocks_match_members(family, seed):
     # against apply_equivalence
     rng = np.random.default_rng(seed)
     members = [s for s in GRID if s.family == family]
-    blocks = np.array([coadjoint._block(s) for s in members])[:, None]
+    blocks = np.array([ad2_block(s) for s in members])[:, None]
     base = _map_points(rng, members[0], 20 * len(members)).reshape(len(members), 20, 5)
     b, a = rng.uniform(-2.0, 2.0, base.shape[:2]), rng.uniform(-1.5, 1.5, base.shape[:2])
     got = coadjoint._chart(blocks, base, b, a)
@@ -195,7 +195,7 @@ def test_stacked_blocks_match_members(family, seed):
     if not mapped:
         return
     fwd, inv, _ = foliation._MAPS[family]
-    m = np.array([coadjoint._block(s) for s in mapped])[:, None]
+    m = np.array([ad2_block(s) for s in mapped])[:, None]
     pts = _map_points(rng, mapped[0], 20 * len(mapped)).reshape(len(mapped), 20, 5)
     for fn, direction in ((fwd, "fwd"), (inv, "inv")):
         want = [apply_equivalence(equivalence_map(s), rows, direction)
@@ -410,7 +410,7 @@ def _one_source_classification(source, n, seed, tol):
     bases, b, a, rt = foliation._draw_samples(
         np.random.default_rng(seed), source, n,
         lambda rng, base: foliation._roundtrip_points(rng, source, base))
-    p, q, r = (coadjoint._chart(coadjoint._block(source), *v) for v in zip(
+    p, q, r = (coadjoint._chart(ad2_block(source), *v) for v in zip(
         bases.reshape(3, -1, 5), b.reshape(3, -1), a.reshape(3, -1)))
     hp = apply_equivalence(emap, p, "fwd")
     positive = foliation.same_leaf(target, hp, apply_equivalence(emap, q, "fwd"), tol)
@@ -498,7 +498,10 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
     # 34 members with one chart, one forward-map and one inverse-map call per
     # family and stack: 7 families onto F4 and one onto F8(1, pi/2), in one
     # stack per target, or one source per stack when a stack holds 5
-    # samples; verify-claims maps the same but F4
+    # samples; verify-claims maps the same but F4.  Each stack tests its
+    # positive and negative pairs in one same_leaf call, and each fibration
+    # check its positive, negative and hard-negative pairs in one; F2 adds
+    # its rho-image test and the probe of the untwisted projection
     counts, calls = {}, []
 
     def counted(module, name):
@@ -509,26 +512,30 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    def recorded(name, *kernels):
-        grid = getattr(cli, name)
+    def recorded(name, *kernels, key=len):
+        check = getattr(cli, name)
 
-        def wrapper(members, *args, **kwargs):
+        def wrapper(first, *args, **kwargs):
             counts.clear()
-            out = grid(members, *args, **kwargs)
-            calls.append((len(members), *(counts.get(k, 0) for k in kernels)))
+            out = check(first, *args, **kwargs)
+            calls.append((key(first), *(counts.get(k, 0) for k in kernels)))
             return out
         monkeypatch.setattr(cli, name, wrapper)
 
     counted(coadjoint, "mat_exp")
     counted(foliation, "_chart")
     counted(foliation, "_equivalence")
+    counted(foliation, "same_leaf")
     recorded("flow_check_grid", "mat_exp")
-    recorded("verify_classification_grid", "_chart", "_equivalence")
+    recorded("verify_classification_grid", "_chart", "_equivalence", "same_leaf")
+    recorded("fibration_check", "same_leaf", key=str)
+    fibrations = [("F1", 1), ("F2", 3)]
     for cmd in ("verify-claims", "classify"):
         cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
     monkeypatch.setattr(foliation, "_STACK_SAMPLES", 5)
     cli.main(["classify", "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / "one")])
-    assert calls == [(8, 1), (33, 7, 14), (34, 8, 16), (34, 34, 68)]
+    assert calls == [(8, 1), (33, 7, 14, 2), *fibrations, (34, 8, 16, 2), *fibrations,
+                     (34, 34, 68, 34), *fibrations]
 
 
 @pytest.mark.parametrize("source", [family_spec("F3", 0.0), family_spec("F5", 0.0)])
@@ -895,7 +902,7 @@ def test_draw_follows_the_stream_order(spec):
     extra = rng.random(50)
     *chart_in, got = foliation._draw_samples(np.random.default_rng(11), spec, 50,
                                              lambda rng, base: rng.random(len(base)))
-    m = coadjoint._block(spec)
+    m = ad2_block(spec)
     pqr = coadjoint._chart(m, *chart_in).reshape(3, -1, 5)
     for k, start in enumerate((base, base, shifted)):
         np.testing.assert_array_equal(pqr[k], coadjoint._chart(m, start, b[:, k], a[:, k]))
@@ -908,7 +915,7 @@ def test_array_draws_repeat_per_seed(spec):
         *chart_in, rt = foliation._draw_samples(
             np.random.default_rng(seed), spec, n,
             lambda rng, base: foliation._roundtrip_points(rng, spec, base))
-        return (*coadjoint._chart(coadjoint._block(spec), *chart_in).reshape(3, -1, 5), rt)
+        return (*coadjoint._chart(ad2_block(spec), *chart_in).reshape(3, -1, 5), rt)
 
     first = draw(7)
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
@@ -1192,7 +1199,7 @@ def test_rank4_kirillov_form_is_reported(monkeypatch):
     spec = family_spec("F1", 2.0, 3.0)
     sc = build_algebra(spec)
     sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
-    monkeypatch.setattr(coadjoint, "build_algebra", lambda _: sc)
+    monkeypatch.setattr(coadjoint, "_structure_grid", lambda _: sc.c[None])
     [rep] = coadjoint.md_property_grid([spec], n=400, seed=3)
     doc = rep.to_json()
     # the payload lists the first 50 failures and counts every one
@@ -1210,7 +1217,7 @@ def _member_md_report(spec, n, seed, tol=1e-9):
     """The dichotomy check of one member, each drawing its own points, as it
     ran before the grid call, kept as the oracle for md_property_grid.  It
     builds the algebra through the module, so a patched build reaches it."""
-    sc = coadjoint.build_algebra(spec)
+    sc = StructureConstants.from_array(coadjoint._structure_grid([spec])[0])
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
     k = max(1, pts.shape[0] // 20)
@@ -1254,15 +1261,16 @@ def _jacobi_broken(c):
 @pytest.mark.parametrize("member", [0, 17, 35])
 @pytest.mark.parametrize("breaks", [_rank4, _jacobi_broken])
 def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
-    build = coadjoint.build_algebra
+    build = coadjoint._structure_grid
 
-    def patched(spec):
-        sc = build(spec)
-        if spec == GRID[member]:
-            breaks(sc.c)
-        return sc
+    def patched(grid):
+        c = build(grid)
+        for spec, member_c in zip(grid, c):
+            if spec == GRID[member]:
+                breaks(member_c)
+        return c
 
-    monkeypatch.setattr(coadjoint, "build_algebra", patched)
+    monkeypatch.setattr(coadjoint, "_structure_grid", patched)
     reps = coadjoint.md_property_grid(GRID, n=400, seed=3)
     want = [_member_md_report(s, 400, 3) for s in GRID]
     # the full failure lists, and the payloads cut from them
@@ -1282,7 +1290,7 @@ def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
         assert doc["failures"] == bad.failures[:50]
         assert {(f["expected"], f["got"]) for f in ranks} == {(2, 4)}
     else:
-        assert jacobi_defect(patched(GRID[member]).c[None])[0] >= 1.0
+        assert jacobi_defect(patched([GRID[member]]))[0] >= 1.0
         # <F, [X2, X3]> = beta leaves the 20 points of the zero slice rank 2
         assert len(ranks) == 20
         assert {(f["expected"], f["got"]) for f in ranks} == {(0, 2)}

@@ -22,7 +22,7 @@ from md53c.catalog import (
     jordan_signature_grid,
 )
 from md53c.errors import InvalidParams
-from md53c.lie_core import ad_matrix, jacobi_defect
+from md53c.lie_core import StructureConstants, ad_matrix, jacobi_defect
 
 
 def test_families_tuple():
@@ -151,6 +151,57 @@ def test_build_algebra_structure():
         assert np.array_equal(ad_matrix(sc, 1)[:, 1], e3)
         assert np.array_equal(ad_matrix(sc, 1)[:, 2:], np.zeros((5, 3)))
         assert np.array_equal(ad_matrix(sc, 2)[2:, 2:], ad2_block(spec))
+
+
+def _entry_structure(block):
+    # the structure array written entry by entry, skipping zeros, as the
+    # bracket table reads: [X1, X2] = X3 and [X2, X_{col+3}] from column col
+    return StructureConstants(5, [(1, 2, 3, 1.0)] + [
+        (2, col + 3, row + 3, float(block[row, col]))
+        for col in range(3) for row in range(3) if block[row, col] != 0.0]).c
+
+
+def _bits_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_structure_grid_matches_the_entry_table(monkeypatch):
+    # the stacked build is bit for bit each member's build_algebra and the
+    # entry table, signs of zero included, also for blocks holding -0.0
+    specs = default_grid() + list(catalog._REPRESENTATIVE.values())
+    got = catalog._structure_grid(specs)
+    assert got.shape == (len(specs), 5, 5, 5) == (44, 5, 5, 5)
+    for spec, c in zip(specs, got):
+        assert _bits_equal(c, build_algebra(spec).c), spec.label()
+        assert _bits_equal(c, _entry_structure(ad2_block(spec))), spec.label()
+    block = catalog.ad2_block
+    monkeypatch.setattr(catalog, "ad2_block", lambda spec: -block(spec))
+    negated = catalog._structure_grid(specs)
+    assert np.signbit(negated[:, 1:3, 1:3]).any()  # -X3 in [X2, X3]
+    for spec, c in zip(specs, negated):
+        assert not np.signbit(c[c == 0.0]).any(), spec.label()
+        assert _bits_equal(c, _entry_structure(-block(spec))), spec.label()
+        assert _bits_equal(c, build_algebra(spec).c), spec.label()
+    assert catalog._structure_grid([]).shape == (0, 5, 5, 5)
+
+
+def test_shared_data_is_copied():
+    # ad2_block is built once per spec and read-only; build_algebra and
+    # default_grid hand out copies the caller may write
+    spec = family_spec("F6", 0.5)
+    block = ad2_block(spec)
+    assert ad2_block(spec) is block and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 7.0
+    sc = build_algebra(spec)
+    assert sc.c.flags.writeable and not np.shares_memory(sc.c, block)
+    sc.c[1, 2:, 2:] = 7.0
+    assert np.array_equal(ad2_block(spec), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    assert np.array_equal(build_algebra(spec).c[1, 2:, 2:], block.T)
+    grid = default_grid()
+    assert default_grid() is not grid and default_grid() == grid
+    grid.clear()
+    assert len(default_grid()) == 36
 
 
 def test_labels():

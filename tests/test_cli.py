@@ -102,16 +102,17 @@ def test_every_sampled_check_reports_one_record(tmp_path):
 def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
     # a member that fails more than 50 times: its record lists 50 failures,
     # and the summary counts every one
-    build = coadjoint.build_algebra
+    build = coadjoint._structure_grid
 
-    def rank4_on_f4(spec):
+    def rank4_on_f4(grid):
         # [X3, X4] = X5 on F4: its form at gamma, sigma != 0 has rank 4
-        sc = build(spec)
-        if spec.family == "F4":
-            sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
-        return sc
+        c = build(grid)
+        for spec, member_c in zip(grid, c):
+            if spec.family == "F4":
+                member_c[2, 3, 4], member_c[3, 2, 4] = 1.0, -1.0
+        return c
 
-    monkeypatch.setattr(coadjoint, "build_algebra", rank4_on_f4)
+    monkeypatch.setattr(coadjoint, "_structure_grid", rank4_on_f4)
     code, doc = run_json(["verify-md", "--md-samples", "400"], tmp_path)
     assert code == 1
     (bad,) = [e for e in doc["entries"] if not e["ok"]]
