@@ -16,7 +16,7 @@ from md53c.cli import main
 # Reduced sample sizes keep this demo quick; the discrepancy set is
 # deterministic and does not depend on the sampling effort.
 out = Path(tempfile.mkdtemp()) / "claims.json"
-code = main(["verify-claims", "--samples", "100", "--md-samples", "1000", "-o", str(out)])
+code = main(["verify-claims", "--samples", "100", "-o", str(out)])
 doc = json.loads(out.read_text())
 
 print(f"exit code {code}; {doc['summary']['claims']} claims checked")
@@ -39,5 +39,5 @@ for claim in doc["claims"]:
 #   md53c ktheory --format text      # six-term diagrams as ASCII grids
 print("\nre-running with the same config is byte-identical:")
 out2 = out.with_name("claims2.json")
-main(["verify-claims", "--samples", "100", "--md-samples", "1000", "-o", str(out2)])
+main(["verify-claims", "--samples", "100", "-o", str(out2)])
 print("identical:", out.read_bytes() == out2.read_bytes())

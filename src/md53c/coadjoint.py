@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import _structure_grid, ad2_block
 from .errors import InvalidParams
-from .lie_core import derived_subalgebra, jacobi_defect, mat_exp
+from .lie_core import derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
 
 __all__ = [
     "kirillov_form_rank",
@@ -29,38 +29,14 @@ __all__ = [
 ]
 
 
-def _skew5_ranks(B, tol):
-    """Ranks of the skew forms stacked on the last axis of B (5, 5, N), without an SVD."""
-    return _triu_ranks(B[np.triu_indices(5, 1)], tol)
-
-
-def _triu_ranks(u, tol):
-    """Ranks of the skew 5x5 forms whose 10 upper-triangle entries, row by
-    row, lie on the first axis of u (10, ...), from their singular values
-    s1, s1, s2, s2, 0: s1^2 + s2^2 = |B|_F^2 / 2, s1^2 s2^2 = sum of squared
-    4x4 principal Pfaffians.  u is scaled in place."""
-    # max |B_ij|, read without an array of the absolute values
-    scale = np.maximum(np.maximum(u.max(axis=0), -u.min(axis=0)), np.finfo(float).tiny)
-    u /= scale  # so that no square over- or underflows
-    b = dict(zip(itertools.combinations(range(5), 2), u))
-    p = 0.5 * np.einsum("i...,i...->...", u, u)
-    q = sum((b[i, j] * b[k, l] - b[i, k] * b[j, l] + b[i, l] * b[j, k]) ** 2
-            for i, j, k, l in itertools.combinations(range(5), 4))
-    s1 = np.sqrt(p + np.sqrt(np.maximum(p * p - q, 0.0)))
-    s2 = np.sqrt(q) / np.maximum(s1, np.finfo(float).tiny)  # not p - sqrt(disc), which cancels
-    thr = tol * np.maximum(1.0 / scale, s1)  # tol * max(1, s1) before scaling
-    return 2 * (s1 > thr) + 2 * (s2 > thr)
-
-
 def kirillov_form_rank(sc, F, tol=1e-9):
-    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its rank: how many of its
-    singular values s1, s1, s2, s2, 0, in closed form, exceed tol * max(1, s1).
-    The rank is the dimension of the coadjoint orbit through F."""
+    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its numeric_rank, the
+    dimension of the coadjoint orbit through F."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (sc.dim,) or sc.dim != 5:
-        raise InvalidParams("need a 5-dimensional algebra and a point of 5 coordinates")
+    if F.shape != (sc.dim,):
+        raise InvalidParams(f"need a point of {sc.dim} coordinates")
     B = np.einsum("ijk,k->ij", sc.c, F)
-    return B, int(_skew5_ranks(B[..., None], tol)[0])
+    return B, numeric_rank(B, tol)
 
 
 def coadjoint_flow(sc, F, word):
@@ -180,38 +156,37 @@ def orbit_chart(spec, F, tol=1e-9):
     return OrbitChart(spec, tuple(float(x) for x in F), 0 if point else 2)
 
 
-def _leaf_times(spec, pq, eps_pq):
+def _leaf_times(m, pq, eps_pq):
     """Candidate flow times a with exp(a M^T) f_p = f_q for the stacked
-    points pq = (p, q) of shape (2, N, 5), one column per coordinate that
-    evolves as a plain exponential: NaN in the rows where that coordinate is
-    unusable, and columns unusable in every row are left out.
+    points pq = (p, q) of shape (2, N, 5) under the ad_X2 block m, one column
+    per coordinate that evolves as a plain exponential: NaN in the rows where
+    that coordinate is unusable, and columns unusable in every row are left
+    out.
 
     A coordinate is usable when it is nonzero with equal signs at both
     points, each measured against its own point's scale, and is pure when
     every coordinate that couples into it vanishes at both points.
     """
-    m = ad2_block(spec)
     vp, vq = pq[..., 2:]
     big_p, big_q = np.abs(pq[..., 2:]) > eps_pq[..., None]
     usable = big_p & big_q & (vp * vq > 0.0)
-    if spec.family == "F8":
-        # (gamma, delta) rotates as one complex coordinate, handled below
-        rates = np.array([0.0, 0.0, m[2, 2]])
-    else:
-        rates = m.diagonal()
-        zero = ~big_p & ~big_q
-        if m[0, 1]:
-            # gamma feeds delta
-            usable[:, 1] &= zero[:, 0]
-        if m[1, 2]:
-            # delta feeds sigma, and so does gamma when it feeds delta
-            usable[:, 2] &= zero[:, 1] & (zero[:, 0] | (m[0, 1] == 0.0))
+    # family 8, the blocks with a (1, 0) entry: (gamma, delta) rotates as one
+    # complex coordinate, handled below, and only sigma has a rate
+    rotation = bool(m[1, 0])
+    rates = m.diagonal() * ([0.0, 0.0, 1.0] if rotation else 1.0)
+    zero = ~big_p & ~big_q
+    if m[0, 1]:
+        # gamma feeds delta
+        usable[:, 1] &= zero[:, 0]
+    if m[1, 2]:
+        # delta feeds sigma, and so does gamma when it feeds delta
+        usable[:, 2] &= zero[:, 1] & (zero[:, 0] | (m[0, 1] == 0.0))
     usable &= rates != 0.0
     times = np.where(usable, np.log(vq / vp) / rates, np.nan)[:, usable.any(axis=0)]
-    if spec.family != "F8":
+    if not rotation:
         return times.T
     wp, wq = vp[:, 0] + 1j * vp[:, 1], vq[:, 0] + 1j * vq[:, 1]
-    c = math.cos(spec.phi)
+    c = m[0, 0]  # cos(phi)
     if abs(c) > 1e-12:
         a = np.log(np.abs(wq) / np.abs(wp)) / c
     else:
@@ -257,10 +232,11 @@ def _same_leaf(spec, p, q, tol):
         frozen = ~decided & flat[0]
         out |= frozen & flat[1] & (np.abs(p[:, 2] - q[:, 2]) <= eps)
         decided |= frozen
-    for a in _leaf_times(spec, pq, eps_pq):
+    m = ad2_block(spec)
+    for a in _leaf_times(m, pq, eps_pq):
         if decided.all():
             break
-        r = _chart(ad2_block(spec), p, q[:, 1], a)
+        r = _chart(m, p, q[:, 1], a)
         bound = tol * np.maximum(1.0, np.maximum(np.abs(q), np.abs(r)))
         hit = ~decided & (np.abs(q - r) <= bound).all(axis=1)
         out |= hit
@@ -298,11 +274,17 @@ class CheckReport:
                 "failures_total": self.failures_total, "ok": self.ok}
 
 
+def _json_row(row):
+    # a failure field's row, each non-finite float as the marker "inf",
+    # "-inf" or "nan": a payload holds finite numbers only
+    return [x if math.isfinite(x) else str(x) for x in row.tolist()]
+
+
 def _collect(rep, checks):
     """Append the failures of (kind, failed, fields) checks, whose mask and
     fields have one row per sample: by sample, then in check order."""
     for i in np.flatnonzero(functools.reduce(np.logical_or, [bad for _, bad, _ in checks])):
-        rep.failures.extend({"kind": kind, **{k: v[i].tolist() for k, v in fields.items()}}
+        rep.failures.extend({"kind": kind, **{k: _json_row(v[i]) for k, v in fields.items()}}
                             for kind, bad, fields in checks if bad[i])
 
 
@@ -351,57 +333,52 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     return reports
 
 
-def _structure_ok(c):
-    """Per structure array of the stack c (M, 5, 5, 5): the Jacobi identity
-    holds, and the derived subalgebra is span{X3, X4, X5}, commutative and
-    killed by ad_X1."""
+# the pairs i < j, and the components of [Xi, Xj] that must be 0: all off
+# X2's row, the X1 and X2 ones on it
+_PAIRS = np.array(list(itertools.combinations(range(5), 2)))
+_VANISH = (_PAIRS != 1).all(axis=1)[:, None] | (np.arange(5) < 2)
+# the 3x3 minors tried, in order, as 0-based rows of F -> <F, [X2, .]>: the
+# ad_X2 block's own rows X3, X4, X5 first, then those with X1's
+_MINOR_ROWS = ((2, 3, 4), (0, 3, 4), (0, 2, 4), (0, 2, 3))
+
+
+def _nonzero_det3(m):
+    # whether det m, m 3x3 floats, is nonzero, decided exactly on integers:
+    # the floats times the largest of their power-of-two denominators
+    ratios = [x.as_integer_ratio() for row in m for x in row]
+    den = max(q for _, q in ratios)
+    a, b, c, d, e, f, g, h, k = (p * (den // q) for p, q in ratios)
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) != 0
+
+
+def md_property_grid(grid):
+    """Certify the structure and the dichotomy of each member of grid, a list
+    of FamilySpecs: every bracket of a pair without X2 is exactly 0, so the
+    Kirillov form is B(F) = e2 ^ v(F), v_j(F) = <F, [X2, Xj]>; no [X2, Xj]
+    has an X1 or X2 component, and the (gamma, delta, sigma) columns of
+    F -> v(F) have a nonzero 3x3 minor, computed exactly.  So B(F) has rank
+    2 where (gamma, delta, sigma) != 0, else 0.  One payload record per
+    member: the rows of its first nonzero minor, and failures naming what
+    broke."""
+    c = _structure_grid(grid)
+    # the structure: the Jacobi identity holds, and the derived subalgebra is
+    # span{X3, X4, X5}, commutative and killed by ad_X1
     rank, vt = derived_subalgebra(c)
     small = [jacobi_defect(c), np.abs(vt[:, :3, :2]).max(axis=(1, 2)),
              np.abs(c[:, 2:, 2:]).max(axis=(1, 2, 3)), np.abs(c[:, 0, 2:]).max(axis=(1, 2))]
-    return (rank == 3) & np.all(np.less_equal(small, 1e-12), axis=0)
-
-
-# sample columns per block of the grid's Kirillov forms: a block's temporaries
-# stay small, so the grid check peaks below the per-member one in memory
-_RANK_BLOCK = 256
-
-
-def md_property_grid(grid, n=10000, seed=1729, tol=1e-9):
-    """Sample n points of the dual and verify, for every member of grid, a
-    list of FamilySpecs (one spec is the grid [spec]), its structure and the
-    dichotomy: the Kirillov form has rank 2 where (gamma, delta, sigma) != 0
-    and rank 0 exactly on the zero slice.  A twentieth of the samples is
-    forced onto thin slices (full zero, gamma = 0, delta = sigma = 0) so both
-    branches are hit.  Ranks are kirillov_form_rank's:
-    2 [s1 > thr] + 2 [s2 > thr], thr = tol * max(1, s1).
-
-    One pass: the points are drawn once, since every member draws the same
-    ones, and the Kirillov forms of all members come from one product of the
-    grid's structure tensor with the points, upper triangles only, in fixed
-    blocks of sample columns.  One CheckReport per member, in grid order."""
-    if int(n) < 1:
-        # a check over no samples would pass vacuously
-        raise InvalidParams("n must be >= 1")
-    c = _structure_grid(grid)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
-    k = max(1, pts.shape[0] // 20)
-    pts[:k, 2:] = 0.0
-    pts[k:2 * k, 2] = 0.0
-    pts[2 * k:3 * k, 3:] = 0.0
-    # row (e, m) holds entry e of the upper triangle of member m's form
-    upper = c.transpose(1, 2, 0, 3)[np.triu_indices(5, 1)].reshape(-1, 5)
-    ranks = np.empty((len(grid), len(pts)), dtype=np.int8)
-    for lo in range(0, len(pts), _RANK_BLOCK):
-        block = pts[lo:lo + _RANK_BLOCK]
-        ranks[:, lo:lo + len(block)] = _triu_ranks(
-            (upper @ block.T).reshape(10, len(grid), len(block)), tol)
-    expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
-    reports = []
-    for spec, ok, got in zip(grid, _structure_ok(c), ranks):
-        reports.append(CheckReport("dichotomy", spec.label(), "rank 0 or 2", len(pts),
-                                   int(seed), float(tol), [] if ok else [{"kind": "structure"}]))
-        _collect(reports[-1], [("rank", got != expected,
-                                {"F": pts, "expected": expected, "got": got})])
+    structure = (rank == 3) & np.all(np.less_equal(small, 1e-12), axis=0)
+    reports = [{"check": "dichotomy", "source": spec.label(),
+                "failures": [] if ok else [{"kind": "structure"}]}
+               for spec, ok in zip(grid, structure)]
+    i, j = _PAIRS.T
+    for m, e in np.argwhere(((c[:, i, j] != 0.0) & _VANISH).any(axis=2)).tolist():
+        reports[m]["failures"].append({"kind": "kernel" if 1 in _PAIRS[e] else "bracket",
+                                       "pair": (_PAIRS[e] + 1).tolist(),
+                                       "bracket": _json_row(c[m, i[e], j[e]])})
+    for rep, cols in zip(reports, c[:, 1, :, 2:].tolist()):
+        rows = next((r for r in _MINOR_ROWS if _nonzero_det3([cols[k] for k in r])), None)
+        rep["minor"] = rows and [k + 1 for k in rows]
+        if rows is None:
+            rep["failures"].append({"kind": "kernel", "minor": 0.0})
+        rep["ok"] = not rep["failures"]
     return reports
-

@@ -16,6 +16,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from md53c.coadjoint import CheckReport
 from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check, leaf_invariant,
                              rho_apply, verify_classification, verify_classification_grid)
 from md53c.lie_core import (StructureConstants, ad_matrix, derived_subalgebra, jacobi_defect,
-                            mat_exp)
+                            mat_exp, numeric_rank)
 
 GRID = default_grid()
 MAPPED = [s for s in GRID if not (s.family in ("F3", "F5") and s.lam == 0.0)]
@@ -489,7 +490,7 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
     monkeypatch.setattr(foliation, "_draw_samples", counted_draw)
     monkeypatch.setattr(cli, "verify_classification_grid", counted_grid)
     for cmd in ("classify", "verify-claims"):
-        cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
+        cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
     assert calls == [(34, 10, 10), (33, 9, 9)]
 
 
@@ -531,9 +532,9 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
     recorded("fibration_check", "same_leaf", key=str)
     fibrations = [("F1", 1), ("F2", 3)]
     for cmd in ("verify-claims", "classify"):
-        cli.main([cmd, "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / cmd)])
+        cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
     monkeypatch.setattr(foliation, "_STACK_SAMPLES", 5)
-    cli.main(["classify", "--samples", "5", "--md-samples", "50", "-o", str(tmp_path / "one")])
+    cli.main(["classify", "--samples", "5", "-o", str(tmp_path / "one")])
     assert calls == [(8, 1), (33, 7, 14, 2), *fibrations, (34, 8, 16, 2), *fibrations,
                      (34, 34, 68, 34), *fibrations]
 
@@ -584,7 +585,11 @@ def test_map_out_of_range_is_a_failure(args):
     assert off.any() and not off.all()
     out = [f for f in rep.failures if f["kind"] == "range"]
     np.testing.assert_array_equal([f["p"] for f in out], rt[off])
-    np.testing.assert_array_equal([f["image"] for f in out], image[off])
+    # a non-finite coordinate of an image is written as its marker
+    assert [f["image"] for f in out] == [[x if math.isfinite(x) else str(x) for x in row]
+                                         for row in image[off].tolist()]
+    assert any(isinstance(x, str) for f in out for x in f["image"]) == \
+        (not np.isfinite(image[off]).all())
     assert {tuple(f["p"]) for f in out}.isdisjoint(
         tuple(f["p"]) for f in rep.failures if f["kind"] == "roundtrip")
     assert any(f["kind"] == "roundtrip" for f in rep.failures)
@@ -1128,124 +1133,124 @@ def test_stacked_structure_checks_match_members(seed, dim):
     assert derived_subalgebra(grid)[0].tolist() == [3] * len(GRID)
 
 
-def _svd_ranks(B, tol):
-    """The Kirillov rank rule before the closed form, kept as the oracle:
-    the singular values above tol * max(1, largest)."""
-    sv = np.linalg.svd(B, compute_uv=False)
-    return (sv > tol * np.maximum(1.0, sv[:, :1])).sum(axis=1)
+def _exact_rank(rows):
+    """The rank of a matrix of floats by Gaussian elimination in Fraction
+    arithmetic, kept as the oracle for the certificate's integer minors."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
-def _skew_forms(rng, s1, s2):
-    # Q J Q^T: a random rotation Q of J = s1 (e1 ^ e2) + s2 (e3 ^ e4), whose
-    # singular values are s1, s1, s2, s2, 0
-    q = np.linalg.qr(rng.normal(size=(len(s1), 5, 5)))[0]
-    j = np.zeros((len(s1), 5, 5))
-    j[:, 0, 1], j[:, 2, 3] = s1, s2
-    return q @ (j - j.transpose(0, 2, 1)) @ q.transpose(0, 2, 1)
-
-
-def _assert_ranks_match_oracle(B, tol=1e-9):
-    got = coadjoint._skew5_ranks(B.transpose(1, 2, 0), tol)
-    assert got.shape == (len(B),) and np.all(got % 2 == 0)
-    sv = np.linalg.svd(B, compute_uv=False)
-    thr = tol * np.maximum(1.0, sv[:, :1])
-    # the two rules may round apart only where s1 or s2 is within 1e-6 of thr
-    clear = (np.abs(sv[:, [0, 2]] - thr) > 1e-6 * thr).all(axis=1)
-    assert np.array_equal(got[clear], _svd_ranks(B, tol)[clear])
-    return got, clear
-
-
-@given(seeds)
-@settings(max_examples=40, deadline=None)
-def test_skew5_ranks_match_svd_rule(seed):
-    rng = np.random.default_rng(seed)
-    n = 600
-    s1 = 10.0 ** rng.uniform(-8.0, 8.0, n) * rng.uniform(1.0, 10.0, n)
-    thr = 1e-9 * np.maximum(1.0, s1)
-    # rank 4 with s2 from s1 down to 1e-12 s1, rank 2 (s2 = 0), and s2 just
-    # off the threshold, at 1e-5 and 1e-4 of it either way
-    s2 = s1 * 10.0 ** rng.uniform(-12.0, 0.0, n) * (rng.random(n) < 0.5)
-    edge = rng.random(n) < 0.3
-    s2[edge] = thr[edge] * (1.0 + rng.choice([-1e-4, -1e-5, 1e-5, 1e-4], edge.sum()))
-    B = _skew_forms(rng, s1, s2)
-    B[rng.random(n) < 0.1] = 0.0
-    got, clear = _assert_ranks_match_oracle(B)
-    assert clear.mean() > 0.99 and set(got) == {0, 2, 4}
-    # scales where the squares of the entries leave the float range
-    for big in (1e150, 1e-150):
-        assert _assert_ranks_match_oracle(big * B)[1].mean() > 0.99
-    # one hyperbolic pair under 1e-12 skew noise stays rank 2
-    noise = rng.normal(size=(n, 5, 5)) * 1e-12
-    got, clear = _assert_ranks_match_oracle(
-        _skew_forms(rng, rng.uniform(0.5, 2.0, n), np.zeros(n)) + noise - noise.transpose(0, 2, 1))
-    assert clear.all() and np.all(got == 2)
-
-
-@given(seeds)
-@settings(max_examples=2, deadline=None)
-def test_skew5_ranks_match_svd_rule_on_the_grid(seed):
-    rng = np.random.default_rng(seed)
-    for spec in GRID:
-        pts = rng.uniform(-3.0, 3.0, (10000, 5))
-        pts[:500, 2:] = 0.0
-        B = build_algebra(spec).c @ pts.T
-        assert np.array_equal(coadjoint._skew5_ranks(B, 1e-9),
-                              _svd_ranks(B.transpose(2, 0, 1), 1e-9)), spec.label()
-
-
-def test_rank4_kirillov_form_is_reported(monkeypatch):
-    # [X3, X4] = X5 pairs gamma with sigma: the form at gamma, sigma != 0 has
-    # rank 4, which the dichotomy check must report
-    spec = family_spec("F1", 2.0, 3.0)
-    sc = build_algebra(spec)
-    sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
-    monkeypatch.setattr(coadjoint, "_structure_grid", lambda _: sc.c[None])
-    [rep] = coadjoint.md_property_grid([spec], n=400, seed=3)
-    doc = rep.to_json()
-    # the payload lists the first 50 failures and counts every one
-    assert not rep.ok and len(doc["failures"]) == 50 < doc["failures_total"] == rep.failures_total
-    assert rep.failures[0] == {"kind": "structure"}
-    assert {(f["expected"], f["got"]) for f in rep.failures[1:]} == {(2, 4)}
-    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 0.0, 1.0])[1] == 4
-    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 1.0, 0.0])[1] == 2
-    # the closed form is for 5x5 forms only
-    with pytest.raises(InvalidParams):
-        coadjoint.kirillov_form_rank(StructureConstants(4), np.zeros(4))
-
-
-def _member_md_report(spec, n, seed, tol=1e-9):
-    """The dichotomy check of one member, each drawing its own points, as it
-    ran before the grid call, kept as the oracle for md_property_grid.  It
-    builds the algebra through the module, so a patched build reaches it."""
+def _member_certificate(spec):
+    """The dichotomy certificate of one member, from its brackets one pair
+    at a time and Fraction arithmetic, kept as the oracle for
+    md_property_grid.  It builds the algebra through the module, so a
+    patched build reaches it."""
     sc = StructureConstants.from_array(coadjoint._structure_grid([spec])[0])
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(max(int(n), 4), 5))
-    k = max(1, pts.shape[0] // 20)
-    pts[:k, 2:] = 0.0
-    pts[k:2 * k, 2] = 0.0
-    pts[2 * k:3 * k, 3:] = 0.0
-    ranks = coadjoint._skew5_ranks(sc.c @ pts.T, tol)
-    expected = np.where(np.linalg.norm(pts[:, 2:], axis=1) > tol, 2, 0)
-    failures = [{"kind": "rank", "F": [float(x) for x in pts[i]], "expected": int(expected[i]),
-                 "got": int(ranks[i])} for i in np.nonzero(ranks != expected)[0]]
     basis = np.linalg.svd([sc.c[i, j] for i in range(5) for j in range(i + 1, 5)])[2]
     structure_ok = (_scalar_jacobi_defect(sc) <= 1e-12 and _member_derived_dim(sc) == 3
                     and np.abs(basis[:3, :2]).max() <= 1e-12
                     and np.abs(sc.c[2:5][:, 2:5]).max() <= 1e-12
                     and np.abs(sc.c[0, 2:5]).max() <= 1e-12)
-    # a failed structure check is one "structure" entry, ahead of the ranks
-    return CheckReport("dichotomy", spec.label(), "rank 0 or 2", len(pts), seed, tol,
-                       ([] if structure_ok else [{"kind": "structure"}]) + failures)
+    failures = [] if structure_ok else [{"kind": "structure"}]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            bracket = sc.c[i, j]
+            # on X2's row only the X1 and X2 components must vanish
+            kind, watched = ("kernel", bracket[:2]) if 1 in (i, j) else ("bracket", bracket)
+            if watched.any():
+                failures.append({"kind": kind, "pair": [i + 1, j + 1],
+                                 "bracket": bracket.tolist()})
+    # the (gamma, delta, sigma) components of [X2, X1], [X2, X3], [X2, X4], [X2, X5]
+    rows = {k: sc.c[1, k, 2:].tolist() for k in (0, 2, 3, 4)}
+    minor = None
+    if _exact_rank(list(rows.values())) == 3:
+        minor = next([a + 1 for a in r] for r in ((2, 3, 4), (0, 3, 4), (0, 2, 4), (0, 2, 3))
+                     if _exact_rank([rows[a] for a in r]) == 3)
+    else:
+        failures.append({"kind": "kernel", "minor": 0.0})
+    return {"check": "dichotomy", "source": spec.label(), "minor": minor,
+            "failures": failures, "ok": not failures}
 
 
-@given(seeds, st.integers(1, 1200))
-@settings(max_examples=8, deadline=None)
-def test_md_grid_matches_member_loop(seed, n):
-    # n crosses the column blocks of the grid's forms; below 4 the check
-    # still draws 4 points
-    got = coadjoint.md_property_grid(GRID, n=n, seed=seed)
-    assert got == [_member_md_report(spec, n, seed) for spec in GRID]
-    assert all(r.ok and r.n == max(n, 4) for r in got)
+def test_md_grid_matches_member_loop():
+    # the grid call gives each member its oracle certificate, and what the
+    # member gets alone
+    got = coadjoint.md_property_grid(GRID)
+    assert got == [_member_certificate(spec) for spec in GRID]
+    assert got == [coadjoint.md_property_grid([spec])[0] for spec in GRID]
+    assert all(r["ok"] for r in got)
+    # the certificate draws nothing
+    state = np.random.get_state()[1].copy()
+    coadjoint.md_property_grid(GRID)
+    assert np.array_equal(np.random.get_state()[1], state)
+
+
+def test_certificate_minors_are_exact(monkeypatch):
+    # F4 with its ad_X2 block scaled by 2**-400: the block's own minor is
+    # 2**-1200, which a float determinant rounds to 0, but it is not 0
+    spec = family_spec("F4")
+    c = build_algebra(spec).c
+    c[1, 2:, 2:] *= 2.0 ** -400
+    c[2:, 1, 2:] *= 2.0 ** -400
+    monkeypatch.setattr(coadjoint, "_structure_grid", lambda _: c[None])
+    [rep] = coadjoint.md_property_grid([spec])
+    assert rep == _member_certificate(spec)
+    assert rep["minor"] == [3, 4, 5] and np.linalg.det(c[1, 2:, 2:]) == 0.0
+
+
+def _dichotomy(pts):
+    # the rank the dichotomy predicts at each row of pts: 2 off the zero slice
+    return np.where(pts[:, 2:].any(axis=1), 2, 0)
+
+
+@given(seeds)
+@settings(max_examples=2, deadline=None)
+def test_numeric_rank_gives_the_dichotomy_on_the_grid(seed):
+    # the sampled evidence that the certificate replaced: numeric_rank of
+    # B(F) on random points and on the thin slices (full zero, gamma = 0,
+    # delta = sigma = 0) is 2 exactly off the zero slice, for every member
+    rng = np.random.default_rng(seed)
+    for spec in GRID:
+        pts = rng.uniform(-3.0, 3.0, (2000, 5))
+        pts[:100, 2:] = 0.0
+        pts[100:200, 2] = 0.0
+        pts[200:300, 3:] = 0.0
+        B = np.einsum("ijk,nk->nij", build_algebra(spec).c, pts)
+        assert np.array_equal(numeric_rank(B, 1e-9), _dichotomy(pts)), spec.label()
+    # kirillov_form_rank is that rule at one point
+    sc = build_algebra(GRID[0])
+    assert [coadjoint.kirillov_form_rank(sc, p)[1] for p in pts[::97]] == \
+        _dichotomy(pts[::97]).tolist()
+
+
+def test_rank4_kirillov_form_is_reported(monkeypatch):
+    # [X3, X4] = X5 pairs gamma with sigma: the form at gamma, sigma != 0 has
+    # rank 4, which the certificate must report as the bracket that breaks it
+    spec = family_spec("F1", 2.0, 3.0)
+    sc = build_algebra(spec)
+    sc.c[2, 3, 4], sc.c[3, 2, 4] = 1.0, -1.0
+    monkeypatch.setattr(coadjoint, "_structure_grid", lambda _: sc.c[None])
+    [rep] = coadjoint.md_property_grid([spec])
+    assert not rep["ok"] and rep["minor"] == [3, 4, 5]
+    assert rep["failures"] == [{"kind": "structure"},
+                               {"kind": "bracket", "pair": [3, 4],
+                                "bracket": [0.0, 0.0, 0.0, 0.0, 1.0]}]
+    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 0.0, 1.0])[1] == 4
+    assert coadjoint.kirillov_form_rank(sc, [0.0, 0.0, 1.0, 1.0, 0.0])[1] == 2
+    # numeric_rank ranks a form of any size; the point must fit the algebra
+    assert coadjoint.kirillov_form_rank(StructureConstants(4), np.zeros(4))[1] == 0
+    with pytest.raises(InvalidParams):
+        coadjoint.kirillov_form_rank(sc, np.zeros(4))
 
 
 def _rank4(c):
@@ -1258,8 +1263,25 @@ def _jacobi_broken(c):
     c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0
 
 
+def _kernel_broken(c):
+    # no [X2, Xk] has an X5 component, so sigma leaves the Kirillov form
+    c[1, :, 4], c[:, 1, 4] = 0.0, 0.0
+
+
+# per mutation: a point where the mutated form breaks the dichotomy, with
+# its rank, and the failures after the structure entry
+_BROKEN = {
+    _rank4: ([0.0, 0.0, 1.0, 0.0, 1.0], 4, lambda c: [
+        {"kind": "bracket", "pair": [3, 4], "bracket": [0.0, 0.0, 0.0, 0.0, 1.0]}]),
+    _jacobi_broken: ([0.0, 1.0, 0.0, 0.0, 0.0], 2, lambda c: [
+        {"kind": "kernel", "pair": [2, 3], "bracket": c[1, 2].tolist()}]),
+    _kernel_broken: ([0.0, 0.0, 0.0, 0.0, 1.0], 0, lambda c: [
+        {"kind": "kernel", "minor": 0.0}]),
+}
+
+
 @pytest.mark.parametrize("member", [0, 17, 35])
-@pytest.mark.parametrize("breaks", [_rank4, _jacobi_broken])
+@pytest.mark.parametrize("breaks", [_rank4, _jacobi_broken, _kernel_broken])
 def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
     build = coadjoint._structure_grid
 
@@ -1271,26 +1293,15 @@ def test_md_grid_reports_a_broken_member_only(breaks, member, monkeypatch):
         return c
 
     monkeypatch.setattr(coadjoint, "_structure_grid", patched)
-    reps = coadjoint.md_property_grid(GRID, n=400, seed=3)
-    want = [_member_md_report(s, 400, 3) for s in GRID]
-    # the full failure lists, and the payloads cut from them
-    assert reps == want
-    assert [r.to_json() for r in reps] == [r.to_json() for r in want]
-    assert [r.ok for r in reps] == [i != member for i in range(len(GRID))]
-    bad = reps[member]
-    assert bad.failures[0] == {"kind": "structure"}
-    ranks = bad.failures[1:]
-    assert all(f["kind"] == "rank" for f in ranks)
-    if breaks is _rank4:
-        # past the cap of 50: the payload lists 50 and counts every one
-        doc = bad.to_json()
-        mismatches = sum(f["kind"] == "rank" for f in want[member].failures)
-        assert mismatches > 50
-        assert doc["failures_total"] == bad.failures_total == 1 + mismatches
-        assert doc["failures"] == bad.failures[:50]
-        assert {(f["expected"], f["got"]) for f in ranks} == {(2, 4)}
-    else:
-        assert jacobi_defect(patched([GRID[member]]))[0] >= 1.0
-        # <F, [X2, X3]> = beta leaves the 20 points of the zero slice rank 2
-        assert len(ranks) == 20
-        assert {(f["expected"], f["got"]) for f in ranks} == {(0, 2)}
+    reps = coadjoint.md_property_grid(GRID)
+    assert reps == [_member_certificate(s) for s in GRID]
+    assert [r["ok"] for r in reps] == [i != member for i in range(len(GRID))]
+    # the failure names the fact that broke, and the form at the witness
+    # point shows the dichotomy broken indeed
+    point, rank, failures = _BROKEN[breaks]
+    c = patched([GRID[member]])[0]
+    assert reps[member]["failures"] == [{"kind": "structure"}, *failures(c)]
+    B, got = coadjoint.kirillov_form_rank(StructureConstants.from_array(c), point)
+    assert got == rank != _dichotomy(np.array([point]))[0]
+    if breaks is _jacobi_broken:
+        assert jacobi_defect(c[None])[0] >= 1.0

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from md53c import coadjoint, ktheory
+from md53c import coadjoint, foliation, ktheory
 from md53c.catalog import family_spec
 from md53c.cli import RunConfig, main
 
@@ -27,7 +27,7 @@ def run_json(args, tmp_path, name="out.json"):
 def test_catalog_payload(tmp_path):
     code, doc = run_json(["catalog"], tmp_path)
     assert code == 0
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["command"] == "catalog"
     assert len(doc["grid"]) == 36
     assert len(doc["families"]) == 8
@@ -66,10 +66,31 @@ def test_orbit_usage_errors(capsys):
 
 
 def test_verify_md_small(tmp_path):
-    code, doc = run_json(["verify-md", "--md-samples", "400"], tmp_path)
+    code, doc = run_json(["verify-md"], tmp_path)
     assert code == 0
     assert doc["summary"] == {"failures": 0, "grid_entries": 36}
     assert len(doc["entries"]) == 36
+    # the certificate draws nothing, so it has no samples, seed or tolerance
+    assert all(set(e) == {"check", "source", "minor", "failures", "ok"} for e in doc["entries"])
+    assert "md_samples" not in doc["config"]
+
+
+def test_md_samples_is_accepted_and_ignored(tmp_path, monkeypatch, capsys):
+    # the benchmark's audit arguments still pass --md-samples; it changes no
+    # byte, and neither does the variable that used to mirror it
+    assert main(["verify-md", "-o", str(tmp_path / "plain.json")]) == 0
+    assert main(["verify-md", "--md-samples", "7", "-o", str(tmp_path / "flag.json")]) == 0
+    monkeypatch.setenv("MD53C_MD_SAMPLES", "junk")
+    assert main(["verify-md", "-o", str(tmp_path / "env.json")]) == 0
+    plain = (tmp_path / "plain.json").read_bytes()
+    assert (tmp_path / "flag.json").read_bytes() == plain == (tmp_path / "env.json").read_bytes()
+    # it is still parsed as an integer, and the help does not list it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify-md", "--md-samples", "many"])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["verify-md", "--help"])
+    assert "--md-samples" not in capsys.readouterr().out
 
 
 def test_classify_small(tmp_path):
@@ -88,24 +109,22 @@ REPORT_KEYS = {"check", "source", "target", "n", "seed", "tol", "failures", "fai
 
 
 def test_every_sampled_check_reports_one_record(tmp_path):
-    _, md = run_json(["verify-md", "--md-samples", "100"], tmp_path, "md.json")
     _, cl = run_json(["classify", "--samples", "10"], tmp_path, "cl.json")
     [flow] = coadjoint.flow_check_grid([family_spec("F1", -2, 3)], 10)
     flow = json.loads(json.dumps(flow.to_json()))
-    records = md["entries"] + cl["checks"] + cl["fibration"] + [flow]
-    assert len(records) == 36 + 34 + 2 + 1
+    records = cl["checks"] + cl["fibration"] + [flow]
+    assert len(records) == 34 + 2 + 1
     assert all(set(r) == REPORT_KEYS for r in records)
-    assert {r["check"] for r in records} == {"dichotomy", "classification", "fibration-F1",
-                                             "fibration-F2", "flow"}
+    assert {r["check"] for r in records} == {"classification", "fibration-F1", "fibration-F2",
+                                             "flow"}
 
 
-def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
-    # a member that fails more than 50 times: its record lists 50 failures,
-    # and the summary counts every one
+def test_verify_md_counts_every_certificate_failure(tmp_path, monkeypatch):
+    # [X3, X4] = X5 on F4 breaks its structure and leaves a bracket off X2's
+    # row: verify-md and verify-claims fail, and count both failures
     build = coadjoint._structure_grid
 
     def rank4_on_f4(grid):
-        # [X3, X4] = X5 on F4: its form at gamma, sigma != 0 has rank 4
         c = build(grid)
         for spec, member_c in zip(grid, c):
             if spec.family == "F4":
@@ -113,29 +132,67 @@ def test_verify_md_counts_failures_past_the_cap(tmp_path, monkeypatch):
         return c
 
     monkeypatch.setattr(coadjoint, "_structure_grid", rank4_on_f4)
-    code, doc = run_json(["verify-md", "--md-samples", "400"], tmp_path)
+    code, doc = run_json(["verify-md"], tmp_path)
     assert code == 1
     (bad,) = [e for e in doc["entries"] if not e["ok"]]
-    assert bad["source"] == "F4" and bad["failures_total"] > 50
-    assert len(bad["failures"]) == 50
-    assert doc["summary"]["failures"] == sum(e["failures_total"] for e in doc["entries"])
-    assert doc["summary"]["failures"] == bad["failures_total"]
-    # verify-claims counts the same: one structure failure, the rest ranks
-    code, doc = run_json(["verify-claims", "--samples", "10", "--md-samples", "400"], tmp_path,
-                         "claims.json")
+    assert bad["source"] == "F4" and bad["minor"] == [3, 4, 5]
+    assert bad["failures"] == [{"kind": "structure"},
+                               {"kind": "bracket", "pair": [3, 4],
+                                "bracket": [0.0, 0.0, 0.0, 0.0, 1.0]}]
+    assert doc["summary"]["failures"] == 2
+    # verify-claims counts the same: the structure failure under md-structure,
+    # the bracket under the dichotomy
+    code, doc = run_json(["verify-claims", "--samples", "10"], tmp_path, "claims.json")
     claims = {c["id"]: c for c in doc["claims"]}
     assert code == 1 and claims["md-structure"]["status"] == "failed"
     dichotomy = claims["orbit-dimension-dichotomy"]
-    assert dichotomy["evidence"]["failures"] == bad["failures_total"] - 1 > 50
+    assert dichotomy["status"] == "failed" and dichotomy["evidence"] == {
+        "grid_entries": 36, "failures": 1}
     assert {"claim": "orbit-dimension-dichotomy",
-            "detail": f"{bad['failures_total'] - 1} rank mismatches"} in doc["failures"]
+            "detail": "1 certificate failures"} in doc["failures"]
+
+
+def _inf_past(forward):
+    # forward, but every image coordinate is inf where |s| > 1.5
+    def patched(m, x, y, z, t, s):
+        return [np.where(np.abs(s) > 1.5, np.inf, col) for col in forward(m, x, y, z, t, s)]
+    return patched
+
+
+def test_classify_counts_failures_past_the_cap(tmp_path, monkeypatch):
+    # F2's forward map overflows on a large share of samples: each F2
+    # record lists 50 failures and counts every one, and so does the summary
+    fwd, inv, seams = foliation._MAPS["F2"]
+    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv, seams))
+    code, doc = run_json(["classify", "--samples", "300"], tmp_path)
+    assert code == 1
+    bad = [c for c in doc["checks"] if not c["ok"]]
+    assert {c["source"][:2] for c in bad} == {"F2"} and len(bad) == 5
+    assert all(c["failures_total"] > 50 == len(c["failures"]) for c in bad)
+    assert doc["summary"]["failures"] == sum(c["failures_total"] for c in bad)
+
+
+def test_non_finite_failure_fields_are_markers(tmp_path, monkeypatch):
+    # a range failure's image can hold inf or NaN: the payload writes the
+    # markers "inf", "-inf" and "nan" and the run exits 1, where it used to
+    # fail on the whole payload with exit 2
+    fwd, inv, seams = foliation._MAPS["F2"]
+    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv, seams))
+    code, doc = run_json(["classify", "--samples", "20"], tmp_path)
+    assert code == 1
+    failures = [f for c in doc["checks"] for f in c["failures"]]
+    ranges = [f for f in failures if f["kind"] == "range"]
+    assert ranges and all(f["image"] == ["inf"] * 5 for f in ranges)
+    assert all(isinstance(v, float) for f in ranges for v in f["p"])
+    # the round trip of an off-V image is not taken: NaN, written as a marker
+    assert {v for f in failures if f["kind"] == "roundtrip" for v in f["back"]} <= {"nan"}
 
 
 def test_halfplane_texts_claim_no_comparison(tmp_path):
     # no check compares the lambda = 0 half-plane leaves, so neither payload
     # may say they are compared
     for args in (["classify", "--samples", "25"],
-                 ["verify-claims", "--samples", "30", "--md-samples", "300"]):
+                 ["verify-claims", "--samples", "30"]):
         out = tmp_path / "out.json"
         assert main([*args, "-o", str(out)]) == 0
         text = out.read_text()
@@ -168,7 +225,7 @@ def test_ktheory_doubled_map_rejected(tmp_path):
     code = main(["ktheory", "--delta0", "2,2", "-o", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert "error" in doc and doc["schema"] == 2
+    assert "error" in doc and doc["schema"] == 3
 
 
 def test_ktheory_empty_delta0_rejected(tmp_path, capsys):
@@ -189,7 +246,7 @@ def test_ktheory_text_grid(capsys):
 
 def test_generic_text_rendering(tmp_path):
     # every payload but ktheory's is dumped key by key
-    args = ["verify-md", "--md-samples", "40", "--format", "text", "-o"]
+    args = ["verify-md", "--format", "text", "-o"]
     assert main([*args, str(tmp_path / "a.txt")]) == 0
     assert main([*args, str(tmp_path / "b.txt")]) == 0
     text = (tmp_path / "a.txt").read_bytes()
@@ -197,8 +254,8 @@ def test_generic_text_rendering(tmp_path):
     lines = text.decode().splitlines()
     top = [line.split(":")[0] for line in lines if not line.startswith(" ")]
     assert top == ["command", "config", "entries", "schema", "summary"]
-    assert "schema: 2" in lines
-    # each CheckReport record is one "-" item with its keys sorted beneath it
+    assert "schema: 3" in lines
+    # each certificate record is one "-" item with its keys sorted beneath it
     starts = [i for i, line in enumerate(lines) if line == "  -"]
     assert len(starts) == 36
     for i in starts:
@@ -208,7 +265,7 @@ def test_generic_text_rendering(tmp_path):
                 break
             if not line.startswith("     "):
                 keys.append(line.split(":")[0].strip())
-        assert keys == sorted(keys) and "failures_total" in keys and "source" in keys
+        assert keys == sorted(keys) and "minor" in keys and "source" in keys
 
 
 def test_text_lists_scalars_one_per_line(tmp_path):
@@ -220,20 +277,38 @@ def test_text_lists_scalars_one_per_line(tmp_path):
     lines = out.read_text().splitlines()
     i = lines.index("point:")
     assert lines[i + 1:i + 7] == ["  - 1.0", "  - 0.0", "  - -1.5", "  - 0.0", "  - 2.0",
-                                  "schema: 2"]
+                                  "schema: 3"]
     assert "orbit_dim: 2" in lines and "  family: F1" in lines
 
 
 def test_env_mirror(tmp_path, monkeypatch):
     monkeypatch.setenv("MD53C_SEED", "7")
-    monkeypatch.setenv("MD53C_MD_SAMPLES", "300")
+    monkeypatch.setenv("MD53C_SAMPLES", "300")
     code, doc = run_json(["verify-md"], tmp_path)
     assert code == 0
     assert doc["config"]["seed"] == 7
-    assert doc["config"]["md_samples"] == 300
+    assert doc["config"]["samples"] == 300
     # flags still win over the environment
-    code, doc = run_json(["verify-md", "--md-samples", "250"], tmp_path, "flag.json")
-    assert doc["config"]["md_samples"] == 250
+    code, doc = run_json(["verify-md", "--samples", "250"], tmp_path, "flag.json")
+    assert doc["config"]["samples"] == 250
+
+
+def test_readme_flag_table_matches_run_config():
+    # the Configuration table of README lists exactly the flags, variables
+    # and defaults generated from the fields of RunConfig, in field order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Configuration", 1)[1].split("\n\n")[2].splitlines()
+    assert table[:2] == ["| Flag | Env var | Default | Meaning |", "| --- | --- | --- | --- |"]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table[2:]]
+    assert all(meaning for *_, meaning in rows)
+    want = []
+    for f in fields(RunConfig):
+        flags = ["--" + f.name.replace("_", "-")] + (["-o"] if f.name == "output" else [])
+        want.append((", ".join(f"`{flag}`" for flag in flags), f"`MD53C_{f.name.upper()}`",
+                     f.default))
+    got = [(flag, env, None if default == "stdout" else f.type(default.strip("`")))
+           for (flag, env, default, _), f in zip(rows, fields(RunConfig))]
+    assert len(rows) == len(want) and got == want
 
 
 # per RunConfig field: an environment value and a different flag value, each
@@ -241,7 +316,6 @@ def test_env_mirror(tmp_path, monkeypatch):
 _SETTINGS = {
     "seed": ("7", "11"),
     "samples": ("5", "6"),
-    "md_samples": ("300", "250"),
     "tol_rank": ("1e-07", "1e-05"),
     "tol_leaf": ("1e-07", "1e-05"),
     "tol_map": ("1e-05", "0.0001"),
@@ -304,7 +378,7 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     out = str(tmp_path / "out")
-    for args in (["catalog"], ["ktheory", "--scenario", "paper"], ["verify-md", "--md-samples", "20"],
+    for args in (["catalog"], ["ktheory", "--scenario", "paper"], ["verify-md"],
                  ["orbit", "--family", "F4", "--point", "1,0,1,0,0"]):
         assert main([*args, "-o", out]) == 0
     assert main(["catalog", "--samples", "0"]) == 2
@@ -380,7 +454,7 @@ def test_package_runs_as_a_module(tmp_path):
 def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):
     # a NaN rank tolerance used to pass every rank check and write NaN
     out = tmp_path / "out.json"
-    assert main(["verify-md", "--md-samples", "50", flag, value, "-o", str(out)]) == 2
+    assert main(["verify-md", flag, value, "-o", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -447,7 +521,7 @@ def test_missing_parameter_names_the_flag(capsys):
 def test_flow_failures_are_all_counted(tmp_path, monkeypatch):
     # every flow sample is counted, not the first 20 per family
     monkeypatch.setattr(coadjoint, "same_leaf", lambda spec, p, q, tol: np.zeros(len(p), bool))
-    code, doc = run_json(["verify-claims", "--samples", "30", "--md-samples", "300"], tmp_path)
+    code, doc = run_json(["verify-claims", "--samples", "30"], tmp_path)
     assert code == 1
     claim = next(c for c in doc["claims"] if c["id"] == "orbit-closed-forms")
     assert claim["status"] == "failed"
@@ -459,7 +533,7 @@ def test_flow_failures_are_all_counted(tmp_path, monkeypatch):
 def test_output_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    args = ["verify-claims", "--samples", "30", "--md-samples", "300"]
+    args = ["verify-claims", "--samples", "30"]
     assert main([*args, "-o", str(a)]) == 0
     assert main([*args, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -475,7 +549,7 @@ def test_six_term_middle_can_fail(tmp_path, monkeypatch):
         return ktheory.AbGroup(ker.free_rank + 1), cok
 
     monkeypatch.setattr(ktheory, "_kernel_cokernel", one_more)
-    code, doc = run_json(["verify-claims", "--samples", "10", "--md-samples", "100"], tmp_path)
+    code, doc = run_json(["verify-claims", "--samples", "10"], tmp_path)
     assert code == 1
     assert doc["summary"]["claims"] == len(doc["claims"]) == 16
     claim = next(c for c in doc["claims"] if c["id"] == "six-term-middle")
@@ -485,7 +559,7 @@ def test_six_term_middle_can_fail(tmp_path, monkeypatch):
 
 
 def test_claims_payload(tmp_path):
-    code, doc = run_json(["verify-claims", "--samples", "30", "--md-samples", "300"], tmp_path)
+    code, doc = run_json(["verify-claims", "--samples", "30"], tmp_path)
     assert code == 0
     assert doc["summary"]["claims"] == 16
     assert doc["summary"]["failures"] == 0

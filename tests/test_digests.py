@@ -16,18 +16,18 @@ README_ORBIT = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
                 "--point", "1,0,1,0,0", "--word", "2:0.693", "--eval", "5,0.693"]
 
 DIGESTS = [
-    (["catalog"], "019b0590e08d15cd93343f958aec07cee9bc147881cd726e76f1c7acca073eba"),
-    (["verify-md"], "1a75bd107fd4851df00136ff9b50aabdcbdc8430e49797f08c321e7cdc377c14"),
-    (["classify"], "9460f5aed1be5d763e04d361853dd71a4ff9bbe4ec5cb179dae531a9430bdd4a"),
-    (["ktheory"], "307b9bc8189bab2b7001c143f1f0caf6b24fb22e2d9f0df2693d4b28b143a833"),
-    (["verify-claims"], "a294e2ac5d2fba24e476797a41bc98ca91d0168537fc9065aa33c0b43d44afdc"),
-    (README_ORBIT, "6ab916f66e3334261fe43bed0c36b64c363933c0a5318f263e415dcdeffa28ea"),
+    (["catalog"], "efc9a873582728916bdb3803f8c11d2462d3e5ccd49d223f810407a4cbc53f44"),
+    (["verify-md"], "6b96835f31a58872f3772e3999059de3f8238d7d7ce9cb890632f9b4ff3b3a14"),
+    (["classify"], "801d92fe17aa867b9bd853fcfed4c54a219510bbbc6953165f65bd0030a4ac7d"),
+    (["ktheory"], "c135bbd7f1f83b692b34549c0845378fc1b0afe27e6fd0177728a3ecd2730f9a"),
+    (["verify-claims"], "fb61bea410cd258d415af7a89513708255b07e28b76b1ef05e50914822bd438a"),
+    (README_ORBIT, "a6a2d83211681f19704cddcf907ac85bac3190b4516bf08ca634a4529cb3e1e1"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", DIGESTS, ids=[a[0] for a, _ in DIGESTS])
 def test_default_payload_digest(args, digest, tmp_path, monkeypatch):
-    for name in ("SEED", "SAMPLES", "MD_SAMPLES", "TOL_RANK", "TOL_LEAF", "TOL_MAP",
+    for name in ("SEED", "SAMPLES", "TOL_RANK", "TOL_LEAF", "TOL_MAP",
                  "OUTPUT", "FORMAT"):
         monkeypatch.delenv(f"MD53C_{name}", raising=False)
     out = tmp_path / "payload.json"

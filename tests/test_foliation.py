@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from md53c.catalog import default_grid, family_spec
-from md53c.coadjoint import flow_check_grid, md_property_grid, orbit_chart, same_leaf
+from md53c.coadjoint import flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (
     apply_equivalence,
@@ -255,7 +255,5 @@ def test_empty_sample_rejected():
     with pytest.raises(InvalidParams):
         verify_classification_grid([family_spec("F2", 2.0)], n=0)
     for n in (0, -3):
-        with pytest.raises(InvalidParams):
-            md_property_grid([family_spec("F2", 2.0)], n=n)
         with pytest.raises(InvalidParams):
             flow_check_grid([family_spec("F2", 2.0)], n=n)

@@ -226,3 +226,8 @@ def test_numeric_rank_skew_pair():
     rng = np.random.default_rng(7)
     noise = rng.normal(size=(5, 5)) * 1e-12
     assert numeric_rank(b + noise - noise.T) == 2
+    # a second pair makes rank 4, also where the squares of the entries
+    # leave the float range; below 1 the threshold is tol itself
+    b4 = b + np.outer(e[2], e[3]) - np.outer(e[3], e[2])
+    assert [numeric_rank(k * b4) for k in (1.0, 1e150, 1e-150)] == [4, 4, 0]
+    assert numeric_rank(np.stack([b4, b])).tolist() == [4, 2]
