@@ -7,14 +7,18 @@ flags win.  Reports carry "schema": 3 and are byte-deterministic for a fixed
 configuration (keys sorted, no timestamps, seeded sampling only).  Every
 sampled check reports as one CheckReport record; the orbit-dimension
 dichotomy is certified exactly, with one record per grid member.
+
+One recursive writer, _write_json, writes every JSON payload.  Its bytes are
+those of json.dumps(payload, sort_keys=True, indent=2, allow_nan=False),
+which with an indent runs the stdlib's pure-Python encoder.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -525,6 +529,8 @@ def _dump_text(obj, indent, lines):
         if isinstance(v, (dict, list)):
             lines.append(pad + head)
             _dump_text(v, indent + 1, lines)
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{head} {v}")  # _emit reports it as an overflow
         else:
             lines.append(f"{pad}{head} {v}")
 
@@ -542,14 +548,63 @@ def _render_text(payload):
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _emit(payload, config):
-    if config.format == "json":
-        try:
-            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            raise DomainError("the result overflowed: the payload holds a non-finite value")
+def _write_json(obj, pad, out):
+    # json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) as chunks of
+    # out, with the stdlib's scalar encoders in its isinstance order: a bool
+    # writes as true/false, a float subclass such as np.float64 as a float;
+    # pad is the newline and indent of obj's own line
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        head = "[" + inner
+        for v in obj:
+            out.append(head)
+            _write_json(v, inner, out)
+            head = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        head = "{" + inner
+        for k in sorted(obj):
+            out.append(head + encode_basestring_ascii(k) + ": ")
+            _write_json(obj[k], inner, out)
+            head = "," + inner
+        out.append(pad + "}")
     else:
-        text = _render_text(payload)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _render_json(payload):
+    out = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(payload, config):
+    try:
+        text = (_render_json if config.format == "json" else _render_text)(payload)
+    except ValueError:
+        raise DomainError("the result overflowed: the payload holds a non-finite value")
     if config.output in (None, "-"):
         try:
             print(text, end="", flush=True)

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from md53c import coadjoint, foliation, ktheory
 from md53c.catalog import family_spec
-from md53c.cli import RunConfig, main
+from md53c.cli import RunConfig, _render_json, main
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -385,6 +387,68 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
     assert made == []
 
 
+def test_emit_runs_no_stdlib_encoder(tmp_path, monkeypatch):
+    # json.dumps with an indent builds the stdlib's pure-Python encoder; the
+    # payloads are written by cli._write_json, so no report builds one
+    made = []
+    make = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    out = str(tmp_path / "out")
+    for command in ("catalog", "verify-md", "classify", "ktheory", "verify-claims"):
+        assert main([command, "--samples", "3", "-o", out]) == 0
+    assert made == []
+
+
+# keys and strings with non-ASCII characters, quotes, backslashes, control
+# characters and a lone surrogate, which encode_basestring_ascii escapes
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028\ud800😀')))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 1e-08, 1e16, 5e-324, 1.7976931348623157e308, np.float64(-1e-300)]),
+    _TEXT, st.builds(dict), st.builds(list), st.builds(tuple),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.tuples(kids, kids),
+                           st.dictionaries(_TEXT, kids, max_size=5)),
+    max_leaves=40,
+)
+
+
+def _nest(x, depth):
+    # x at the given depth, under alternating lists and dicts
+    for i in range(depth):
+        x = {"level": x, "": None} if i % 2 else [True, x]
+    return x
+
+
+@given(_TREES, st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_stdlib(tree, depth):
+    # the stdlib call the writer replaces is the oracle, byte for byte
+    for x in (tree, _nest(tree, depth), _nest(tree, 6)):
+        assert _render_json(x) == json.dumps(x, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@given(_TREES, st.integers(0, 8),
+       st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("-inf")]))
+@settings(max_examples=100, deadline=None)
+def test_json_writer_rejects_non_finite(tree, depth, bad):
+    x = [tree, _nest(bad, depth)]
+    with pytest.raises(ValueError):
+        json.dumps(x, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _render_json(x)
+
+
 @pytest.mark.parametrize("command", ["verify-md", "classify", "verify-claims", "ktheory"])
 def test_negative_seed_rejected(command, monkeypatch, capsys):
     # numpy used to die on it with a traceback, and ktheory wrote it out
@@ -480,22 +544,24 @@ def test_orbit_non_finite_input_rejected(extra, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_orbit_overflow_is_an_error(tmp_path, capsys):
-    # a finite input whose chart value overflows: exit 2, never NaN or
-    # Infinity in the JSON
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_orbit_overflow_is_an_error(fmt, tmp_path, capsys):
+    # a finite input whose chart value overflows: exit 2 and no file, never
+    # NaN or Infinity in the JSON, nor nan or -inf in the text
     out = tmp_path / "out.json"
     args = ["orbit", "--family", "F4", "--point", "1,0,1,0,0", "--eval", "0,1000"]
-    assert main([*args, "-o", str(out)]) == 2
+    assert main([*args, "--format", fmt, "-o", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: the result overflowed")
 
 
-def test_orbit_flow_overflow_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_orbit_flow_overflow_is_an_error(fmt, tmp_path, capsys):
     # t * ad_X2 has an infinite entry: exit 2 with one error line
     out = tmp_path / "out.json"
     args = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
             "--point", "1,0,1,0,0", "--word", "2:1e308"]
-    assert main([*args, "-o", str(out)]) == 2
+    assert main([*args, "--format", fmt, "-o", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: the matrix exponential is out of range")
