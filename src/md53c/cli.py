@@ -3,10 +3,11 @@ evaluation, classification and fibration checks, K-theory reports, and the
 consolidated claims run.
 
 Every flag is mirrored by an MD53C_-prefixed environment variable; explicit
-flags win.  Reports carry "schema": 3 and are byte-deterministic for a fixed
+flags win.  Reports carry "schema": 4 and are byte-deterministic for a fixed
 configuration (keys sorted, no timestamps, seeded sampling only).  Every
-sampled check reports as one CheckReport record; the orbit-dimension
-dichotomy is certified exactly, with one record per grid member.
+sampled check reports as one CheckReport record; the MD structure and the
+orbit-dimension dichotomy are certified exactly, one record per grid member,
+so an orbit's dimension, 2 where (gamma, delta, sigma) != 0, reads no tolerance.
 
 One recursive writer, _write_json, writes every JSON payload.  Its bytes are
 those of json.dumps(payload, sort_keys=True, indent=2, allow_nan=False),
@@ -24,8 +25,8 @@ import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, _structure_grid, ad2_block,
                       build_algebra, default_grid, family_spec, jordan_signature_grid)
-from .coadjoint import (coadjoint_flow, flow_check_grid, kirillov_form_rank, md_property_grid,
-                        orbit_chart, same_leaf)
+from .coadjoint import (_reads_as_point, coadjoint_flow, flow_check_grid, kirillov_form_rank,
+                        md_property_grid, orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams, UnsupportedExpr, UnsupportedMap
 from .foliation import fibration_check, verify_classification_grid
 from .ktheory import (
@@ -54,7 +55,6 @@ _ENV_PREFIX = "MD53C_"
 class RunConfig:
     seed: int = 1729
     samples: int = 1000
-    tol_rank: float = 1e-9
     tol_leaf: float = 1e-8
     tol_map: float = 1e-6
     output: str = None
@@ -65,8 +65,7 @@ class RunConfig:
             raise InvalidParams("seed must be >= 0")
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
-        tols = (self.tol_rank, self.tol_leaf, self.tol_map)
-        if not all(math.isfinite(t) and t > 0.0 for t in tols):
+        if not all(math.isfinite(t) and t > 0.0 for t in (self.tol_leaf, self.tol_map)):
             raise InvalidParams("tolerances must be finite and positive")
         if self.format not in ("json", "text"):
             raise InvalidParams("format must be 'json' or 'text'")
@@ -187,25 +186,23 @@ def cmd_verify_md(config, args):
 def cmd_orbit(config, args):
     spec = family_spec(args.family, **{attr: getattr(args, attr) for attr in _SPELLING})
     point = np.array(_parse_reals(args.point, 5, "--point"))
-    sc = build_algebra(spec)
-    _, rank = kirillov_form_rank(sc, point, tol=config.tol_rank)
-    chart = orbit_chart(spec, point, tol=config.tol_rank)
+    chart = orbit_chart(spec, point)
     payload = {
         "spec": spec.to_json(),
         "label": spec.label(),
         "point": [float(v) for v in point],
-        "kirillov_rank": int(rank),
         "orbit_dim": chart.dim,
         "chart_base": [float(v) for v in chart.base],
     }
     if args.word is not None:
         word = _parse_word(args.word)
-        flowed = coadjoint_flow(sc, point, word)
-        # a flow keeps the orbit dimension: a plane point that reads as a
-        # point orbit after the flow has underflowed to zero or overflowed
-        if chart.dim == 2 and orbit_chart(spec, flowed, tol=config.tol_rank).dim == 0:
-            raise DomainError("the flow left the floating-point range: the flowed "
-                              "point reads as a point orbit")
+        flowed = coadjoint_flow(build_algebra(spec), point, word)
+        # same_leaf tells the points of a plane orbit apart only where
+        # neither reads as a point orbit at its tolerance
+        if chart.dim == 2 and _reads_as_point(np.stack((point, flowed)), config.tol_leaf)[0].any():
+            raise DomainError("the orbit is a plane, but the point or the flowed point "
+                              "reads as a point orbit at --tol-leaf, so same_leaf "
+                              "cannot decide whether they share a leaf")
         payload["flow_word"] = [[i, t] for i, t in word]
         payload["flowed"] = [float(v) for v in flowed]
         payload["flowed_same_leaf"] = bool(
@@ -285,28 +282,27 @@ def cmd_verify_claims(config, args):
 
     # structure and orbit dichotomy across the grid
     md_reports = md_property_grid(grid)
-    bad_structure = [r["source"] for r in md_reports if {"kind": "structure"} in r["failures"]]
+    uncertified = [r["source"] for r in md_reports if not r["ok"]]
     add("md-structure",
         "family definitions (the eight five-dimensional structures)",
         "verified",
         "every grid member satisfies the bracket identities and has a "
         "three-dimensional commutative derived ideal",
         {"grid_entries": len(grid)},
-        [f"structure checks failed for {bad_structure}"] if bad_structure else ())
+        [f"the certificate failed for {uncertified}"] if uncertified else ())
     counted("orbit-dimension-dichotomy",
             "orbit description proposition (dimension dichotomy)",
             "every functional has Kirillov rank 0 or 2, rank 2 exactly where "
             "(gamma, delta, sigma) are not all zero, certified exactly per member",
             {"grid_entries": len(grid)},
-            sum(len(r["failures"]) for r in md_reports) - len(bad_structure),
+            sum(len(r["failures"]) for r in md_reports),
             "certificate failures")
 
     # the printed rank-2 condition names the wrong coordinates
     probe = np.array([0.0, 5.0, 0.0, 0.0, 0.0])
     sc1 = build_algebra(grid[0])
-    _, rank_probe = kirillov_form_rank(sc1, probe, tol=config.tol_rank)
-    _, rank_good = kirillov_form_rank(
-        sc1, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), tol=config.tol_rank)
+    _, rank_probe = kirillov_form_rank(sc1, probe)
+    _, rank_good = kirillov_form_rank(sc1, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
     ok = rank_probe == 0 and rank_good == 2
     add("orbit-rank2-condition",
         "orbit description proposition, two-dimensional case condition",
@@ -336,8 +332,7 @@ def cmd_verify_claims(config, args):
     alpha_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[0], tol=config.tol_leaf))
     beta_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[1], tol=config.tol_leaf))
     sc8 = build_algebra(spec8)
-    _, rank_sigma = kirillov_form_rank(
-        sc8, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), tol=config.tol_rank)
+    _, rank_sigma = kirillov_form_rank(sc8, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     ok = (not alpha_shift) and beta_shift and rank_sigma == 2
     add("family8-printed-orbit",
         "orbit description proposition, rotation-family case",
@@ -644,7 +639,7 @@ def _build_parser():
     for name, run, text in (
         ("catalog", cmd_catalog, "list the families and the verification grid"),
         ("verify-md", cmd_verify_md, "orbit-dimension dichotomy across the grid"),
-        ("orbit", cmd_orbit, "Kirillov rank, orbit chart, and flows at a point"),
+        ("orbit", cmd_orbit, "orbit dimension, orbit chart, and flows at a point"),
         ("classify", cmd_classify, "coordinate-change and fibration checks for both types"),
         ("ktheory", cmd_ktheory, "six-term diagrams and the extension class"),
         ("verify-claims", cmd_verify_claims,
@@ -685,7 +680,7 @@ def main(argv=None):
                 payload, code = args.run(config, args)
         except InconsistentInput as e:
             payload, code = {"error": str(e)}, 1
-        _emit({"schema": 3, "command": args.command,
+        _emit({"schema": 4, "command": args.command,
                "config": config.to_json(), **payload}, config)
     except (InvalidParams, DomainError, UnsupportedMap, UnsupportedExpr) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import _structure_grid, ad2_block
 from .errors import InvalidParams
-from .lie_core import derived_subalgebra, jacobi_defect, mat_exp, numeric_rank
+from .lie_core import mat_exp, numeric_rank
 
 __all__ = [
     "kirillov_form_rank",
@@ -146,14 +146,14 @@ class OrbitChart:
         return _chart(ad2_block(self.spec), np.array(self.base), b, a)
 
 
-def orbit_chart(spec, F, tol=1e-9):
-    """Chart of the orbit through F: two-dimensional when (gamma, delta,
-    sigma) != 0, otherwise the constant chart of the point orbit {F}."""
+def orbit_chart(spec, F):
+    """Chart of the orbit through F: two-dimensional exactly when (gamma,
+    delta, sigma) != 0, with no threshold, as md_property_grid certifies for
+    every valid spec; otherwise the constant chart of the point orbit {F}."""
     F = np.asarray(F, dtype=float)
     if F.shape != (5,):
         raise InvalidParams("point must have 5 coordinates")
-    point = np.linalg.norm(F[2:]) <= tol * max(1.0, float(np.abs(F).max()))
-    return OrbitChart(spec, tuple(float(x) for x in F), 0 if point else 2)
+    return OrbitChart(spec, tuple(float(x) for x in F), 2 if F[2:].any() else 0)
 
 
 def _leaf_times(m, pq, eps_pq):
@@ -215,13 +215,20 @@ def same_leaf(spec, p, q, tol=1e-8):
     return bool(out[0]) if p.ndim == 1 else out
 
 
+def _reads_as_point(F, tol):
+    """Whether each point of F (..., 5) reads as a point orbit to same_leaf
+    at tolerance tol, |(gamma, delta, sigma)| <= eps = tol * max(1, max |F|),
+    and eps."""
+    eps = tol * np.maximum(1.0, np.abs(F).max(axis=-1))
+    return np.sqrt(np.square(F[..., 2:]).sum(axis=-1)) <= eps, eps
+
+
 def _same_leaf(spec, p, q, tol):
     pq = np.concatenate((p, q)).reshape(2, -1, 5)
     # each point's own scale decides whether it is a point orbit and which of
     # its coordinates count as zero
-    eps_pq = tol * np.maximum(1.0, np.abs(pq).max(axis=2))
+    point, eps_pq = _reads_as_point(pq, tol)
     eps = eps_pq.max(axis=0)
-    point = np.sqrt(np.square(pq[..., 2:]).sum(axis=2)) <= eps_pq
     # point orbits: same leaf means same point
     decided = point[0] | point[1]
     out = point.all(axis=0) & (np.abs(p - q) <= eps[:, None]).all(axis=1)
@@ -357,19 +364,15 @@ def md_property_grid(grid):
     Kirillov form is B(F) = e2 ^ v(F), v_j(F) = <F, [X2, Xj]>; no [X2, Xj]
     has an X1 or X2 component, and the (gamma, delta, sigma) columns of
     F -> v(F) have a nonzero 3x3 minor, computed exactly.  So B(F) has rank
-    2 where (gamma, delta, sigma) != 0, else 0.  One payload record per
-    member: the rows of its first nonzero minor, and failures naming what
-    broke."""
+    2 where (gamma, delta, sigma) != 0, else 0.  It certifies the MD(5,3C)
+    structure too, with no float check: each Jacobi term [Xa, [Xb, Xc]] is
+    0, as [Xb, Xc] is off X2's row or lies in span{X3, X4, X5} with Xa not
+    X2; the brackets on X2's row span the derived ideal, so it is exactly
+    span{X3, X4, X5}, commutative and killed by ad_X1.  One payload record
+    per member: the rows of its first nonzero minor, and failures naming
+    what broke."""
     c = _structure_grid(grid)
-    # the structure: the Jacobi identity holds, and the derived subalgebra is
-    # span{X3, X4, X5}, commutative and killed by ad_X1
-    rank, vt = derived_subalgebra(c)
-    small = [jacobi_defect(c), np.abs(vt[:, :3, :2]).max(axis=(1, 2)),
-             np.abs(c[:, 2:, 2:]).max(axis=(1, 2, 3)), np.abs(c[:, 0, 2:]).max(axis=(1, 2))]
-    structure = (rank == 3) & np.all(np.less_equal(small, 1e-12), axis=0)
-    reports = [{"check": "dichotomy", "source": spec.label(),
-                "failures": [] if ok else [{"kind": "structure"}]}
-               for spec, ok in zip(grid, structure)]
+    reports = [{"check": "dichotomy", "source": spec.label(), "failures": []} for spec in grid]
     i, j = _PAIRS.T
     for m, e in np.argwhere(((c[:, i, j] != 0.0) & _VANISH).any(axis=2)).tolist():
         reports[m]["failures"].append({"kind": "kernel" if 1 in _PAIRS[e] else "bracket",

@@ -29,7 +29,7 @@ def run_json(args, tmp_path, name="out.json"):
 def test_catalog_payload(tmp_path):
     code, doc = run_json(["catalog"], tmp_path)
     assert code == 0
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["command"] == "catalog"
     assert len(doc["grid"]) == 36
     assert len(doc["families"]) == 8
@@ -51,7 +51,7 @@ def test_orbit_payload(tmp_path):
         tmp_path,
     )
     assert code == 0
-    assert doc["kirillov_rank"] == 2 and doc["orbit_dim"] == 2
+    assert doc["orbit_dim"] == 2 and "kirillov_rank" not in doc
     assert doc["flowed_same_leaf"] is True
     assert doc["flowed"] == pytest.approx([1.375, 0.0, 0.25, 0.0, 0.0])
     assert doc["chart_eval"]["point"] == pytest.approx([-0.5, 5.0, 4.0, 0.0, 0.0])
@@ -122,8 +122,8 @@ def test_every_sampled_check_reports_one_record(tmp_path):
 
 
 def test_verify_md_counts_every_certificate_failure(tmp_path, monkeypatch):
-    # [X3, X4] = X5 on F4 breaks its structure and leaves a bracket off X2's
-    # row: verify-md and verify-claims fail, and count both failures
+    # [X3, X4] = X5 on F4 leaves a bracket off X2's row: verify-md and
+    # verify-claims fail, and count it once
     build = coadjoint._structure_grid
 
     def rank4_on_f4(grid):
@@ -138,15 +138,16 @@ def test_verify_md_counts_every_certificate_failure(tmp_path, monkeypatch):
     assert code == 1
     (bad,) = [e for e in doc["entries"] if not e["ok"]]
     assert bad["source"] == "F4" and bad["minor"] == [3, 4, 5]
-    assert bad["failures"] == [{"kind": "structure"},
-                               {"kind": "bracket", "pair": [3, 4],
+    assert bad["failures"] == [{"kind": "bracket", "pair": [3, 4],
                                 "bracket": [0.0, 0.0, 0.0, 0.0, 1.0]}]
-    assert doc["summary"]["failures"] == 2
-    # verify-claims counts the same: the structure failure under md-structure,
-    # the bracket under the dichotomy
+    assert doc["summary"]["failures"] == 1
+    # verify-claims reads the same certificate: md-structure names the
+    # member, the dichotomy counts its failure
     code, doc = run_json(["verify-claims", "--samples", "10"], tmp_path, "claims.json")
     claims = {c["id"]: c for c in doc["claims"]}
     assert code == 1 and claims["md-structure"]["status"] == "failed"
+    assert {"claim": "md-structure",
+            "detail": "the certificate failed for ['F4']"} in doc["failures"]
     dichotomy = claims["orbit-dimension-dichotomy"]
     assert dichotomy["status"] == "failed" and dichotomy["evidence"] == {
         "grid_entries": 36, "failures": 1}
@@ -227,7 +228,7 @@ def test_ktheory_doubled_map_rejected(tmp_path):
     code = main(["ktheory", "--delta0", "2,2", "-o", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
-    assert "error" in doc and doc["schema"] == 3
+    assert "error" in doc and doc["schema"] == 4
 
 
 def test_ktheory_empty_delta0_rejected(tmp_path, capsys):
@@ -256,7 +257,7 @@ def test_generic_text_rendering(tmp_path):
     lines = text.decode().splitlines()
     top = [line.split(":")[0] for line in lines if not line.startswith(" ")]
     assert top == ["command", "config", "entries", "schema", "summary"]
-    assert "schema: 3" in lines
+    assert "schema: 4" in lines
     # each certificate record is one "-" item with its keys sorted beneath it
     starts = [i for i, line in enumerate(lines) if line == "  -"]
     assert len(starts) == 36
@@ -279,7 +280,7 @@ def test_text_lists_scalars_one_per_line(tmp_path):
     lines = out.read_text().splitlines()
     i = lines.index("point:")
     assert lines[i + 1:i + 7] == ["  - 1.0", "  - 0.0", "  - -1.5", "  - 0.0", "  - 2.0",
-                                  "schema: 3"]
+                                  "schema: 4"]
     assert "orbit_dim: 2" in lines and "  family: F1" in lines
 
 
@@ -318,7 +319,6 @@ def test_readme_flag_table_matches_run_config():
 _SETTINGS = {
     "seed": ("7", "11"),
     "samples": ("5", "6"),
-    "tol_rank": ("1e-07", "1e-05"),
     "tol_leaf": ("1e-07", "1e-05"),
     "tol_map": ("1e-05", "0.0001"),
     "output": ("env.out", "flag.out"),
@@ -354,7 +354,12 @@ def test_env_sets_each_setting_and_the_flag_wins(name, tmp_path, monkeypatch):
 
 def test_bad_config_rejected(monkeypatch, capsys):
     assert main(["verify-md", "--samples", "0"]) == 2
-    assert main(["verify-md", "--tol-rank", "-1"]) == 2
+    assert main(["verify-md", "--tol-leaf", "-1"]) == 2
+    capsys.readouterr()
+    # the orbit dimension reads no tolerance, so there is no rank flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["orbit", "--family", "F4", "--point", "0,0,1,0,0", "--tol-rank", "1e-9"])
+    assert exit_info.value.code == 2
     capsys.readouterr()
     # RunConfig.validate is the one check on the format, from flag or environment
     assert main(["catalog", "--format", "xml"]) == 2
@@ -513,10 +518,10 @@ def test_package_runs_as_a_module(tmp_path):
     assert len(json.loads(out.read_text())["grid"]) == 36
 
 
-@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-leaf", "--tol-map"])
+@pytest.mark.parametrize("flag", ["--tol-leaf", "--tol-map"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):
-    # a NaN rank tolerance used to pass every rank check and write NaN
+    # a NaN tolerance would pass every comparison against it
     out = tmp_path / "out.json"
     assert main(["verify-md", flag, value, "-o", str(out)]) == 2
     assert not out.exists()
@@ -568,6 +573,11 @@ def test_orbit_flow_overflow_is_an_error(fmt, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+_UNDECIDED = ("error: the orbit is a plane, but the point or the flowed point reads as a "
+              "point orbit at --tol-leaf, so same_leaf cannot decide whether they share "
+              "a leaf\n")
+
+
 def test_orbit_underflow_is_an_error(tmp_path, capsys):
     # the flow underflows (gamma, delta, sigma) to zero; a plane orbit cannot
     # flow to a point orbit, so this is an error, not "left the leaf"
@@ -576,7 +586,47 @@ def test_orbit_underflow_is_an_error(tmp_path, capsys):
             "--point", "1,0,1,0,0", "--word", "2:1000"]
     assert main([*args, "-o", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: the flow left the floating-point range")
+    assert capsys.readouterr().err == _UNDECIDED
+
+
+_F1_23_AT_1 = ["--family", "F1", "--lambda1", "2", "--lambda2", "3", "--point", "1,0,1,0,0"]
+
+
+@pytest.mark.parametrize("args,decided", [
+    ([*_F1_23_AT_1, "--word", "2:9"], True),
+    ([*_F1_23_AT_1, "--word", "2:10"], False),
+    ([*_F1_23_AT_1, "--word", "2:12"], False),
+    (["--family", "F1", "--lambda1", "-2", "--lambda2", "3", "--point", "0,0,7e-10,0,0",
+      "--word", "2:10"], False),
+], ids=["2:9", "2:10", "2:12", "start"])
+def test_orbit_flow_guard_asks_what_same_leaf_needs(args, decided, tmp_path, capsys):
+    # F1(2, 3) scales gamma by e^{-2t}: from (1, 0, 1, 0, 0) the flowed point
+    # stays on the plane orbit, with gamma = 1.52e-8, 2.06e-9 or 3.8e-11 at
+    # alpha near 1.5; on F1(-2, 3) gamma = 7e-10 grows to 0.34.  same_leaf's
+    # point test reads the end with the small gamma as a point orbit at
+    # --tol-leaf 1e-8 in all but the first, so it cannot decide: the run
+    # exits 2 with no payload, never with "flowed_same_leaf": false
+    out = tmp_path / "out.json"
+    code = main(["orbit", *args, "-o", str(out)])
+    if decided:
+        doc = json.loads(out.read_text())
+        assert code == 0 and doc["flowed_same_leaf"] is True
+        assert doc["flowed"][2] == pytest.approx(1.52e-8, rel=0.01)
+    else:
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == _UNDECIDED
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "F1", "--lambda1", "-2", "--lambda2", "3", "--point", "0,0,7e-10,0,0"],
+    ["--family", "F2", "--lambda", "-0.5", "--point", "0,0,0,0,1.5e-9"],
+])
+def test_orbit_dim_is_exact_near_the_point_orbits(args, tmp_path):
+    # (gamma, delta, sigma) != 0, so the orbit is a plane however small they
+    # are; two float rules used to read these two points as point orbits
+    code, doc = run_json(["orbit", *args], tmp_path)
+    assert code == 0 and doc["orbit_dim"] == 2 and "kirillov_rank" not in doc
+    assert "tol_rank" not in doc["config"]
 
 
 def test_missing_parameter_names_the_flag(capsys):

@@ -1,6 +1,7 @@
 """Kirillov form ranks, coadjoint flows against the closed-form charts, and
 the leaf-membership decision."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from md53c.catalog import build_algebra, default_grid, family_spec
+from md53c.catalog import _FAMILIES, build_algebra, default_grid, family_spec
 from md53c.coadjoint import (
     coadjoint_flow,
     kirillov_form_rank,
@@ -236,3 +237,47 @@ def test_md_property_grid_report():
 def test_md_property_grid_member_by_member():
     for spec in default_grid()[::5]:
         assert md_property_grid([spec])[0]["ok"], spec.label()
+
+
+# parameters where a float rule would be weakest: magnitudes from 1e-300 to
+# 1e300 of either sign, lambda within a few ulps of 0 and of 1, lambda2 next
+# to lambda1, and phi near 0, pi/2 and pi
+_MAGNITUDES = st.builds(lambda x, sign: sign * x, st.floats(1e-300, 1e300),
+                        st.sampled_from([1.0, -1.0]))
+_ULPS = st.integers(-4, 4)
+_NEAR_0 = st.builds(lambda k: k * 5e-324, _ULPS) | st.floats(-1e-12, 1e-12)
+_NEAR_1 = st.builds(lambda k: 1.0 + k * 2.0 ** -52, _ULPS) | st.floats(1 - 1e-12, 1 + 1e-12)
+_LAMBDAS = _MAGNITUDES | _NEAR_0 | _NEAR_1
+_PHIS = (st.floats(0.0, 1e-6) | st.floats(math.pi / 2 - 1e-9, math.pi / 2 + 1e-9)
+         | st.floats(math.pi - 1e-6, math.pi) | st.floats(0.0, math.pi))
+_PARAMS = {
+    "F1": _LAMBDAS.flatmap(lambda l1: st.tuples(
+        st.just(l1), _LAMBDAS | st.sampled_from([math.nextafter(l1, math.inf),
+                                                 math.nextafter(l1, -math.inf),
+                                                 l1 * (1.0 + 1e-12)]))),
+    "F8": st.tuples(_LAMBDAS, _PHIS),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_valid_spec_certifies(name, data):
+    # the certificate holds for every spec the family's constraints allow,
+    # not only on the grid: [X2, X1] = -X3, and the (delta, sigma) rows of
+    # each block have rank 2; so the exact rule of orbit_chart holds for any
+    # valid spec
+    fam = _FAMILIES[name]
+    params = _PARAMS.get(name, st.tuples(*[_LAMBDAS] * len(fam.params)))
+    spec = family_spec(name, *data.draw(params.filter(lambda p: fam.allowed(*p))))
+    [rep] = md_property_grid([spec])
+    assert rep["ok"] and rep["failures"] == [], (spec, rep)
+
+
+def test_dimension_rule_reads_no_tolerance():
+    # one exact rule: (gamma, delta, sigma) != 0, however small
+    assert list(inspect.signature(orbit_chart).parameters) == ["spec", "F"]
+    assert list(inspect.signature(md_property_grid).parameters) == ["grid"]
+    for F in ([0.0, 0.0, 5e-324, 0.0, 0.0], [1e300, 0.0, 0.0, 0.0, 1e-300]):
+        assert orbit_chart(F1_23, F).dim == 2
+    assert orbit_chart(F1_23, [1e300, -1e300, 0.0, -0.0, 0.0]).dim == 0

@@ -7,29 +7,30 @@ numpy build may round a computed float differently.
 """
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 
-from md53c.cli import main
+from md53c.cli import RunConfig, main
 
 README_ORBIT = ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
                 "--point", "1,0,1,0,0", "--word", "2:0.693", "--eval", "5,0.693"]
 
 DIGESTS = [
-    (["catalog"], "efc9a873582728916bdb3803f8c11d2462d3e5ccd49d223f810407a4cbc53f44"),
-    (["verify-md"], "6b96835f31a58872f3772e3999059de3f8238d7d7ce9cb890632f9b4ff3b3a14"),
-    (["classify"], "801d92fe17aa867b9bd853fcfed4c54a219510bbbc6953165f65bd0030a4ac7d"),
-    (["ktheory"], "c135bbd7f1f83b692b34549c0845378fc1b0afe27e6fd0177728a3ecd2730f9a"),
-    (["verify-claims"], "fb61bea410cd258d415af7a89513708255b07e28b76b1ef05e50914822bd438a"),
-    (README_ORBIT, "a6a2d83211681f19704cddcf907ac85bac3190b4516bf08ca634a4529cb3e1e1"),
+    (["catalog"], "0a5a79ec9774deca7669049042d35cd2ff9794a1daa6d65e30e903eefd704ed4"),
+    (["verify-md"], "dd7480187090696d4142f489305a8a486ac1051ee9943c01ffeab2a31424e0d7"),
+    (["classify"], "ca729473085efe66c0b40885a2a84af5509bc31443dc0efe5051b45d20d78b98"),
+    (["ktheory"], "830cb94c9d43e04470c5155757414ab3ba07babff2044407077bf23e6455255b"),
+    (["verify-claims"], "0d28f726bb3f052ae74fb10b1c04cae5d76952739b01f08888085c74e9c21c54"),
+    (README_ORBIT, "17245f151bbb29b5ad0406677233c2d50fcd739c01942134aef9b3aa9d622154"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", DIGESTS, ids=[a[0] for a, _ in DIGESTS])
 def test_default_payload_digest(args, digest, tmp_path, monkeypatch):
-    for name in ("SEED", "SAMPLES", "TOL_RANK", "TOL_LEAF", "TOL_MAP",
-                 "OUTPUT", "FORMAT"):
-        monkeypatch.delenv(f"MD53C_{name}", raising=False)
+    # no MD53C_ variable of a setting may reach the run
+    for f in fields(RunConfig):
+        monkeypatch.delenv(f"MD53C_{f.name.upper()}", raising=False)
     out = tmp_path / "payload.json"
     assert main([*args, "--seed", "1729", "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
