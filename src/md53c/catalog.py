@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .lie_core import StructureConstants, numeric_rank
+from .lie_core import StructureConstants, _integers, exact_rank
 
 __all__ = [
     "FAMILIES",
@@ -237,67 +237,36 @@ def default_grid():
     return list(_GRID)
 
 
-def _keys(z):
-    """(re, im) of each value, rounded to 6 digits by np.round: it rounds
-    the value times 10**6 half to even, so 2.0000005 gives 2.0 where Python's
-    round gives 2.000001."""
-    return np.round(np.stack([z.real, z.imag], axis=-1), 6).tolist()
-
-
-def jordan_signature_grid(grid, tol=1e-6):
-    """Numeric Jordan data of each grid member's ad_X2 block, refined by the
-    weight of X3; one spec is the grid [spec].
+def jordan_signature_grid(grid):
+    """Jordan data of each grid member's ad_X2 block, refined by the weight
+    of X3, read off the block exactly; one spec is the grid [spec].
 
     Each member gets (blocks, x3_weights): ``blocks`` lists (re, im, size) of
     the Jordan blocks; ``x3_weights`` lists the eigenvalues of the block on
-    the cyclic subspace generated by X3 = [X1, X2].  The weights are needed
-    because the Jordan type alone coincides for pairs such as diag(1,1,l)
-    and diag(l,1,1), which differ in where the derived generator sits.
-    The block must be 3x3: only up to that size do the multiplicity of an
-    eigenvalue and its number g of eigenvectors fix the block sizes.
-
-    The data come from stacked LAPACK calls: one ``eigvals`` of the blocks,
-    the ranks of every (m - zI) and of the Krylov matrices
-    [e1, m e1, m^2 e1], one QR, and one ``eigvals`` per Krylov rank.  Each
-    member gets the numbers it would get alone."""
-    m = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3)
-    member, shift, mults = [], [], []  # one entry per cluster
-    real_rows = []  # one entry per member
-    for i, zs in enumerate(np.linalg.eigvals(m).tolist()):
-        first = len(shift)
-        # clusters: eigenvalues within tol of the cluster's first one
-        for z in sorted(zs, key=lambda z: (z.real, z.imag)):
-            if len(shift) > first and abs(z - shift[-1]) <= tol:
-                mults[-1] += 1
-            else:
-                member.append(i)
-                shift.append(z)
-                mults.append(1)
-        real_rows.append(not any(z.imag for z in zs))
-    shift = np.array(shift, dtype=complex)
-    shifted = m[member] - shift[:, None, None] * np.eye(3)
-    # a member with real eigenvalues keeps a real SVD, as it has alone
-    real = np.array(real_rows, dtype=bool)[member]
-    ranks = np.empty(len(shift), dtype=int)
-    ranks[real] = numeric_rank(shifted[real].real, tol)
-    ranks[~real] = numeric_rank(shifted[~real], tol)
-    # close but distinct eigenvalues can show more eigenvectors than mult
-    g = np.minimum(mults, 3 - ranks).tolist()
-    blocks = [[] for _ in range(len(m))]
-    for i, (re, im), mult, gi in zip(member, _keys(shift), mults, g):
-        blocks[i] += [(re, im, mult - gi + 1)] + [(re, im, 1)] * (gi - 1)
-    # m compressed onto the Krylov space of e1 = X3; the first r columns of
-    # Q span the first r Krylov vectors
-    col = m[:, :, :1]
-    krylov = np.concatenate([np.broadcast_to([[1.0], [0.0], [0.0]], col.shape),
-                             col, m @ col], axis=-1)
-    rank = numeric_rank(krylov, tol)
-    q = np.linalg.qr(krylov).Q
-    weights = [None] * len(m)
-    for r in set(rank.tolist()):
-        sel = np.flatnonzero(rank == r)
-        qk = q[sel, :, :r]
-        w = np.linalg.eigvals(qk.transpose(0, 2, 1) @ m[sel] @ qk)
-        for i, row in zip(sel.tolist(), _keys(w)):
-            weights[i] = tuple(sorted(map(tuple, row)))
-    return [(tuple(sorted(b)), w) for b, w in zip(blocks, weights)]
+    the cyclic subspace generated by X3 = [X1, X2], which tell apart blocks
+    of one Jordan type such as diag(1,1,l) and diag(l,1,1).  The F1..F7
+    blocks are upper triangular, with X3 an eigenvector of the first
+    diagonal entry; F8's, with a (1, 0) entry, have the simple pair
+    m00 +- i m10, whose plane holds X3, and m22.  A repeated z has
+    3 - exact_rank(m - zI) blocks, which with its multiplicity fixes their
+    sizes on a 3x3 block.  Values are rounded by np.round(x, 6), half to
+    even after scaling: 2.0000005 gives 2.0, where round gives 2.000001."""
+    mats = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3)
+    members = []
+    # a: the block times a power of two, in integers, so m - zI is exact
+    for m, a in zip(mats.tolist(), _integers(mats)):
+        if m[1][0]:
+            pair = [(m[0][0], m[1][0]), (m[0][0], -m[1][0])]
+            members.append(([(*z, 1) for z in pair] + [(m[2][2], 0.0, 1)], pair))
+            continue
+        d = [m[0][0], m[1][1], m[2][2]]
+        blocks = []
+        for z in set(d):
+            mult, i = d.count(z), d.index(z)
+            g = 1 if mult == 1 else 3 - exact_rank(
+                [[x - a[i][i] * (j == k) for k, x in enumerate(row)] for j, row in enumerate(a)])
+            blocks += [(z, 0.0, mult - g + 1)] + [(z, 0.0, 1)] * (g - 1)
+        members.append((blocks, [(d[0], 0.0)]))
+    keys = iter(np.round([x for b, w in members for z in (*b, *w) for x in z[:2]], 6).tolist())
+    return [(tuple(sorted((next(keys), next(keys), z[2]) for z in b)),
+             tuple(sorted((next(keys), next(keys)) for _ in w))) for b, w in members]

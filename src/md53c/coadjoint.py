@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import _structure_grid, ad2_block
 from .errors import InvalidParams
-from .lie_core import mat_exp, numeric_rank
+from .lie_core import _integers, exact_rank, mat_exp
 
 __all__ = [
     "kirillov_form_rank",
@@ -29,14 +29,16 @@ __all__ = [
 ]
 
 
-def kirillov_form_rank(sc, F, tol=1e-9):
-    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F and its numeric_rank, the
-    dimension of the coadjoint orbit through F."""
+def kirillov_form_rank(sc, F):
+    """Kirillov form B[i,j] = <F, [Xi, Xj]> at F, and its exact rank, the
+    dimension of the orbit through F: that of the form built in integers from
+    c and F, both times one power of two, which no rounding of B can change."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (sc.dim,):
-        raise InvalidParams(f"need a point of {sc.dim} coordinates")
+    if F.shape != (sc.dim,) or not np.isfinite(F).all():
+        raise InvalidParams(f"need a finite point of {sc.dim} coordinates")
     B = np.einsum("ijk,k->ij", sc.c, F)
-    return B, numeric_rank(B, tol)
+    *c, f = _integers(np.vstack([sc.c.reshape(-1, sc.dim), F]))
+    return B, exact_rank((np.array(c, object) @ np.array(f, object)).reshape(sc.dim, -1).tolist())
 
 
 def coadjoint_flow(sc, F, word):
@@ -349,22 +351,13 @@ _VANISH = (_PAIRS != 1).all(axis=1)[:, None] | (np.arange(5) < 2)
 _MINOR_ROWS = ((2, 3, 4), (0, 3, 4), (0, 2, 4), (0, 2, 3))
 
 
-def _nonzero_det3(m):
-    # whether det m, m 3x3 floats, is nonzero, decided exactly on integers:
-    # the floats times the largest of their power-of-two denominators
-    ratios = [x.as_integer_ratio() for row in m for x in row]
-    den = max(q for _, q in ratios)
-    a, b, c, d, e, f, g, h, k = (p * (den // q) for p, q in ratios)
-    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) != 0
-
-
 def md_property_grid(grid):
     """Certify the structure and the dichotomy of each member of grid, a list
     of FamilySpecs: every bracket of a pair without X2 is exactly 0, so the
     Kirillov form is B(F) = e2 ^ v(F), v_j(F) = <F, [X2, Xj]>; no [X2, Xj]
     has an X1 or X2 component, and the (gamma, delta, sigma) columns of
-    F -> v(F) have a nonzero 3x3 minor, computed exactly.  So B(F) has rank
-    2 where (gamma, delta, sigma) != 0, else 0.  It certifies the MD(5,3C)
+    F -> v(F) have a nonzero 3x3 minor, one of exact_rank 3.  So B(F) has
+    rank 2 where (gamma, delta, sigma) != 0, else 0.  It certifies the MD(5,3C)
     structure too, with no float check: each Jacobi term [Xa, [Xb, Xc]] is
     0, as [Xb, Xc] is off X2's row or lies in span{X3, X4, X5} with Xa not
     X2; the brackets on X2's row span the derived ideal, so it is exactly
@@ -378,8 +371,8 @@ def md_property_grid(grid):
         reports[m]["failures"].append({"kind": "kernel" if 1 in _PAIRS[e] else "bracket",
                                        "pair": (_PAIRS[e] + 1).tolist(),
                                        "bracket": _json_row(c[m, i[e], j[e]])})
-    for rep, cols in zip(reports, c[:, 1, :, 2:].tolist()):
-        rows = next((r for r in _MINOR_ROWS if _nonzero_det3([cols[k] for k in r])), None)
+    for rep, cols in zip(reports, _integers(c[:, 1, :, 2:])):
+        rows = next((r for r in _MINOR_ROWS if exact_rank([cols[k] for k in r]) == 3), None)
         rep["minor"] = rows and [k + 1 for k in rows]
         if rows is None:
             rep["failures"].append({"kind": "kernel", "minor": 0.0})

@@ -1,6 +1,6 @@
-"""Shared numeric kernel: structure constants, adjoint matrices, matrix
-exponentials and SVD-based ranks.  jacobi_defect and derived_subalgebra take
-one algebra or a stack of structure arrays, so a grid is checked in one call.
+"""Shared kernel: structure constants, adjoint matrices, matrix exponentials
+and exact ranks.  jacobi_defect and derived_subalgebra take one algebra or a
+stack of structure arrays, so a grid is checked in one call.
 
 Basis vectors are written X1..X5 in docstrings and tables.  Coordinate
 vectors are plain numpy arrays (0-based); public functions that take a basis
@@ -9,6 +9,7 @@ reads like the bracket tables it implements.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = [
     "jacobi_defect",
     "derived_subalgebra",
     "mat_exp",
-    "numeric_rank",
+    "exact_rank",
 ]
 
 
@@ -107,16 +108,22 @@ def jacobi_defect(sc):
     return float(out) if out.ndim == 0 else out
 
 
-def derived_subalgebra(sc, tol=1e-9):
-    """Dimension and an orthonormal basis (rows) of span{[Xi, Xj]}.  For a
-    stack (..., n, n, n) of structure arrays, the dimensions as an array and
-    the right singular vectors (..., n, n): the first rows of each, as many
-    as its dimension, are its basis."""
+def derived_subalgebra(sc):
+    """Dimension and a basis (rows) of span{[Xi, Xj]}, exact: the brackets,
+    i < j in order, independent of those before them.  For a stack (..., n,
+    n, n) of structure arrays, the dimensions as an array and the bases
+    (..., n, n), each zero past its first dimension rows."""
     c = _structure_array(sc)
-    iu, ju = np.triu_indices(c.shape[-1], 1)
-    _, s, vt = np.linalg.svd(c[..., iu, ju, :])
-    r = np.count_nonzero(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
-    return (int(r), vt[:r]) if c.ndim == 3 else (r, vt)
+    n = c.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    rows = c.reshape(-1, n, n, n)[:, iu, ju]
+    rows = rows[:, rows.any(axis=(0, 2))]  # a bracket zero in every member is no pivot
+    m, i, k = np.array([(m, i, k) for m, member in enumerate(_integers(rows))
+                        for i, k in enumerate(_pivots(member))], dtype=int).reshape(-1, 3).T
+    basis = np.zeros(c.shape[:-1])
+    basis.reshape(-1, n, n)[m, i] = rows[m, k]
+    dims = basis.any(axis=-1).sum(axis=-1)
+    return (int(dims), basis[:dims]) if c.ndim == 3 else (dims, basis)
 
 
 def mat_exp(m, t=1.0):
@@ -151,10 +158,39 @@ def _taylor_exp(a):
     return x
 
 
-def numeric_rank(m, tol=1e-9):
-    """Number of singular values exceeding tol * max(1, largest singular value),
-    for one matrix (an int) or per matrix of a stack (..., r, c)."""
-    m = np.asarray(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    ranks = np.count_nonzero(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
-    return int(ranks) if m.ndim == 2 else ranks
+def _integers(a):
+    """Each matrix of the float array a (..., r, c) times a power of two that
+    makes it whole, as lists of Python ints: a float is m * 2**(e - 53), m whole."""
+    if not np.isfinite(a).all():
+        raise DomainError("an exact rank needs finite entries")
+    m, e = np.frexp(a)
+    m = np.ldexp(m, 53).astype(np.int64)
+    e -= e.min(axis=(-2, -1), keepdims=True, initial=0)  # a zero's e = 0 only adds shift
+    if e.max(initial=0) > 9:  # m << e could overflow int64
+        m, e = m.astype(object), e.astype(object)
+    return (m << e).tolist()
+
+
+def _pivots(rows):
+    """Indices of the rows of an integer matrix (lists of Python ints) that
+    are independent of the rows before them, as many as its rank: each row
+    is reduced by the kept rows in fraction-free steps, p * row - f * top at
+    top's leading column, and divided by its gcd so the integers stay small."""
+    kept = []  # (index, leading column, row) of each kept row
+    for k, row in enumerate(rows):
+        for _, col, top in kept:
+            f = row[col]
+            if f:
+                p = top[col]
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = math.gcd(*row) or 1
+                row = [x // g for x in row]
+        if any(row):
+            kept.append((k, list(map(bool, row)).index(True), row))
+    return [k for k, _, _ in kept]
+
+
+def exact_rank(rows):
+    """The exact rank of a float array, or of rows (lists) of Python ints of
+    any size: a float matrix times a power of two is whole, so no tolerance."""
+    return len(_pivots(_integers(rows) if isinstance(rows, np.ndarray) else rows))

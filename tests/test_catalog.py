@@ -3,6 +3,7 @@ spectral signature that tells members apart."""
 
 import collections
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -240,7 +241,8 @@ def test_jordan_signature_fixture():
 
 
 def _rounded(z):
-    return round(float(sp.re(z)), 6), round(float(sp.im(z)), 6)
+    # rounded as the payload is, by np.round
+    return tuple(np.round([float(sp.re(z)), float(sp.im(z))], 6).tolist())
 
 
 def _exact_signature(mat):
@@ -269,6 +271,9 @@ def _near_one_specs():
             yield "F1", (2 + gap, 2)
             for fam in ("F2", "F3", "F5", "F6"):
                 yield fam, (1 + gap,)
+    # a gap below 1e-6, where eigenvalues once merged into one cluster
+    for fam in ("F5", "F6"):
+        yield fam, (1 - sp.Rational(6, 10**7),)
 
 
 def _oracle_cases():
@@ -288,52 +293,29 @@ def test_jordan_signature_matches_exact_jordan_form():
     specs, expected = zip(*[(spec, _exact_signature(exact)) for spec, exact in _oracle_cases()])
     for spec, want in zip(specs, expected):
         assert jordan_signature_grid([spec])[0] == want, spec.label()
-    # the same cases in one stack: Krylov ranks 1 and 2, one to three
-    # eigenvalue clusters per member, real and complex members
+    # the same cases in one grid: X3 weights of one and of two values, one
+    # to three distinct eigenvalues per member, real and complex members
     assert {len(weights) for _, weights in expected} == {1, 2}
     assert {len({b[:2] for b in blocks}) for blocks, _ in expected} == {1, 2, 3}
     assert jordan_signature_grid(specs) == list(expected)
-
-
-def test_jordan_signature_grid_krylov_rank_three(monkeypatch):
-    # no family reaches Krylov rank 3 (e1 is an eigenvector of the F1..F7
-    # blocks and lies in the rotation plane of F8), so stand-in blocks with
-    # e1 cyclic share one stack with members of rank 1 and 2
-    stand_ins = {
-        family_spec("F2", 0.5): [[0, 0, 6], [1, 0, -11], [0, 1, 6]],  # roots 1, 2, 3
-        family_spec("F3", 0.5): [[0, 0, 2], [1, 0, -1], [0, 1, 2]],  # roots 2, +-i
-        family_spec("F4"): [[1, 0, 0], [1, 1, 0], [0, 1, 1]],  # one Jordan block at 1
-    }
-    members = [family_spec("F5", 0.5), family_spec("F8", 2.0, math.pi / 2)]
-    alone = [jordan_signature_grid([spec])[0] for spec in members]
-    block = catalog.ad2_block
-    monkeypatch.setattr(catalog, "ad2_block", lambda spec: np.array(stand_ins[spec], dtype=float)
-                        if spec in stand_ins else block(spec))
-    *got, f5, f8 = jordan_signature_grid([*stand_ins, *members])
-    assert [f5, f8] == alone
-    for (spec, exact), sig in zip(stand_ins.items(), got):
-        assert len(sig[1]) == 3
-        assert sig == _exact_signature(sp.Matrix(exact)), spec.label()
 
 
 def test_jordan_signature_grid_empty():
     assert jordan_signature_grid([]) == []
 
 
-def test_jordan_signature_grid_calls_do_not_grow_with_the_grid(monkeypatch):
-    # a loop over members would make LAPACK calls in proportion to the grid
+def test_jordan_signature_grid_makes_no_lapack_call(monkeypatch):
+    # the data are read off the blocks and ranked exactly: no eigenvalue
+    # solver, SVD or QR, and no tolerance
+    assert list(inspect.signature(jordan_signature_grid).parameters) == ["grid"]
     counts = collections.Counter()
-    for name in ("eigvals", "svd", "qr"):
+    for name in ("eigvals", "eig", "svd", "qr"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    made = []
-    for grid in (default_grid(), default_grid() * 2):
-        counts.clear()
-        jordan_signature_grid(grid)
-        made.append(dict(counts))
-    assert made[0] == made[1] == {"eigvals": 3, "svd": 3, "qr": 1}
+    jordan_signature_grid(default_grid())
+    assert not counts
 
 
 def test_jordan_keys_round_as_numpy_does():
@@ -344,7 +326,7 @@ def test_jordan_keys_round_as_numpy_does():
 
 
 def test_jordan_signature_close_eigenvalues():
-    # eigenvalue gaps below sqrt(tol): the block sizes still add up to 3
+    # close eigenvalues stay apart, and the block sizes add up to 3
     assert jordan_signature_grid([family_spec("F2", 1.001)])[0] == (
         ((1.0, 0.0, 1), (1.0, 0.0, 1), (1.001, 0.0, 1)), ((1.0, 0.0),))
     assert jordan_signature_grid([family_spec("F6", 1.001)])[0] == (
@@ -367,3 +349,25 @@ def test_jordan_blocks_partition_the_block(family, a, b, phi):
     assert all(size >= 1 for *_, size in blocks)
     assert sum(size for *_, size in blocks) == 3
     assert 1 <= len(weights) <= 3
+
+
+# a few ulps or 1e-12 from 1, the eigenvalue every F1..F7 block has; from
+# 0 and from pi for phi
+_NEAR = (st.builds(lambda k: 1.0 + k * 2.0 ** -52, st.integers(-4, 4))
+         | st.floats(1 - 1e-12, 1 + 1e-12) | st.floats(-1e300, 1e300))
+_PHI = st.floats(0.0, 1e-6) | st.floats(math.pi - 1e-6, math.pi) | st.floats(0.0, math.pi)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(_PARAM | _NEAR, _PARAM | _NEAR, _PHI)
+@settings(max_examples=20, deadline=None)
+def test_jordan_signature_matches_sympy_on_allowed_params(family, a, b, phi):
+    # the rule read off the block against sympy's Jordan form of the block's
+    # exact rational entries, over each family's allowed parameters
+    params = {"F1": (a, b), "F4": (), "F7": (), "F8": (a, phi)}.get(family, (a,))
+    try:
+        spec = family_spec(family, *params)
+    except InvalidParams:
+        assume(False)
+    exact = sp.Matrix(3, 3, [sp.Rational(v) for v in ad2_block(spec).flat])
+    assert jordan_signature_grid([spec])[0] == _exact_signature(exact), spec.label()

@@ -18,6 +18,7 @@ from md53c.coadjoint import (
     same_leaf,
 )
 from md53c.errors import InvalidParams
+from md53c.lie_core import StructureConstants
 
 F1_23 = family_spec("F1", 2.0, 3.0)
 F8_REP = family_spec("F8", 1.0, math.pi / 2)
@@ -34,6 +35,19 @@ def test_kirillov_rank_fixtures():
     form, rank = kirillov_form_rank(sc, [0.0, 0.0, 0.0, 1e-3, 0.0])
     assert rank == 2
     assert np.allclose(form, -form.T, atol=1e-15)
+    # the rank is exact: sigma = 1.5e-9 is off the zero slice, so 2, as the
+    # certificate says, where a relative SVD threshold of 1e-9 read 0
+    f2 = build_algebra(family_spec("F2", -0.5))
+    assert kirillov_form_rank(f2, [0.0, 0.0, 0.0, 0.0, 1.5e-9])[1] == 2
+    # the form is ranked in integers built from c and F: here every product
+    # of B underflows to 0.0, yet the form has rank 2
+    tiny = StructureConstants.from_array(sc.c * 2.0 ** -600)
+    form, rank = kirillov_form_rank(tiny, [0.0, 0.0, 2.0 ** -600, 0.0, 0.0])
+    assert not form.any() and rank == 2
+    assert list(inspect.signature(kirillov_form_rank).parameters) == ["sc", "F"]
+    for bad in ([0.0, 0.0, math.inf, 0.0, 0.0], [math.nan] * 5):
+        with pytest.raises(InvalidParams):
+            kirillov_form_rank(sc, bad)
 
 
 def test_flow_fixtures():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,9 @@ from md53c.lie_core import (
     ad_matrix,
     bracket,
     derived_subalgebra,
+    exact_rank,
     jacobi_defect,
     mat_exp,
-    numeric_rank,
 )
 
 HEISENBERG = StructureConstants(3, [(1, 2, 3, 1.0)])
@@ -94,7 +95,8 @@ def test_jacobi_defect():
 def test_derived_subalgebra():
     rank, basis = derived_subalgebra(HEISENBERG)
     assert rank == 1
-    assert np.allclose(np.abs(basis[0]), [0.0, 0.0, 1.0], atol=1e-12)
+    # the basis is the pivot bracket, [X1, X2] = X3
+    assert np.array_equal(basis, [[0.0, 0.0, 1.0]])
     rank0, basis0 = derived_subalgebra(StructureConstants(4, []))
     assert rank0 == 0 and basis0.shape == (0, 4)
 
@@ -203,31 +205,37 @@ def test_mat_exp_inverse(args):
     )
 
 
-def test_numeric_rank():
+def test_exact_rank():
+    # no tolerance: entries 1e-13 off a singular matrix make it regular,
+    # and rows a few ulps apart, or scaled to 2**-1074, keep their rank
     noisy = np.diag([1.0, 1.0, 0.0]) + 1e-13 * np.ones((3, 3))
-    cases = [(np.zeros((4, 4)), 0), (np.eye(5), 5), (noisy, 2),
-             (1e6 * noisy, 2),  # relative threshold
-             (np.zeros((0, 3)), 0)]
+    ulps = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+    cases = [(np.zeros((4, 4)), 0), (np.eye(5), 5), (noisy, 3), (ulps, 2),
+             (5e-324 * np.eye(3), 3), (np.array([[1e308, 0.0], [5e-324, 0.0]]), 1),
+             ([[2 ** 2000, 3], [2 ** 2001, 6]], 1), (np.zeros((0, 3)), 0), ([], 0)]
     for m, rank in cases:
-        assert numeric_rank(m) == rank
-        assert type(numeric_rank(m)) is int
-        # a stack gives one rank per matrix, shaped as its leading axes
-        stack = np.stack([m, 0 * m, m]).reshape(3, 1, *m.shape)
-        assert numeric_rank(stack).tolist() == [[rank], [0], [rank]]
-    mixed = np.stack([np.zeros((3, 3)), np.eye(3), noisy, 1e6 * noisy])
-    assert numeric_rank(mixed).tolist() == [0, 3, 2, 2]
-    assert numeric_rank(np.zeros((0, 3, 3))).shape == (0,)
-
-
-def test_numeric_rank_skew_pair():
-    # rank of a skew form built from one hyperbolic pair stays 2 under noise
+        assert exact_rank(m) == rank
+        assert type(exact_rank(m)) is int
+    # a skew form of one hyperbolic pair, and of two at any scale
     e = np.eye(5)
     b = np.outer(e[0], e[1]) - np.outer(e[1], e[0])
-    rng = np.random.default_rng(7)
-    noise = rng.normal(size=(5, 5)) * 1e-12
-    assert numeric_rank(b + noise - noise.T) == 2
-    # a second pair makes rank 4, also where the squares of the entries
-    # leave the float range; below 1 the threshold is tol itself
     b4 = b + np.outer(e[2], e[3]) - np.outer(e[3], e[2])
-    assert [numeric_rank(k * b4) for k in (1.0, 1e150, 1e-150)] == [4, 4, 0]
-    assert numeric_rank(np.stack([b4, b])).tolist() == [4, 2]
+    assert [exact_rank(k * b4) for k in (1.0, 1e150, 1e-150)] == [4, 4, 4]
+    assert exact_rank(b) == 2
+    # a float is a binary rational only when it is finite
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            exact_rank(np.array([[1.0, bad]]))
+        with pytest.raises(DomainError):
+            derived_subalgebra(StructureConstants(3, [(1, 2, 3, bad)]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_exact_rank_matches_sympy(seed, rows, cols, inner):
+    # a product through an inner dimension k has rank at most k; each row is
+    # then scaled by its own power of two, far apart, which keeps the rank
+    rng = np.random.default_rng(seed)
+    m = (rng.integers(-3, 4, (rows, inner)) @ rng.integers(-3, 4, (inner, cols))).astype(float)
+    m = np.ldexp(m, rng.integers(-1000, 1000, (rows, 1)))
+    assert exact_rank(m) == sp.Matrix([[sp.Rational(x) for x in row] for row in m.tolist()]).rank()
