@@ -5,20 +5,29 @@ cross-checks closed orbit charts against integrated flows, verifies the
 two-type topological classification of the orbit foliations, and computes the
 K-theory and index invariant of the associated leaf-space C*-algebras with
 exact integer arithmetic.
-"""
 
-from . import catalog, coadjoint, errors, foliation, ktheory, lie_core
-from .catalog import *  # noqa: F401,F403
-from .coadjoint import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .foliation import *  # noqa: F401,F403
-from .ktheory import *  # noqa: F401,F403
-from .lie_core import *  # noqa: F401,F403
+Importing the package loads none of its layers, so ``md53c.cli`` and the
+integer commands start without numpy.  The first lookup of a name the package
+does not hold imports the six layers and binds their public names here, as
+star-imports of each would; from then on every name is a plain attribute.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (catalog, coadjoint, errors, foliation, ktheory, lie_core)
-    for name in module.__all__
-] + ["__version__"]
+_LAYERS = ("catalog", "coadjoint", "errors", "foliation", "ktheory", "lie_core")
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    names = globals()
+    if "__all__" not in names:
+        public = []
+        for layer in _LAYERS:
+            module = import_module(f".{layer}", __name__)
+            names.update({n: getattr(module, n) for n in module.__all__})
+            public += module.__all__
+        names["__all__"] = public + ["__version__"]
+    if name not in names:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return names[name]

@@ -11,16 +11,16 @@ spellings, their constraints, the matrix, the catalog notes, the default-grid
 values, and the type representative its foliation maps onto (F4 for
 families 1..7, F8(1, pi/2) for family 8).  Everything else about a family is
 derived from its record.
+
+The table and the specs are plain Python, for the command-line parser to read
+without numpy; the four functions that build arrays import it when called.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParams
-from .lie_core import StructureConstants, _integers, exact_rank
 
 __all__ = [
     "FAMILIES",
@@ -52,7 +52,7 @@ class _Family:
 _FAMILIES = {
     "F1": _Family(
         params=(("lambda1", "lambda1"), ("lambda2", "lambda2")),
-        block=lambda l1, l2: np.diag([l1, l2, 1.0]),
+        block=lambda l1, l2: [[l1, 0.0, 0.0], [0.0, l2, 0.0], [0.0, 0.0, 1.0]],
         action="diag(lambda1, lambda2, 1)",
         grid=((-2.0, 3.0), (0.5, 2.0), (-0.5, -3.0)),
         allowed=lambda l1, l2: l1 not in (0.0, 1.0) and l2 not in (0.0, 1.0) and l1 != l2,
@@ -60,7 +60,7 @@ _FAMILIES = {
     ),
     "F2": _Family(
         params=(("lam", "lambda"),),
-        block=lambda lam: np.diag([1.0, 1.0, lam]),
+        block=lambda lam: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, lam]],
         action="diag(1, 1, lambda)",
         grid=tuple((lam,) for lam in (-2.0, -0.5, 0.5, 2.0, 3.0)),
         allowed=lambda lam: lam not in (0.0, 1.0),
@@ -68,14 +68,15 @@ _FAMILIES = {
     ),
     "F3": _Family(
         params=(("lam", "lambda"),),
-        block=lambda lam: np.diag([lam, 1.0, 1.0]),
+        block=lambda lam: [[lam, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         action="diag(lambda, 1, 1)",
         grid=tuple((lam,) for lam in (-2.0, -0.5, 0.0, 0.5, 2.0, 3.0)),
         allowed=lambda lam: lam != 1.0,
         constraints="lambda != 1 (zero allowed)",
         halfplane=True,
     ),
-    "F4": _Family(params=(), block=lambda: np.eye(3), action="identity", grid=((),)),
+    "F4": _Family(params=(), block=lambda: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  action="identity", grid=((),)),
     "F5": _Family(
         params=(("lam", "lambda"),),
         block=lambda lam: [[lam, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
@@ -204,6 +205,7 @@ _REPRESENTATIVE = {name: family_spec(*fam.target) for name, fam in _FAMILIES.ite
 def ad2_block(spec):
     """The 3x3 matrix of ad_X2 on the derived ideal span{X3, X4, X5}, built
     once per spec and cached: the array is read-only, so copy it to write."""
+    import numpy as np
     m = np.array(_FAMILIES[spec.family].block(*spec.params()), dtype=float)
     m.flags.writeable = False
     return m
@@ -212,6 +214,7 @@ def ad2_block(spec):
 def _structure_grid(grid):
     """Structure arrays (M, 5, 5, 5) of the members of grid, a list of
     FamilySpecs, from their stacked ad_X2 blocks: bit for bit build_algebra's."""
+    import numpy as np
     blocks = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3).transpose(0, 2, 1)
     c = np.zeros((len(blocks), 5, 5, 5))
     c[:, 0, 1, 2], c[:, 1, 0, 2] = 1.0, -1.0
@@ -223,6 +226,7 @@ def _structure_grid(grid):
 def build_algebra(spec):
     """Structure constants of the algebra: [X1,X2]=X3 plus the ad_X2 block,
     in a writable array of its own."""
+    from .lie_core import StructureConstants
     return StructureConstants.from_array(_structure_grid([spec])[0])
 
 
@@ -250,7 +254,11 @@ def jordan_signature_grid(grid):
     m00 +- i m10, whose plane holds X3, and m22.  A repeated z has
     3 - exact_rank(m - zI) blocks, which with its multiplicity fixes their
     sizes on a 3x3 block.  Values are rounded by np.round(x, 6), half to
-    even after scaling: 2.0000005 gives 2.0, where round gives 2.000001."""
+    even after scaling: 2.0000005 gives 2.0, where round gives 2.000001.  A
+    value past about 1.8e302, where the scaling by 1e6 overflows, has no
+    fractional digits and keeps its value."""
+    import numpy as np
+    from .lie_core import _integers, exact_rank
     mats = np.array([ad2_block(spec) for spec in grid]).reshape(-1, 3, 3)
     members = []
     # a: the block times a power of two, in integers, so m - zI is exact
@@ -267,6 +275,9 @@ def jordan_signature_grid(grid):
                 [[x - a[i][i] * (j == k) for k, x in enumerate(row)] for j, row in enumerate(a)])
             blocks += [(z, 0.0, mult - g + 1)] + [(z, 0.0, 1)] * (g - 1)
         members.append((blocks, [(d[0], 0.0)]))
-    keys = iter(np.round([x for b, w in members for z in (*b, *w) for x in z[:2]], 6).tolist())
+    vals = np.array([x for b, w in members for z in (*b, *w) for x in z[:2]])
+    with np.errstate(over="ignore"):
+        rounded = np.round(vals, 6)
+    keys = iter(np.where(np.isfinite(rounded), rounded, vals).tolist())
     return [(tuple(sorted((next(keys), next(keys), z[2]) for z in b)),
              tuple(sorted((next(keys), next(keys)) for _ in w))) for b, w in members]

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from md53c import cli, coadjoint, foliation
+from md53c import cli, coadjoint, float_commands, foliation
 from md53c.catalog import ad2_block, build_algebra, default_grid, family_spec
 from md53c.coadjoint import coadjoint_flow, flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
@@ -488,7 +488,7 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(foliation, "_draw_samples", counted_draw)
-    monkeypatch.setattr(cli, "verify_classification_grid", counted_grid)
+    monkeypatch.setattr(float_commands, "verify_classification_grid", counted_grid)
     for cmd in ("classify", "verify-claims"):
         cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
     assert calls == [(34, 10, 10), (33, 9, 9)]
@@ -514,14 +514,14 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     def recorded(name, *kernels, key=len):
-        check = getattr(cli, name)
+        check = getattr(float_commands, name)
 
         def wrapper(first, *args, **kwargs):
             counts.clear()
             out = check(first, *args, **kwargs)
             calls.append((key(first), *(counts.get(k, 0) for k in kernels)))
             return out
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(float_commands, name, wrapper)
 
     counted(coadjoint, "mat_exp")
     counted(foliation, "_chart")

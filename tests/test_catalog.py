@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,19 @@ def test_jordan_keys_round_as_numpy_does():
     # round() on a numpy float does; Python's round of a float gives 2.000001
     blocks, _ = jordan_signature_grid([family_spec("F2", 2.0000005)])[0]
     assert (2.0, 0.0, 1) in blocks
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (family_spec("F2", 1e305), (((1.0, 0.0, 1), (1.0, 0.0, 1), (1e305, 0.0, 1)), ((1.0, 0.0),))),
+    (family_spec("F1", 1e305, 3), (((1.0, 0.0, 1), (3.0, 0.0, 1), (1e305, 0.0, 1)),
+                                   ((1e305, 0.0),))),
+])
+def test_jordan_keys_of_huge_eigenvalues_keep_their_value(spec, expected):
+    # scaling by 1e6 to round overflows to inf past about 1.8e302, with a
+    # warning; a float that large has no fractional digits to round
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jordan_signature_grid([spec]) == [expected]
 
 
 def test_jordan_signature_close_eigenvalues():

@@ -518,6 +518,69 @@ def test_package_runs_as_a_module(tmp_path):
     assert len(json.loads(out.read_text())["grid"]) == 36
 
 
+_STARTUP = """
+import sys
+import md53c.cli
+
+def no_numpy(after):
+    assert "numpy" not in sys.modules, "numpy loaded by " + after
+
+no_numpy("import md53c.cli")
+assert md53c.cli.main(["ktheory", "-o", sys.argv[1]]) == 0
+no_numpy("ktheory")
+try:
+    md53c.cli.main(["--help"])
+except SystemExit as e:
+    assert e.code == 0, e.code
+else:
+    raise AssertionError("--help did not exit")
+no_numpy("--help")
+
+import md53c
+
+assert md53c.cli.main(["catalog", "-o", sys.argv[1]]) == 0
+assert "numpy" in sys.modules, "catalog ran without numpy"
+assert "ZMat" not in vars(md53c)
+md53c.ZMat
+public = md53c.__all__
+assert len(public) == 66 and set(public) <= set(vars(md53c)), public
+star = {}
+exec("from md53c import *", star)
+assert sorted(k for k in star if k != "__builtins__") == sorted(public)
+assert all(star[k] is vars(md53c)[k] for k in public)
+assert not hasattr(md53c, "no_such_name")
+"""
+
+
+def test_integer_path_starts_without_numpy(tmp_path):
+    # a fresh interpreter: importing the CLI, ktheory and --help load no
+    # numpy; the first lookup of a package name binds every public name
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path / "out.json")],
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module,args", [
+    ("md53c", ["ktheory"]),
+    ("md53c.cli", ["catalog", "--samples", "3"]),
+    ("md53c", ["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
+               "--point", "1,0,1,0,0", "--word", "2:0.693", "--eval", "5,0.693"]),
+], ids=["ktheory", "catalog", "orbit"])
+def test_cold_start_writes_the_in_process_bytes(module, args, tmp_path, monkeypatch):
+    # a fresh interpreter makes the first dispatch into float_commands, and
+    # under -m md53c.cli runs the CLI as __main__
+    env = {k: v for k, v in _src_env().items() if not k.startswith("MD53C_")}
+    proc = subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for f in fields(RunConfig):
+        monkeypatch.delenv(f"MD53C_{f.name.upper()}", raising=False)
+    out = tmp_path / "in_process.json"
+    assert main([*args, "-o", str(out)]) == 0
+    assert proc.stdout == out.read_bytes()
+
+
 @pytest.mark.parametrize("flag", ["--tol-leaf", "--tol-map"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(flag, value, tmp_path, capsys):
