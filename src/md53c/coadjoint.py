@@ -91,6 +91,12 @@ def _rot(m):
     return m[..., 0, 0] + 1j * m[..., 1, 0]
 
 
+def _scale(f, v):
+    # f * v, where a coordinate v that is 0 stays 0 however far the flow
+    # goes, even where the factor f has overflowed
+    return np.where(v == 0.0, v, f * v)
+
+
 def _chart(m, base, b, a):
     """The point reached from each row of ``base`` (shape (..., 5)) by the X2
     coadjoint flow for time ``a``, with the free second coordinate set to
@@ -110,21 +116,21 @@ def _chart(m, base, b, a):
     if pattern[1, 0]:
         rot = _rot(m)
         w = g + 1j * d
-        w2 = w * np.exp(a / rot)
-        x = al - (np.conj(w) * (np.exp(a * rot) - 1.0) / rot).real
+        w2 = _scale(np.exp(a / rot), w)
+        x = al - (_scale(np.exp(a * rot) - 1.0, np.conj(w)) / rot).real
         z, t = w2.real, w2.imag
     else:
-        x = al + _phi(m[..., 0, 0], a) * g
-        z = np.exp(m[..., 0, 0] * a) * g
+        x = al + _scale(_phi(m[..., 0, 0], a), g)
+        z = _scale(np.exp(m[..., 0, 0] * a), g)
         t = d
         if pattern[1, 2]:
             s = s + m[..., 1, 2] * a * (d + 0.5 * m[..., 0, 1] * a * g)
         if pattern[0, 1]:
             t = d + m[..., 0, 1] * a * g
-        t = np.exp(m[..., 1, 1] * a) * t
+        t = _scale(np.exp(m[..., 1, 1] * a), t)
     out = np.empty(np.broadcast(x, b).shape + (5,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, b, z, t
-    out[..., 4] = np.exp(m[..., 2, 2] * a) * s
+    out[..., 4] = _scale(np.exp(m[..., 2, 2] * a), s)
     return out
 
 
@@ -158,55 +164,49 @@ def orbit_chart(spec, F):
     return OrbitChart(spec, tuple(float(x) for x in F), 2 if F[2:].any() else 0)
 
 
-def _leaf_times(m, pq, eps_pq):
+def _leaf_times(m, pq):
     """Candidate flow times a with exp(a M^T) f_p = f_q for the stacked
     points pq = (p, q) of shape (2, N, 5) under the ad_X2 block m, one column
-    per coordinate that evolves as a plain exponential: NaN in the rows where
-    that coordinate is unusable, and columns unusable in every row are left
-    out.
+    per candidate: NaN in the rows where it is unusable, and columns unusable
+    in every row are left out.
 
-    A coordinate is usable when it is nonzero with equal signs at both
-    points, each measured against its own point's scale, and is pure when
-    every coordinate that couples into it vanishes at both points.
+    Each (gamma, delta, sigma) coordinate with a nonzero rate gives
+    log(v_q / v_p) / rate where it is nonzero with one sign at both points.
+    That is the time where nothing nonzero feeds the coordinate; elsewhere
+    the chart through p misses q at it, so a candidate can fail to decide a
+    pair but never decides it wrongly.  Family 8's (gamma, delta) pair gives
+    two, from its modulus and from its angle; where gamma has rate 0 and
+    nothing rotates, alpha moves by -a gamma and gives one more.
     """
     vp, vq = pq[..., 2:]
-    big_p, big_q = np.abs(pq[..., 2:]) > eps_pq[..., None]
-    usable = big_p & big_q & (vp * vq > 0.0)
-    # family 8, the blocks with a (1, 0) entry: (gamma, delta) rotates as one
-    # complex coordinate, handled below, and only sigma has a rate
-    rotation = bool(m[1, 0])
-    rates = m.diagonal() * ([0.0, 0.0, 1.0] if rotation else 1.0)
-    zero = ~big_p & ~big_q
-    if m[0, 1]:
-        # gamma feeds delta
-        usable[:, 1] &= zero[:, 0]
-    if m[1, 2]:
-        # delta feeds sigma, and so does gamma when it feeds delta
-        usable[:, 2] &= zero[:, 1] & (zero[:, 0] | (m[0, 1] == 0.0))
-    usable &= rates != 0.0
-    times = np.where(usable, np.log(vq / vp) / rates, np.nan)[:, usable.any(axis=0)]
-    if not rotation:
-        return times.T
-    wp, wq = vp[:, 0] + 1j * vp[:, 1], vq[:, 0] + 1j * vq[:, 1]
-    c = m[0, 0]  # cos(phi)
-    if abs(c) > 1e-12:
-        a = np.log(np.abs(wq) / np.abs(wp)) / c
+    usable = np.sign(vp) * np.sign(vq) > 0.0
+    rates = m.diagonal()
+    if m[1, 0]:
+        # family 8: w = gamma + i delta scales by e^{a cos(phi)} and turns by
+        # -a sin(phi), and only sigma has a rate of its own; the angle gives
+        # a up to whole turns, and the time from the modulus picks the turn
+        wp, wq = vp[:, 0] + 1j * vp[:, 1], vq[:, 0] + 1j * vq[:, 1]
+        ok = (wp != 0.0) & (wq != 0.0)
+        a, turn = np.log(np.abs(wq) / np.abs(wp)) / m[0, 0], -np.angle(wq / wp)
+        turn += 2.0 * np.pi * np.round((a * m[1, 0] - turn) / (2.0 * np.pi))
+        cols = [(ok, a), (ok, turn / m[1, 0])]
+        rates = rates * [0.0, 0.0, 1.0]
     else:
-        # phi = pi/2: the flow is periodic in a, the principal angle is the
-        # only candidate needed
-        a = -np.angle(wq / wp)
-    ok = (np.abs(wp) > eps_pq[0]) & (np.abs(wq) > eps_pq[1])
-    return [np.where(ok, a, np.nan), *times.T]
+        # gamma frozen: alpha moves by -a gamma
+        cols = [] if rates[0] else [(usable[:, 0], (pq[0, :, 0] - pq[1, :, 0]) / vp[:, 0])]
+    cols += zip((usable & (rates != 0.0)).T, np.log(vq / vp).T / rates[:, None])
+    return [np.where(use, t, np.nan) for use, t in cols if use.any()]
 
 
 def same_leaf(spec, p, q, tol=1e-8):
     """True when p and q lie on the same coadjoint orbit; for (N, 5) stacks
     of points, a boolean array with one entry per row.
 
-    Solves for the flow time from a pure-exponential coordinate, then checks
-    all five coordinates against the chart through p with relative
-    tolerance tol.  Whether a point is a point orbit, and which coordinates
-    are usable, is decided at that point's own scale.
+    A point is a point orbit exactly when its (gamma, delta, sigma) is 0, and
+    then its leaf is itself.  Otherwise each candidate flow time of
+    _leaf_times takes p along its chart, and the pair is on one leaf when
+    some candidate lands on q.  Every comparison is entrywise,
+    |u - v| <= tol * max(1, |u|, |v|): tol is the only number read.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -217,37 +217,22 @@ def same_leaf(spec, p, q, tol=1e-8):
     return bool(out[0]) if p.ndim == 1 else out
 
 
-def _reads_as_point(F, tol):
-    """Whether each point of F (..., 5) reads as a point orbit to same_leaf
-    at tolerance tol, |(gamma, delta, sigma)| <= eps = tol * max(1, max |F|),
-    and eps."""
-    eps = tol * np.maximum(1.0, np.abs(F).max(axis=-1))
-    return np.sqrt(np.square(F[..., 2:]).sum(axis=-1)) <= eps, eps
+def _close(u, v, tol):
+    # each row of u within tol of that of v, entry by entry, at the larger of
+    # 1 and the two entries
+    return (np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))).all(axis=1)
 
 
 def _same_leaf(spec, p, q, tol):
     pq = np.concatenate((p, q)).reshape(2, -1, 5)
-    # each point's own scale decides whether it is a point orbit and which of
-    # its coordinates count as zero
-    point, eps_pq = _reads_as_point(pq, tol)
-    eps = eps_pq.max(axis=0)
-    # point orbits: same leaf means same point
+    point = ~pq[..., 2:].any(axis=2)
     decided = point[0] | point[1]
-    out = point.all(axis=0) & (np.abs(p - q) <= eps[:, None]).all(axis=1)
-    if spec.is_halfplane:
-        # frozen (gamma, 0, 0) slice: the orbit is the whole (alpha, beta)
-        # plane over that gamma
-        flat = np.abs(pq[..., 3:]).max(axis=2) <= eps_pq
-        frozen = ~decided & flat[0]
-        out |= frozen & flat[1] & (np.abs(p[:, 2] - q[:, 2]) <= eps)
-        decided |= frozen
+    out = point.all(axis=0) & _close(q, p, tol)
     m = ad2_block(spec)
-    for a in _leaf_times(m, pq, eps_pq):
+    for a in _leaf_times(m, pq):
         if decided.all():
             break
-        r = _chart(m, p, q[:, 1], a)
-        bound = tol * np.maximum(1.0, np.maximum(np.abs(q), np.abs(r)))
-        hit = ~decided & (np.abs(q - r) <= bound).all(axis=1)
+        hit = ~decided & _close(q, _chart(m, p, q[:, 1], a), tol)
         out |= hit
         decided |= hit
     return out

@@ -17,8 +17,8 @@ import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, _structure_grid, ad2_block,
                       build_algebra, default_grid, family_spec, jordan_signature_grid)
-from .coadjoint import (_reads_as_point, coadjoint_flow, flow_check_grid, kirillov_form_rank,
-                        md_property_grid, orbit_chart, same_leaf)
+from .coadjoint import (coadjoint_flow, flow_check_grid, kirillov_form_rank, md_property_grid,
+                        orbit_chart, same_leaf)
 from .errors import DomainError, InconsistentInput, InvalidParams
 from .foliation import fibration_check, verify_classification_grid
 from .ktheory import (B_CROSSED, J_DESCRIPTOR, MIDDLE_DESCRIPTOR, AbGroup, Euclid, Product,
@@ -130,12 +130,12 @@ def cmd_orbit(config, args):
     if args.word is not None:
         word = _parse_word(args.word)
         flowed = coadjoint_flow(build_algebra(spec), point, word)
-        # same_leaf tells the points of a plane orbit apart only where
-        # neither reads as a point orbit at its tolerance
-        if chart.dim == 2 and _reads_as_point(np.stack((point, flowed)), config.tol_leaf)[0].any():
-            raise DomainError("the orbit is a plane, but the point or the flowed point "
-                              "reads as a point orbit at --tol-leaf, so same_leaf "
-                              "cannot decide whether they share a leaf")
+        # a flow keeps the orbit, so a plane orbit flowed to (gamma, delta,
+        # sigma) = 0 has underflowed, and same_leaf would read a point orbit
+        if chart.dim == 2 and not flowed[2:].any():
+            raise DomainError("the flow underflowed (gamma, delta, sigma) of a point on a "
+                              "plane orbit to 0, so same_leaf cannot decide whether the "
+                              "points share a leaf")
         payload["flow_word"] = [[i, t] for i, t in word]
         payload["flowed"] = [float(v) for v in flowed]
         payload["flowed_same_leaf"] = bool(

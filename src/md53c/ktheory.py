@@ -229,7 +229,9 @@ def _invariant_factors(m):
 
 
 def _kernel_cokernel(m, factors):
-    return AbGroup(m.cols - len(factors)), AbGroup(m.rows - len(factors), _chain(factors))
+    # the factors of a Smith form already form a positive divisibility chain
+    return (AbGroup(m.cols - len(factors)),
+            AbGroup(m.rows - len(factors), tuple(d for d in factors if d > 1)))
 
 
 def hom_kernel_cokernel(m):

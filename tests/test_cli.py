@@ -561,6 +561,19 @@ def test_integer_path_starts_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_from_import_of_the_cli_starts_without_numpy(tmp_path):
+    # the import system looks a from-list submodule up on the package before
+    # it imports it; that lookup must not load the layers
+    code = ("import sys\nfrom md53c import cli\n"
+            "assert 'numpy' not in sys.modules and 'md53c.coadjoint' not in sys.modules\n"
+            "assert cli.main(['ktheory', '-o', sys.argv[1]]) == 0\n"
+            "assert 'numpy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.json")],
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("module,args", [
     ("md53c", ["ktheory"]),
     ("md53c.cli", ["catalog", "--samples", "3"]),
@@ -636,11 +649,6 @@ def test_orbit_flow_overflow_is_an_error(fmt, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-_UNDECIDED = ("error: the orbit is a plane, but the point or the flowed point reads as a "
-              "point orbit at --tol-leaf, so same_leaf cannot decide whether they share "
-              "a leaf\n")
-
-
 def test_orbit_underflow_is_an_error(tmp_path, capsys):
     # the flow underflows (gamma, delta, sigma) to zero; a plane orbit cannot
     # flow to a point orbit, so this is an error, not "left the leaf"
@@ -649,35 +657,30 @@ def test_orbit_underflow_is_an_error(tmp_path, capsys):
             "--point", "1,0,1,0,0", "--word", "2:1000"]
     assert main([*args, "-o", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == _UNDECIDED
+    assert capsys.readouterr().err == (
+        "error: the flow underflowed (gamma, delta, sigma) of a point on a plane orbit "
+        "to 0, so same_leaf cannot decide whether the points share a leaf\n")
 
 
 _F1_23_AT_1 = ["--family", "F1", "--lambda1", "2", "--lambda2", "3", "--point", "1,0,1,0,0"]
 
 
-@pytest.mark.parametrize("args,decided", [
-    ([*_F1_23_AT_1, "--word", "2:9"], True),
-    ([*_F1_23_AT_1, "--word", "2:10"], False),
-    ([*_F1_23_AT_1, "--word", "2:12"], False),
+@pytest.mark.parametrize("args,gamma", [
+    ([*_F1_23_AT_1, "--word", "2:9"], 1.52e-8),
+    ([*_F1_23_AT_1, "--word", "2:10"], 2.06e-9),
+    ([*_F1_23_AT_1, "--word", "2:12"], 3.78e-11),
     (["--family", "F1", "--lambda1", "-2", "--lambda2", "3", "--point", "0,0,7e-10,0,0",
-      "--word", "2:10"], False),
+      "--word", "2:10"], 0.339),
 ], ids=["2:9", "2:10", "2:12", "start"])
-def test_orbit_flow_guard_asks_what_same_leaf_needs(args, decided, tmp_path, capsys):
+def test_orbit_flow_guard_asks_what_same_leaf_needs(args, gamma, tmp_path):
     # F1(2, 3) scales gamma by e^{-2t}: from (1, 0, 1, 0, 0) the flowed point
-    # stays on the plane orbit, with gamma = 1.52e-8, 2.06e-9 or 3.8e-11 at
-    # alpha near 1.5; on F1(-2, 3) gamma = 7e-10 grows to 0.34.  same_leaf's
-    # point test reads the end with the small gamma as a point orbit at
-    # --tol-leaf 1e-8 in all but the first, so it cannot decide: the run
-    # exits 2 with no payload, never with "flowed_same_leaf": false
-    out = tmp_path / "out.json"
-    code = main(["orbit", *args, "-o", str(out)])
-    if decided:
-        doc = json.loads(out.read_text())
-        assert code == 0 and doc["flowed_same_leaf"] is True
-        assert doc["flowed"][2] == pytest.approx(1.52e-8, rel=0.01)
-    else:
-        assert code == 2 and not out.exists()
-        assert capsys.readouterr().err == _UNDECIDED
+    # stays on the plane orbit, with gamma = 1.52e-8, 2.06e-9 or 3.78e-11 at
+    # alpha near 1.5; on F1(-2, 3) gamma = 7e-10 grows to 0.339.  same_leaf
+    # reads a point orbit only where (gamma, delta, sigma) is exactly 0, so
+    # however small gamma gets it decides, and the flow keeps the leaf
+    code, doc = run_json(["orbit", *args], tmp_path)
+    assert code == 0 and doc["orbit_dim"] == 2 and doc["flowed_same_leaf"] is True
+    assert doc["flowed"][2] == pytest.approx(gamma, rel=0.01)
 
 
 @pytest.mark.parametrize("args", [

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from md53c.catalog import _FAMILIES, build_algebra, default_grid, family_spec
+from md53c.catalog import _FAMILIES, ad2_block, build_algebra, default_grid, family_spec
 from md53c.coadjoint import (
+    _chart,
     coadjoint_flow,
     kirillov_form_rank,
     md_property_grid,
@@ -170,13 +171,19 @@ def test_same_leaf_halfplane_slices():
         assert same_leaf(spec, p, [9.0, 4.0, 1.2, 0.0, 0.0])
         assert not same_leaf(spec, p, [9.0, 4.0, 1.3, 0.0, 0.0])
         assert not same_leaf(spec, p, [9.0, 4.0, 1.2, 0.1, 0.0])
+        # at gamma = 1e-3 the points are a = -/+5300 apart, and e^a overflows
+        # for delta and sigma, which are 0 and stay 0
+        p = [0.3, -0.5, 1e-3, 0.0, 0.0]
+        for alpha in (-5.0, 5.0):
+            assert same_leaf(spec, p, [alpha, 4.0, 1e-3, 0.0, 0.0]), (name, alpha)
+            assert not same_leaf(spec, p, [alpha, 4.0, 1.1e-3, 0.0, 0.0]), (name, alpha)
 
 
 def test_same_leaf_conditional_candidates():
-    # a Jordan-coupled coordinate gives the flow time only where the
-    # coordinates feeding it vanish: sigma for F5(0) with delta = 0 (gamma
-    # is frozen), delta for F6 and F7 with gamma = 0, sigma for F7 with
-    # gamma = delta = 0
+    # a Jordan-coupled coordinate gives the flow time where the coordinates
+    # feeding it vanish: sigma for F5(0) with delta = 0 (gamma is frozen),
+    # delta for F6 and F7 with gamma = 0, sigma for F7 with gamma = delta = 0;
+    # where they do not, as for sigma in F7's last case, another one gives it
     cases = [
         (family_spec("F5", 0.0), [0.3, -0.5, 1.2, 0.0, 0.7]),
         (family_spec("F6", 2.0), [0.3, -0.5, 0.0, 0.9, 0.0]),
@@ -236,6 +243,82 @@ def test_same_leaf_symmetric_property(seed):
     q = chart.eval(float(rng.uniform(-2, 2)), float(rng.uniform(-1.2, 1.2)))
     assert same_leaf(spec, p, q)
     assert same_leaf(spec, q, p)
+
+
+def test_same_leaf_reads_no_point_threshold():
+    # (gamma, delta, sigma) = (2.06e-9, 0, 0) is small but not 0: the point
+    # flowed by X2 for time 10 is on the plane orbit of (1, 0, 1, 0, 0), and
+    # a threshold of tol * max(1, max |F|) read it as a point orbit
+    p = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+    q = coadjoint_flow(build_algebra(F1_23), p, [(2, 10.0)])
+    assert q[2] == pytest.approx(2.06e-9, rel=0.01)
+    assert same_leaf(F1_23, p, q) and same_leaf(F1_23, q, p)
+    q[0] += 0.1
+    assert not same_leaf(F1_23, p, q) and not same_leaf(F1_23, q, p)
+    assert list(inspect.signature(same_leaf).parameters) == ["spec", "p", "q", "tol"]
+    # gamma = 1e-300 charted to a = 345 grows to 0.46; e^{3a} overflows for
+    # delta and sigma, which are 0 and stay 0
+    p = np.array([1.5, 0.0, 1e-300, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _chart(ad2_block(F1_23), p, 0.0, 345.0)
+    assert q[2] == pytest.approx(0.46, rel=0.01) and q[3] == q[4] == 0.0
+    assert same_leaf(F1_23, p, q) and same_leaf(F1_23, q, p)
+
+
+@pytest.mark.parametrize("phi,reach", [
+    (math.pi / 2 - 1e-11, 1.5), (math.pi / 2 - 1e-9, 30.0), (math.pi / 2 - 1e-8, 100.0),
+    (1e-10, 3.0), (math.pi - 1e-8, 3.0),
+])
+def test_same_leaf_on_rotations_near_the_seams(phi, reach):
+    # F8 with sigma = 0: gamma + i delta scales by e^{a cos(phi)} and turns by
+    # -a sin(phi).  Just below pi/2 the modulus moves too little to give the
+    # time to tol, and the angle gives it only up to whole turns, so the
+    # modulus picks the turn; near 0 and pi the angle moves too little, and
+    # the modulus gives the time
+    spec = family_spec("F8", 1.0, phi)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        base = rng.uniform(0.1, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        base[4] = 0.0
+        q = orbit_chart(spec, base).eval(float(rng.uniform(-2, 2)),
+                                         float(rng.uniform(-reach, reach)))
+        assert same_leaf(spec, base, q) and same_leaf(spec, q, base), (base, q)
+        q[0] += 0.3
+        assert not same_leaf(spec, base, q) and not same_leaf(spec, q, base), (base, q)
+
+
+def _contracting_cases():
+    # (spec, a, the (gamma, delta, sigma) coordinates of rate r with r a < 0)
+    # for the grid members that are not half-planes, where no factor
+    # e^{r a} of the chart overflows or underflows
+    cases = []
+    for spec in default_grid():
+        rates = ad2_block(spec).diagonal()
+        for a in (-300.0, -60.0, 60.0, 300.0):
+            shrink = np.flatnonzero(rates * a < 0.0) + 2
+            if not spec.is_halfplane and len(shrink) and np.abs(rates * a).max() < 700.0:
+                cases.append((spec, a, shrink.tolist()))
+    return cases
+
+
+_CONTRACTING = _contracting_cases()
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_same_leaf_after_long_contracting_flows(data):
+    # a point whose only nonzero (gamma, delta, sigma) coordinates contract
+    # along X2, charted far along it: the chart keeps the leaf however small
+    # they get, and alpha + 0.3 leaves it
+    spec, a, shrink = data.draw(st.sampled_from(_CONTRACTING))
+    p = np.zeros(5)
+    p[:2] = data.draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    for k in data.draw(st.lists(st.sampled_from(shrink), min_size=1, unique=True)):
+        p[k] = data.draw(st.floats(0.1, 2.0)) * data.draw(st.sampled_from([1.0, -1.0]))
+    q = orbit_chart(spec, p).eval(data.draw(st.floats(-2.0, 2.0)), a)
+    assert same_leaf(spec, p, q) and same_leaf(spec, q, p), (spec, a, p, q)
+    q[0] += 0.3
+    assert not same_leaf(spec, p, q) and not same_leaf(spec, q, p), (spec, a, p, q)
 
 
 def test_md_property_grid_report():
