@@ -7,7 +7,6 @@ invariant of the boundary extension.
 All arithmetic is over Python integers; nothing here is floating point.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import InconsistentInput, InvalidParams, UnsupportedExpr
@@ -52,14 +51,14 @@ class ZMat:
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        rows, cols = _ints((self.rows, self.cols), "matrix dimensions")
+        if rows < 0 or cols < 0:
             raise InvalidParams("matrix dimensions must be nonnegative")
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if any(v != x for vr, xr in zip(ent, self.entries) for v, x in zip(vr, xr)):
-            raise InvalidParams("matrix entries must be integers")
-        if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
+        ent = tuple(_ints(row, "matrix entries") for row in self.entries)
+        if len(ent) != rows or any(len(r) != cols for r in ent):
             raise InvalidParams("entry grid does not match declared shape")
-        object.__setattr__(self, "entries", ent)
+        for name, value in (("rows", rows), ("cols", cols), ("entries", ent)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_rows(cls, rows):
@@ -86,28 +85,23 @@ class ZMat:
 
     def is_unimodular(self):
         """Square with every invariant factor 1, so invertible over Z."""
-        return self.rows == self.cols and _invariant_factors(self) == (1,) * self.rows
+        return self.rows == self.cols and _invariant_factors(self.entries) == (1,) * self.rows
 
     def to_json(self):
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [list(r) for r in self.entries]}
 
 
-def _chain(factors):
-    # canonicalize a multiset of cyclic orders into the invariant-factor
-    # chain d1 | d2 | ... by repeated (gcd, lcm) replacement
-    ds = sorted(abs(int(d)) for d in factors if abs(int(d)) > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = math.gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-        ds = sorted(d for d in ds if d > 1)
-    return tuple(ds)
+def _ints(values, what):
+    # the one integer rule: accept x exactly when int(x) equals x, keep int(x)
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise InvalidParams(f"{what} must be integers")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -119,15 +113,17 @@ class AbGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        ints = _ints((self.free_rank, *self.torsion), "free rank and torsion factors")
+        free, tor = ints[0], ints[1:]
+        if free < 0:
             raise InvalidParams("free rank must be nonnegative")
-        tor = tuple(int(d) for d in self.torsion)
         for d in tor:
             if d < 2:
                 raise InvalidParams("torsion invariant factors must be >= 2")
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise InvalidParams("torsion factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free)
         object.__setattr__(self, "torsion", tor)
 
     @property
@@ -139,8 +135,11 @@ class AbGroup:
         return not self.torsion
 
     def direct_sum(self, other):
+        # the invariant factors of the diagonal matrix of both torsion lists
+        tor = self.torsion + other.torsion
+        diag = [[d * (i == j) for j in range(len(tor))] for i, d in enumerate(tor)]
         return AbGroup(self.free_rank + other.free_rank,
-                       _chain(self.torsion + other.torsion))
+                       tuple(d for d in _invariant_factors(diag) if d > 1))
 
     def __str__(self):
         parts = []
@@ -165,67 +164,78 @@ def smith_normal_form(m):
     r, c = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    vt = [[int(i == j) for j in range(c)] for i in range(c)]
+    _eliminate(a, (u,), (vt,))
+    return ZMat(r, c, a), ZMat(r, r, u), ZMat(c, c, tuple(zip(*vt)))
 
-    def row_sub(i, j, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_sub(i, j, q):
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+def _eliminate(a, left, right):
+    # Smith elimination of the list of rows a, in place: each row step is also
+    # made on every matrix in left, and each column step as a row step on every
+    # matrix in right (V transposed). At step t, the rows and columns before t
+    # are zero off the diagonal, so the steps touch a only from (t, t) on.
+    r, c = len(a), len(a[0]) if a else 0
+
+    def sub_row(i, j, q, t):
+        a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[j][t:])]
+        for w in left:
+            w[i] = [x - q * y for x, y in zip(w[i], w[j])]
 
     for t in range(min(r, c)):
         while True:
-            best, pos = None, None
-            for i in range(t, r):
-                for j in range(t, c):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        best, pos = x, (i, j)
-            if pos is None:
-                break
-            if pos[0] != t:
-                a[t], a[pos[0]] = a[pos[0]], a[t]
-                u[t], u[pos[0]] = u[pos[0]], u[t]
-            if pos[1] != t:
-                for row in a:
-                    row[t], row[pos[1]] = row[pos[1]], row[t]
-                for row in v:
-                    row[t], row[pos[1]] = row[pos[1]], row[t]
-            clean = True
+            # the first entry of least modulus in row order; no modulus is below 1
+            best = 0
+            for k in range(t, r):
+                row = a[k]
+                for l in range(t, c):
+                    x = abs(row[l])
+                    if x and (not best or x < best):
+                        best, i, j = x, k, l
+                        if x == 1:
+                            break
+                if best == 1:
+                    break
+            if not best:
+                return
+            for w in (a, *left):
+                w[t], w[i] = w[i], w[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                for w in right:
+                    w[t], w[j] = w[j], w[t]
+            top, p, clean = a[t], a[t][t], True
             for i in range(t + 1, r):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        clean = False
+                    sub_row(i, t, a[i][t] // p, t)
+                    clean = clean and not a[i][t]
             for j in range(t + 1, c):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        clean = False
+                if top[j]:
+                    q = top[j] // p
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+                    for w in right:
+                        w[j] = [x - q * y for x, y in zip(w[j], w[t])]
+                    clean = clean and not top[j]
             if not clean:
                 continue
-            offender = None
-            for i in range(t + 1, r):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, c)):
-                    offender = i
-                    break
-            if offender is None:
+            # add the first row that p does not divide; a unit divides every row
+            rest = () if p in (1, -1) else range(t + 1, r)
+            i = next((i for i in rest if any(x % p for x in a[i][t + 1:])), None)
+            if i is None:
                 break
-            row_sub(t, offender, -1)
+            sub_row(t, i, -1, t)
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return ZMat(r, c, a), ZMat(r, r, u), ZMat(c, c, v)
+            for w in (a, *left):
+                w[t] = [-x for x in w[t]]
 
 
-def _invariant_factors(m):
-    # the nonzero diagonal of one Smith form of m
-    d, _, _ = smith_normal_form(m)
-    return tuple(d.entries[i][i] for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+def _invariant_factors(rows):
+    # the nonzero diagonal of one Smith form of the matrix with these rows,
+    # with no transforms built
+    a = [list(row) for row in rows]
+    _eliminate(a, (), ())
+    return tuple(row[i] for i, row in enumerate(a) if i < len(row) and row[i])
 
 
 def _kernel_cokernel(m, factors):
@@ -236,7 +246,7 @@ def _kernel_cokernel(m, factors):
 
 def hom_kernel_cokernel(m):
     """Kernel and cokernel of the map Z^cols -> Z^rows given by m."""
-    return _kernel_cokernel(m, _invariant_factors(m))
+    return _kernel_cokernel(m, _invariant_factors(m.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +482,7 @@ def six_term_solve(inp):
         raise InvalidParams("delta0 shape must be rank K1(J) x rank K0(B)")
     if inp.delta1.rows != inp.k0_j.free_rank or inp.delta1.cols != inp.k1_b.free_rank:
         raise InvalidParams("delta1 shape must be rank K0(J) x rank K1(B)")
-    f0, f1 = _invariant_factors(inp.delta0), _invariant_factors(inp.delta1)
+    f0, f1 = _invariant_factors(inp.delta0.entries), _invariant_factors(inp.delta1.entries)
     ker0, cok0 = _kernel_cokernel(inp.delta0, f0)
     ker1, cok1 = _kernel_cokernel(inp.delta1, f1)
     k0_mid = cok1.direct_sum(ker0)

@@ -1,11 +1,17 @@
 """Integer matrix normal forms, K-groups of the model spaces, the six-term
 solver, and the extension invariant."""
 
+import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from md53c.errors import InconsistentInput, InvalidParams, UnsupportedExpr
 from md53c.ktheory import (
@@ -22,6 +28,7 @@ from md53c.ktheory import (
     Sphere,
     StableFunctions,
     ZMat,
+    _invariant_factors,
     descriptor_k_groups,
     hom_kernel_cokernel,
     index_invariant,
@@ -76,6 +83,47 @@ def _mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
+
+
+def _bareiss_det(rows):
+    # determinant by fraction-free elimination, in which every division is exact
+    a = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def _product(x, y):
+    # x * y for ZMats, with any dimension 0
+    return ZMat(x.rows, y.cols, [[sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols))
+                                  for j in range(y.cols)] for i in range(x.rows)])
+
+
+def _old_chain(factors):
+    # the invariant-factor chain of a multiset of cyclic orders by repeated
+    # (gcd, lcm) replacement, as AbGroup.direct_sum computed it before
+    ds = sorted(abs(int(d)) for d in factors if abs(int(d)) > 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i]:
+                    g = math.gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+                    changed = True
+        ds = sorted(d for d in ds if d > 1)
+    return tuple(ds)
 
 
 def test_zmat_basics():
@@ -162,6 +210,33 @@ def test_snf_against_minor_gcd_oracle():
             assert b % a == 0
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.floats(0.3, 1.0), st.sampled_from([1, 9, 100, 2**70]))
+@example(7, 12, 12, 1.0, 9)
+@example(7, 12, 12, 1.0, 2**70)
+@example(7, 0, 5, 1.0, 9)
+@example(7, 5, 0, 1.0, 9)
+@settings(max_examples=40, deadline=None)
+def test_snf_at_workload_sizes(seed, r, c, density, bound):
+    rng = random.Random(seed)
+    m = ZMat(r, c, [[rng.randint(-bound, bound) if rng.random() < density else 0
+                     for _ in range(c)] for _ in range(r)])
+    d, u, v = smith_normal_form(m)
+    assert _product(_product(u, m), v) == d
+    assert abs(_bareiss_det(u.entries)) == 1 and abs(_bareiss_det(v.entries)) == 1
+    assert all(x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    diag = [d.entries[i][i] for i in range(min(r, c))]
+    factors = tuple(x for x in diag if x)
+    assert all(x > 0 for x in factors) and not any(diag[len(factors):])
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert _invariant_factors(m.entries) == factors
+    ker, coker = hom_kernel_cokernel(m)
+    assert (ker.free_rank, coker.free_rank) == (c - len(factors), r - len(factors))
+    assert coker.torsion == tuple(x for x in factors if x > 1)
+    flat = [x for row in m.entries for x in row]
+    assert tuple(abs(int(x)) for x in invariant_factors(Matrix(r, c, flat)) if x) == factors
+
+
 def test_hom_kernel_cokernel():
     ker, coker = hom_kernel_cokernel(ZMat.from_rows([[1], [1]]))
     assert ker == ZERO and coker == Z
@@ -186,6 +261,45 @@ def test_abgroup_validation_and_sum():
     assert AbGroup(0, (4,)).direct_sum(AbGroup(0, (6,))) == AbGroup(0, (2, 12))
     assert Z.direct_sum(AbGroup(1, (2,))) == AbGroup(2, (2,))
     assert AbGroup(0, (2,)).is_zero is False and ZERO.is_zero
+
+
+_ORDERS = st.one_of(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 25, 2**64, 3 * 2**64, 2**64 + 1]),
+                    st.integers(2, 2**70))
+
+
+@given(st.lists(_ORDERS, max_size=6), st.lists(_ORDERS, max_size=6))
+@example([2, 2, 3], [3, 4])
+@example([2**64 + 1, 2**64], [2**64, 3 * 2**64])
+@settings(max_examples=80, deadline=None)
+def test_direct_sum_matches_the_gcd_lcm_chain(xs, ys):
+    a, b = AbGroup(1, _old_chain(xs)), AbGroup(2, _old_chain(ys))
+    assert a.direct_sum(b) == AbGroup(3, _old_chain(xs + ys))
+    cyclic = functools.reduce(lambda g, d: g.direct_sum(AbGroup(0, (d,))), xs + ys, AbGroup())
+    assert cyclic == AbGroup(0, _old_chain(xs + ys))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, 2.5, "3"])
+def test_one_integer_rule(bad):
+    with pytest.raises(InvalidParams):
+        ZMat(1, 2, ((1, bad),))
+    with pytest.raises(InvalidParams):
+        ZMat(bad, 0, ())
+    with pytest.raises(InvalidParams):
+        AbGroup(bad)
+    with pytest.raises(InvalidParams):
+        AbGroup(0, (2, bad))
+
+
+def test_integer_values_are_stored_as_plain_ints():
+    with pytest.raises(InvalidParams):
+        AbGroup(0, (2.7,))
+    g = AbGroup(True, (np.int64(2), 4.0))
+    assert g.to_json() == {"free": 1, "torsion": [2, 4]}
+    assert type(g.free_rank) is int and all(type(d) is int for d in g.torsion)
+    assert str(g) == "Z + Z/2 + Z/4"
+    m = ZMat(2.0, np.int64(1), ((True,), (np.int64(-3),)))
+    assert (m.rows, m.cols, m.entries) == (2, 1, ((1,), (-3,)))
+    assert all(type(x) is int for x in (m.rows, m.cols, *m.entries[0], *m.entries[1]))
 
 
 def test_abgroup_str():
