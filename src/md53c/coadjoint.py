@@ -159,8 +159,8 @@ def orbit_chart(spec, F):
     delta, sigma) != 0, with no threshold, as md_property_grid certifies for
     every valid spec; otherwise the constant chart of the point orbit {F}."""
     F = np.asarray(F, dtype=float)
-    if F.shape != (5,):
-        raise InvalidParams("point must have 5 coordinates")
+    if F.shape != (5,) or not np.isfinite(F).all():
+        raise InvalidParams("need a finite point of 5 coordinates")
     return OrbitChart(spec, tuple(float(x) for x in F), 2 if F[2:].any() else 0)
 
 
@@ -217,10 +217,14 @@ def same_leaf(spec, p, q, tol=1e-8):
     return bool(out[0]) if p.ndim == 1 else out
 
 
+def _rel_ok(u, v, tol):
+    # |u - v| <= tol * max(1, |u|, |v|) entry by entry, for real or complex u, v
+    return np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
+
+
 def _close(u, v, tol):
-    # each row of u within tol of that of v, entry by entry, at the larger of
-    # 1 and the two entries
-    return (np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))).all(axis=1)
+    # each row of u within tol of that of v
+    return _rel_ok(u, v, tol).all(axis=1)
 
 
 def _same_leaf(spec, p, q, tol):

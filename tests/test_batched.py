@@ -250,8 +250,8 @@ def test_f8_principal_angle_stack():
     assert not same_leaf(spec, p, q).any()
 
 
-# The old sample stream: sample by sample, a base point, b1..b3, a1..a3, the
-# alpha offset and that sample's extras, and each flow word step by step.
+# The old sample stream: sample by sample, a base point, b1..b3, a1..a3 and
+# the alpha offset, and each flow word step by step.
 # The array samplers replaced it.  It stays here so that the batched checks
 # run on its points, against the one-sample loops that replay it.
 
@@ -279,25 +279,22 @@ def _old_sample_base(rng, spec):
     return np.array([x, y, f[0], f[1], f[2]])
 
 
-def _old_draw_samples(rng, spec, n, extra):
-    """_draw_samples on the old stream: extra(rng, base) runs on each
-    sample's one-row base right after its alpha offset, so the round-trip
-    redraws and the rho-action draws come sample by sample too.  The same
-    fields as _draw_samples: the chart inputs of p, q, r, then the extras."""
+def _old_draw_samples(rng, spec, n):
+    """_draw_samples on the old stream, sample by sample.  The same fields
+    as _draw_samples: the chart inputs of p, q and r."""
     if int(n) < 1:
         raise InvalidParams("n must be >= 1")
-    bases, bs, avals, offs, extras = [], [], [], [], []
+    bases, bs, avals, offs = [], [], [], []
     for _ in range(int(n)):
         bases.append(_old_sample_base(rng, spec))
         bs.append(rng.uniform(-2.0, 2.0, 3))
         avals.append(rng.uniform(-foliation._AMAX, foliation._AMAX, 3))
         offs.append(math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1)))
-        extras.append(np.reshape(extra(rng, bases[-1][None]), (1, -1)))
     base = np.array(bases)
     shifted = base.copy()
     shifted[:, 0] += offs
     return (np.concatenate((base, base, shifted)), np.array(bs).T.ravel(),
-            np.array(avals).T.ravel(), np.concatenate(extras))
+            np.array(avals).T.ravel())
 
 
 def _flat_words(words):
@@ -308,11 +305,8 @@ def _flat_words(words):
 
 @pytest.fixture
 def old_stream(monkeypatch):
-    """The batched checks drawing from the old stream; each round-trip
-    redraw of one row is one old base point."""
+    """The batched checks drawing their chart inputs from the old stream."""
     monkeypatch.setattr(foliation, "_draw_samples", _old_draw_samples)
-    monkeypatch.setattr(foliation, "_sample_base", lambda rng, spec, n: np.array(
-        [_old_sample_base(rng, spec) for _ in range(n)]))
 
 
 def _scalar_classification(spec, n, seed, tol):
@@ -336,14 +330,17 @@ def _scalar_classification(spec, n, seed, tol):
         r = orbit_chart(spec, base2).eval(b3, a3)
         if same_leaf(emap.target, hp, apply_equivalence(emap, r), tol):
             failures.append({"kind": "negative", "p": list(p), "q": list(r)})
-        rt = base
-        for _ in range(40):
-            if _branch_safe_oracle(spec, rt):
-                break
-            rt = _old_sample_base(rng, spec)
-        back = apply_equivalence(emap, apply_equivalence(emap, rt), "inv")
-        if np.abs(back - rt).max() > 1e-9 * max(1.0, np.abs(rt).max()):
-            failures.append({"kind": "roundtrip", "p": list(rt), "back": list(back)})
+        # the round trip of each chart point away from every seam
+        for pt in (p, q, r):
+            if not _branch_safe_oracle(spec, pt):
+                continue
+            image = apply_equivalence(emap, pt)
+            if not (np.isfinite(image).all() and foliation.in_V(image)):
+                failures.append({"kind": "range", "p": list(pt), "image": list(image)})
+                continue
+            back = apply_equivalence(emap, image, "inv")
+            if np.abs(back - pt).max() > 1e-9 * max(1.0, np.abs(pt).max()):
+                failures.append({"kind": "roundtrip", "p": list(pt), "back": list(back)})
     return failures
 
 
@@ -408,19 +405,22 @@ def _one_source_classification(source, n, seed, tol):
     emap = equivalence_map(source)
     target = emap.target
     rep = CheckReport("classification", source.label(), target.label(), n, seed, tol)
-    bases, b, a, rt = foliation._draw_samples(
-        np.random.default_rng(seed), source, n,
-        lambda rng, base: foliation._roundtrip_points(rng, source, base))
-    p, q, r = (coadjoint._chart(ad2_block(source), *v) for v in zip(
-        bases.reshape(3, -1, 5), b.reshape(3, -1), a.reshape(3, -1)))
-    hp = apply_equivalence(emap, p, "fwd")
-    positive = foliation.same_leaf(target, hp, apply_equivalence(emap, q, "fwd"), tol)
-    negative = foliation.same_leaf(target, hp, apply_equivalence(emap, r, "fwd"), tol)
-    back = apply_equivalence(emap, apply_equivalence(emap, rt, "fwd"), "inv")
-    drift = np.abs(back - rt).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(rt).max(axis=1))
-    foliation._collect(rep, [("positive", ~positive, {"p": p, "q": q}),
-                             ("negative", negative, {"p": p, "q": r}),
-                             ("roundtrip", drift, {"p": rt, "back": back})])
+    bases, b, a = foliation._draw_samples(np.random.default_rng(seed), source, n)
+    pqr = [coadjoint._chart(ad2_block(source), *v) for v in zip(
+        bases.reshape(3, -1, 5), b.reshape(3, -1), a.reshape(3, -1))]
+    hp, hq, hr = (apply_equivalence(emap, v, "fwd") for v in pqr)
+    checks = [("positive", ~foliation.same_leaf(target, hp, hq, tol), {"p": pqr[0], "q": pqr[1]}),
+              ("negative", foliation.same_leaf(target, hp, hr, tol), {"p": pqr[0], "q": pqr[2]})]
+    # the round trip of each of p, q and r, on its rows away from every seam
+    for v, image in zip(pqr, (hp, hq, hr)):
+        safe = foliation._roundtrip_safe(source.family, ad2_block(source), v)
+        off = safe & ~(np.isfinite(image).all(axis=1) & foliation.in_V(image))
+        back = np.full_like(v, np.nan)
+        back[safe & ~off] = apply_equivalence(emap, image[safe & ~off], "inv")
+        drift = np.abs(back - v).max(axis=1) > 1e-9 * np.maximum(1.0, np.abs(v).max(axis=1))
+        checks += [("range", off, {"p": v, "image": image}),
+                   ("roundtrip", drift, {"p": v, "back": back})]
+    foliation._collect(rep, checks)
     return rep
 
 
@@ -445,10 +445,6 @@ def test_grid_classification_matches_per_source_loop(broken, kinds, stack, monke
     assert verify_classification_grid([], n=60) == []
 
 
-def _roundtrip_extra(spec):
-    return lambda rng, base: foliation._roundtrip_points(rng, spec, base)
-
-
 @pytest.mark.parametrize("n", [1, 60, 1500])
 def test_member_draw_equals_the_shared_draw(n):
     # the grid draws once per (family, phi) and lends that draw to every
@@ -458,8 +454,8 @@ def test_member_draw_equals_the_shared_draw(n):
     for spec in MAPPED:
         key = (spec.family, spec.phi)
         first = shared.setdefault(key, (spec, foliation._draw_samples(
-            np.random.default_rng(5), spec, n, _roundtrip_extra(spec))))[1]
-        own = foliation._draw_samples(np.random.default_rng(5), spec, n, _roundtrip_extra(spec))
+            np.random.default_rng(5), spec, n)))[1]
+        own = foliation._draw_samples(np.random.default_rng(5), spec, n)
         assert all(np.array_equal(a, b) for a, b in zip(own, first)), spec.label()
     assert len(shared) == 10
 
@@ -477,9 +473,9 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
     draw, grid = foliation._draw_samples, foliation.verify_classification_grid
     calls, keys = [], []
 
-    def counted_draw(rng, spec, n, extra):
+    def counted_draw(rng, spec, n):
         keys.append((spec.family, spec.phi))
-        return draw(rng, spec, n, extra)
+        return draw(rng, spec, n)
 
     def counted_grid(sources, *args, **kwargs):
         keys.clear()
@@ -573,13 +569,17 @@ def test_grid_rejects_chart_points_off_V(monkeypatch):
 
 @pytest.mark.parametrize("args", [("F2", 1e-3), ("F3", 1e-3), ("F3", -1e-3)])
 def test_map_out_of_range_is_a_failure(args):
-    # |v|^(1/lambda) under- or overflows: a round-trip row's image leaves V
-    # or is not finite; it is reported as a range failure of its source, and
-    # the other rows are still inverted
+    # |v|^(1/lambda) under- or overflows: the image of a chart point away
+    # from every seam leaves V or is not finite; it is reported as a range
+    # failure of its source, and the other such points are still inverted
     spec = family_spec(*args)
     emap = equivalence_map(spec)
     rep = verify_classification((spec, emap.target), n=300, seed=5)
-    rt = foliation._draw_samples(np.random.default_rng(5), spec, 300, _roundtrip_extra(spec))[-1]
+    pqr = coadjoint._chart(ad2_block(spec),
+                           *foliation._draw_samples(np.random.default_rng(5), spec, 300))
+    # sample by sample, then p, q and r: the order of the failure entries
+    rows = pqr.reshape(3, -1, 5).swapaxes(0, 1).reshape(-1, 5)
+    rt = rows[[_branch_safe_oracle(spec, row) for row in rows]]
     image = apply_equivalence(emap, rt)
     off = ~(np.isfinite(image).all(axis=1) & foliation.in_V(image))
     assert off.any() and not off.all()
@@ -593,6 +593,53 @@ def test_map_out_of_range_is_a_failure(args):
     assert {tuple(f["p"]) for f in out}.isdisjoint(
         tuple(f["p"]) for f in rep.failures if f["kind"] == "roundtrip")
     assert any(f["kind"] == "roundtrip" for f in rep.failures)
+
+
+def _break_inverses(mp, unsafe_only):
+    # every mapped family's inverse, moved by 1 in x on each row, or only on
+    # the rows whose true preimage lies within 1e-3 of a seam
+    for family in {s.family for s in MAPPED}:
+        fwd, inv, seams = foliation._MAPS[family]
+
+        def broken(m, *image, family=family, inv=inv):
+            back = np.broadcast_arrays(*inv(m, *image))
+            bad = ~foliation._roundtrip_safe(family, m, np.stack(back, axis=-1)) \
+                if unsafe_only else True
+            return (back[0] + bad, *back[1:])
+        mp.setitem(foliation._MAPS, family, (fwd, broken, seams))
+
+
+def test_every_source_round_trips_n_chart_rows():
+    # the round trip takes the chart points p, q and r that clear every seam:
+    # with every inverse broken, each is a roundtrip failure, and every
+    # mapped source has at least n of them at n = 20
+    with pytest.MonkeyPatch.context() as mp:
+        _break_inverses(mp, unsafe_only=False)
+        for seed in range(50):
+            for rep in verify_classification_grid(MAPPED, n=20, seed=seed):
+                assert {f["kind"] for f in rep.failures} == {"roundtrip"}
+                assert rep.failures_total >= 20, (seed, rep.source)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_round_trip_reads_exactly_the_safe_chart_rows(seed):
+    # an inverse broken only near the seams goes unseen; one broken on every
+    # row fails exactly the chart rows the seam oracle passes, sample by
+    # sample, then p, q and r
+    n = 60
+    with pytest.MonkeyPatch.context() as mp:
+        _break_inverses(mp, unsafe_only=True)
+        assert all(rep.ok for rep in verify_classification_grid(MAPPED, n=n, seed=seed))
+    with pytest.MonkeyPatch.context() as mp:
+        _break_inverses(mp, unsafe_only=False)
+        reports = verify_classification_grid(MAPPED, n=n, seed=seed)
+    for source, rep in zip(MAPPED, reports):
+        pqr = coadjoint._chart(ad2_block(source), *foliation._draw_samples(
+            np.random.default_rng(seed), source, n))
+        rows = [row for row in pqr.reshape(3, n, 5).swapaxes(0, 1).reshape(-1, 5)
+                if _branch_safe_oracle(source, row)]
+        assert [f["kind"] for f in rep.failures] == ["roundtrip"] * len(rows), source.label()
+        np.testing.assert_array_equal([f["p"] for f in rep.failures], rows)
 
 
 @dataclass(frozen=True)
@@ -672,25 +719,31 @@ def _scalar_hard_negative(kind, p):
 
 def _scalar_fibration(kind, n, seed, tol):
     """The one-sample-at-a-time fibration loop, kept as the oracle for the
-    batched check: old stream, same order, same failure entries.  It calls
+    batched check: old stream, same order, same failure entries.  The F2
+    group elements and recovery chart parameters of every sample are drawn
+    after all chart inputs, as the batched check draws them.  It calls
     same_leaf and rho_apply through the module, so a patched kernel reaches
     it too."""
     spec = family_spec("F4") if kind == "F1" else family_spec("F8", 1.0, math.pi / 2)
     rng = np.random.default_rng(seed)
     itol = max(tol, 1e-8)
     rho = foliation.rho_apply
-    failures = []
+    failures, draws = [], []
     for _ in range(n):
         base = _old_sample_base(rng, spec)
+        b, a = rng.uniform(-2.0, 2.0, 3), rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
+        draws.append((base, b, a, math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))))
+    # per sample g1, g2 and the recovery chart's (b, a)
+    extras = [[float(rng.uniform(lo, hi)) for lo, hi in [(-2, 2), (-1.5, 1.5)] * 3]
+              for _ in range(n if kind == "F2" else 0)]
+    for k, (base, (b1, b2, b3), (a1, a2, a3), off) in enumerate(draws):
         chart = orbit_chart(spec, base)
-        b1, b2, b3 = rng.uniform(-2.0, 2.0, 3)
-        a1, a2, a3 = rng.uniform(-foliation._AMAX, foliation._AMAX, 3)
         p, q = chart.eval(b1, a1), chart.eval(b2, a2)
         ip, iq = _scalar_invariant(kind, p), _scalar_invariant(kind, q)
         if not (foliation.same_leaf(spec, p, q, tol) and ip.approx_eq(iq, itol)):
             failures.append({"kind": "positive", "p": list(p), "q": list(q)})
         base2 = base.copy()
-        base2[0] += math.copysign(rng.uniform(0.1, 1.0), rng.uniform(-1, 1))
+        base2[0] += off
         r = orbit_chart(spec, base2).eval(b3, a3)
         if foliation.same_leaf(spec, p, r, tol) or ip.approx_eq(_scalar_invariant(kind, r), itol):
             failures.append({"kind": "negative", "p": list(p), "q": list(r)})
@@ -700,8 +753,7 @@ def _scalar_fibration(kind, n, seed, tol):
         if kind == "F1":
             continue
         scale = max(1.0, float(np.abs(p).max()))
-        g1 = (float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
-        g2 = (float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        g1, g2, (b, a) = extras[k][0:2], extras[k][2:4], extras[k][4:6]
         if float(np.abs(rho((0.0, 0.0), p) - p).max()) > 1e-12 * scale:
             failures.append({"kind": "identity-axiom", "p": list(p)})
         lhs = rho(g1, rho(g2, p))
@@ -710,7 +762,7 @@ def _scalar_fibration(kind, n, seed, tol):
             failures.append({"kind": "additivity-axiom", "p": list(p)})
         if not foliation.same_leaf(spec, p, rho(g1, p), itol):
             failures.append({"kind": "rho-image", "p": list(p), "g": list(g1)})
-        q = orbit_chart(spec, p).eval(float(rng.uniform(-2, 2)), float(rng.uniform(-1.5, 1.5)))
+        q = orbit_chart(spec, p).eval(b, a)
         if p[4] != 0.0:
             a_rec = math.log(q[4] / p[4])
         else:
@@ -847,16 +899,24 @@ def test_roundtrip_margin_matches_oracle(seed, spec):
     # points on, near and away from every seam, the principal-argument cuts
     # included (on them too, from either side of the real axis), and |w| from
     # 1e-6 to 1e6 so the image angle of family 8 passes its cut; one call on
-    # the stack, row by row against the oracle
+    # the stack, row by row against the oracle, then one call on the stack
+    # under the blocks of every member of the family
     rng = np.random.default_rng(seed)
     pts = _map_points(rng, spec, 64)
     pts[::3, 2:] *= rng.choice([1e-3, 1.0005e-3, 0.9995e-3, 1e-6, 1e6], (len(pts[::3]), 3))
     angle = rng.uniform(math.pi - 3e-3, math.pi, 16) * rng.choice([-1.0, 1.0], 16)
     pts[-16:, 2], pts[-16:, 3] = np.cos(angle), np.sin(angle)
     pts[-18:-16, 2:4] = [[-1.0, 0.0], [-1.0, -0.0]]
-    got = foliation._roundtrip_safe(spec, pts)
+    got = foliation._roundtrip_safe(spec.family, ad2_block(spec), pts)
     assert got.shape == (len(pts),) and got.dtype == bool
     assert list(got) == [_branch_safe_oracle(spec, p) for p in pts]
+    members = [s for s in GRID if s.family == spec.family]
+    m = np.array([ad2_block(s) for s in members])[:, None]
+    got = foliation._roundtrip_safe(spec.family, m,
+                                    np.broadcast_to(pts, (len(members), *pts.shape)))
+    assert got.shape == (len(members), len(pts))
+    for member, row in zip(members, got):
+        assert list(row) == [_branch_safe_oracle(member, p) for p in pts]
 
 
 def _within_5_sigma(hits, n, rate):
@@ -886,18 +946,21 @@ def test_array_sampler_fields_and_rates(spec, seed):
         assert ((np.abs(base[:, 2:]) >= 0.05) & (np.abs(base[:, 2:]) < 2.0))[~zero].all()
         assert _within_5_sigma(zero.any(axis=1), n, 0.3)
         assert _within_5_sigma(zero.sum(axis=1) == 2, n, 0.09)
-    # round-trip rows: safe rows kept, the others redrawn; a row stays unsafe
-    # after 40 redraws with chance below 0.35**41 < 1e-18, so none does
-    rt = foliation._roundtrip_points(rng, spec, base)
-    safe = foliation._roundtrip_safe(spec, base)
-    assert np.array_equal(rt[safe], base[safe]) and foliation.in_V(rt).all()
-    assert np.count_nonzero(~foliation._roundtrip_safe(spec, rt)) == 0
+    # the rows away from every seam, which the round trip checks: a nonzero
+    # coordinate clears the 1e-3 margin, so a row fails where a seam
+    # coordinate is 0, at rate 0.3 * 2/3 + 0.09 / 3 when two of (z, t, s)
+    # are seams and 0.3 / 3 + 0.09 / 3 when one is; family 8 zeroes w or s
+    # at rate 0.3, and its image angle reaches the cut on few rows
+    rate = {"F2": 0.87, "F3": 0.87, "F4": 1.0, "F8": 0.7}.get(spec.family, 0.77)
+    safe = foliation._roundtrip_safe(spec.family, ad2_block(spec), base)
+    assert _within_5_sigma(safe, n, rate)
 
 
 @pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
 def test_draw_follows_the_stream_order(spec):
-    # the base points, b1..b3, a1..a3, the alpha offsets, then the extras;
-    # the chart inputs of p, q and r are stacked in that order
+    # the base points, b1..b3, a1..a3, then the alpha offsets; the chart
+    # inputs of p, q and r are stacked in that order, and a caller's extras
+    # come next from the same generator
     rng = np.random.default_rng(11)
     base = foliation._sample_base(rng, spec, 50)
     b = rng.uniform(-2.0, 2.0, (50, 3))
@@ -905,8 +968,9 @@ def test_draw_follows_the_stream_order(spec):
     shifted = base.copy()
     shifted[:, 0] += foliation._signed(rng, 0.1, 1.0, 50)
     extra = rng.random(50)
-    *chart_in, got = foliation._draw_samples(np.random.default_rng(11), spec, 50,
-                                             lambda rng, base: rng.random(len(base)))
+    rng = np.random.default_rng(11)
+    chart_in = foliation._draw_samples(rng, spec, 50)
+    got = rng.random(50)
     m = ad2_block(spec)
     pqr = coadjoint._chart(m, *chart_in).reshape(3, -1, 5)
     for k, start in enumerate((base, base, shifted)):
@@ -917,10 +981,8 @@ def test_draw_follows_the_stream_order(spec):
 @pytest.mark.parametrize("spec", FAMILY_REPS, ids=lambda s: s.label())
 def test_array_draws_repeat_per_seed(spec):
     def draw(seed, n=500):
-        *chart_in, rt = foliation._draw_samples(
-            np.random.default_rng(seed), spec, n,
-            lambda rng, base: foliation._roundtrip_points(rng, spec, base))
-        return (*coadjoint._chart(ad2_block(spec), *chart_in).reshape(3, -1, 5), rt)
+        chart_in = foliation._draw_samples(np.random.default_rng(seed), spec, n)
+        return coadjoint._chart(ad2_block(spec), *chart_in).reshape(3, -1, 5)
 
     first = draw(7)
     assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
@@ -935,7 +997,7 @@ def test_array_draws_repeat_per_seed(spec):
     assert set(i) == {1, 2, 3, 4, 5} and (np.abs(t) <= 1.0).all()
     for n in (0, -3):
         with pytest.raises(InvalidParams):
-            foliation._draw_samples(np.random.default_rng(7), spec, n, lambda rng, base: ())
+            foliation._draw_samples(np.random.default_rng(7), spec, n)
         with pytest.raises(InvalidParams):
             verify_classification((spec, equivalence_map(spec).target), n=n)
 def _scalar_mat_exp(m, t=1.0):

@@ -101,6 +101,14 @@ def test_point_orbit_chart():
     for bad in ([1.0, 2.0, 0.0], np.zeros((2, 5))):
         with pytest.raises(InvalidParams):
             orbit_chart(F1_23, bad)
+    # a non-finite point is rejected as kirillov_form_rank rejects it, not
+    # read as a plane orbit that evaluates to NaN
+    for k in range(5):
+        for v in (math.nan, math.inf, -math.inf):
+            F = np.zeros(5)
+            F[k] = v
+            with pytest.raises(InvalidParams, match="need a finite point of 5 coordinates"):
+                orbit_chart(F1_23, F)
 
 
 def test_chart_matches_flow_on_grid():
