@@ -14,7 +14,7 @@ from md53c.catalog import build_algebra, default_grid
 from md53c.cli import main
 from md53c.coadjoint import coadjoint_flow, md_property_grid, same_leaf
 from md53c.errors import InconsistentInput
-from md53c.foliation import equivalence_map, fibration_check, rho_apply, verify_classification
+from md53c.foliation import fibration_check, rho_apply, verify_classification_grid
 from md53c.ktheory import (
     AbGroup,
     B_CROSSED,
@@ -126,8 +126,7 @@ def test_criterion_4_classification_maps():
     for spec in default_grid():
         if spec.family == "F4" or _halfplane(spec):
             continue
-        emap = equivalence_map(spec)
-        rep = verify_classification((spec, emap.target), n=1000, seed=1729, tol=1e-6)
+        rep = verify_classification_grid([spec], n=1000, seed=1729, tol=1e-6)[0]
         assert rep.ok, (spec.label(), rep.failures[:3])
         checked += 1
     assert checked == 33

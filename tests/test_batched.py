@@ -29,7 +29,7 @@ from md53c.coadjoint import coadjoint_flow, flow_check_grid, orbit_chart, same_l
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.coadjoint import CheckReport
 from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check, leaf_invariant,
-                             rho_apply, verify_classification, verify_classification_grid)
+                             rho_apply, verify_classification_grid)
 from md53c.lie_core import (StructureConstants, ad_matrix, derived_subalgebra, exact_rank,
                             jacobi_defect, mat_exp)
 
@@ -354,8 +354,7 @@ def _assert_same_failures(got, want):
 @pytest.mark.parametrize("spec", [s for s in MAPPED if s.family != "F4"][::3],
                          ids=lambda s: s.label())
 def test_batched_classification_matches_scalar_loop(spec, old_stream):
-    emap = equivalence_map(spec)
-    rep = verify_classification((spec, emap.target), n=30, seed=41, tol=1e-6)
+    rep = verify_classification_grid([spec], n=30, seed=41, tol=1e-6)[0]
     assert rep.failures == [] == _scalar_classification(spec, 30, 41, 1e-6)
 
 
@@ -384,7 +383,7 @@ def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkey
                                                            old_stream):
     spec = family_spec("F2", 2.0)
     _break_map(monkeypatch, broken)
-    rep = verify_classification((spec, family_spec("F4")), n=40, seed=5, tol=1e-6)
+    rep = verify_classification_grid([spec], n=40, seed=5, tol=1e-6)[0]
     want = _scalar_classification(spec, 40, 5, 1e-6)
     assert {f["kind"] for f in want} == kinds
     _assert_same_failures(rep.failures, want)
@@ -393,8 +392,33 @@ def test_batched_classification_failures_keep_scalar_order(broken, kinds, monkey
 @pytest.mark.parametrize("broken,kinds", CLASSIFICATION_CASES)
 def test_classification_mutations_caught_on_the_array_stream(broken, kinds, monkeypatch):
     _break_map(monkeypatch, broken)
-    rep = verify_classification((family_spec("F2", 2.0), family_spec("F4")), n=200, seed=3)
+    rep = verify_classification_grid([family_spec("F2", 2.0)], n=200, seed=3)[0]
     assert {f["kind"] for f in rep.failures} == kinds
+
+
+def test_round_trip_fails_closed_on_nan(monkeypatch):
+    # an inverse that gives NaN in x wherever x > 0: each round-tripped chart
+    # row with x > 0 fails, since a NaN drift is not within the bound, and no
+    # other row does
+    spec = family_spec("F2", 2.0)
+    emap = equivalence_map(spec)
+    pqr = coadjoint._chart(ad2_block(spec),
+                           *foliation._draw_samples(np.random.default_rng(3), spec, 200))
+    # sample by sample, then p, q and r: the order of the failure entries
+    rows = pqr.reshape(3, -1, 5).swapaxes(0, 1).reshape(-1, 5)
+    rt = rows[[_branch_safe_oracle(spec, row) for row in rows]]
+    want = rt[apply_equivalence(emap, apply_equivalence(emap, rt), "inv")[:, 0] > 0.0]
+    fwd, inv, seams = _F2_MAPS
+
+    def nan_inverse(m, *image):
+        x, *rest = inv(m, *image)
+        return (np.where(x > 0.0, np.nan, x), *rest)
+
+    monkeypatch.setitem(foliation._MAPS, "F2", (fwd, nan_inverse, seams))
+    rep = verify_classification_grid([spec], n=200, seed=3)[0]
+    assert {f["kind"] for f in rep.failures} == {"roundtrip"} and len(want) > 0
+    np.testing.assert_array_equal([f["p"] for f in rep.failures], want)
+    assert all(f["back"][0] == "nan" for f in rep.failures)
 
 
 def _one_source_classification(source, n, seed, tol):
@@ -548,8 +572,6 @@ def test_grid_rejects_halfplane_sources(source, monkeypatch):
         verify_classification_grid([source], n=5)
     with pytest.raises(UnsupportedMap, match=re.escape(emap.name)):
         verify_classification_grid([MAPPED[0], source], n=5)
-    with pytest.raises(UnsupportedMap, match=re.escape(emap.name)):
-        verify_classification((source, emap.target), n=5)
 
 
 def test_grid_rejects_chart_points_off_V(monkeypatch):
@@ -574,7 +596,7 @@ def test_map_out_of_range_is_a_failure(args):
     # failure of its source, and the other such points are still inverted
     spec = family_spec(*args)
     emap = equivalence_map(spec)
-    rep = verify_classification((spec, emap.target), n=300, seed=5)
+    rep = verify_classification_grid([spec], n=300, seed=5)[0]
     pqr = coadjoint._chart(ad2_block(spec),
                            *foliation._draw_samples(np.random.default_rng(5), spec, 300))
     # sample by sample, then p, q and r: the order of the failure entries
@@ -999,7 +1021,7 @@ def test_array_draws_repeat_per_seed(spec):
         with pytest.raises(InvalidParams):
             foliation._draw_samples(np.random.default_rng(7), spec, n)
         with pytest.raises(InvalidParams):
-            verify_classification((spec, equivalence_map(spec).target), n=n)
+            verify_classification_grid([spec], n=n)
 def _scalar_mat_exp(m, t=1.0):
     """The one-matrix exponential, kept as the oracle for the stacked one."""
     a = t * np.asarray(m, dtype=float)

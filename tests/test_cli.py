@@ -543,7 +543,7 @@ assert "numpy" in sys.modules, "catalog ran without numpy"
 assert "ZMat" not in vars(md53c)
 md53c.ZMat
 public = md53c.__all__
-assert len(public) == 66 and set(public) <= set(vars(md53c)), public
+assert len(public) == 65 and set(public) <= set(vars(md53c)), public
 star = {}
 exec("from md53c import *", star)
 assert sorted(k for k in star if k != "__builtins__") == sorted(public)
