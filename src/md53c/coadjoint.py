@@ -206,7 +206,8 @@ def same_leaf(spec, p, q, tol=1e-8):
     then its leaf is itself.  Otherwise each candidate flow time of
     _leaf_times takes p along its chart, and the pair is on one leaf when
     some candidate lands on q.  Every comparison is entrywise,
-    |u - v| <= tol * max(1, |u|, |v|): tol is the only number read.
+    |u - v| <= tol * max(1, |u|, |v|) with u - v finite: tol is the only
+    number read.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -218,8 +219,11 @@ def same_leaf(spec, p, q, tol=1e-8):
 
 
 def _rel_ok(u, v, tol):
-    # |u - v| <= tol * max(1, |u|, |v|) entry by entry, for real or complex u, v
-    return np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
+    # |u - v| <= tol * max(1, |u|, |v|) entry by entry, for real or complex u,
+    # v; a difference that is not finite is never close, or inf would be
+    # close to every finite value
+    d = np.abs(u - v)
+    return (d <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))) & np.isfinite(d)
 
 
 def _close(u, v, tol):

@@ -7,7 +7,7 @@ invariant of the boundary extension.
 All arithmetic is over Python integers; nothing here is floating point.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InconsistentInput, InvalidParams, UnsupportedExpr
 
@@ -267,8 +267,7 @@ class Euclid(SpaceExpr):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParams("Euclid requires n >= 1")
+        _dimension(self, 1)
 
 
 @dataclass(frozen=True)
@@ -276,8 +275,7 @@ class Sphere(SpaceExpr):
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParams("Sphere requires n >= 0")
+        _dimension(self, 0)
 
 
 @dataclass(frozen=True)
@@ -287,8 +285,16 @@ class Punctured(SpaceExpr):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParams("Punctured requires n >= 1")
+        _dimension(self, 1)
+
+
+def _dimension(node, least):
+    # the one integer rule on node.n, kept as a plain int, and n >= least
+    name = type(node).__name__
+    (n,) = _ints((node.n,), f"{name} dimension")
+    if n < least:
+        raise InvalidParams(f"{name} requires n >= {least}")
+    object.__setattr__(node, "n", n)
 
 
 @dataclass(frozen=True)
@@ -313,30 +319,35 @@ def space_k_groups(x):
 
     Rules: a point gives (Z, 0); Euclidean factors Bott-shift by their
     dimension; spheres use the unital convention (Z^2, 0) / (Z, Z); a
-    punctured R^n is rewritten as S^{n-1} x R; products use the Kunneth
-    formula without Tor terms, as every rule gives free groups; disjoint
-    unions add componentwise.
+    punctured R^n is S^{n-1} x R; products use the Kunneth formula without
+    Tor terms, as every rule gives free groups; disjoint unions add
+    componentwise.  So the rules run on free ranks alone.
     """
-    if isinstance(x, Point):
-        return AbGroup(1), AbGroup(0)
-    if isinstance(x, Euclid):
-        return (AbGroup(1), AbGroup(0)) if x.n % 2 == 0 else (AbGroup(0), AbGroup(1))
-    if isinstance(x, HalfLine):
-        return AbGroup(0), AbGroup(1)
-    if isinstance(x, Sphere):
-        return (AbGroup(2), AbGroup(0)) if x.n % 2 == 0 else (AbGroup(1), AbGroup(1))
-    if isinstance(x, Punctured):
-        return space_k_groups(Product(Sphere(x.n - 1), Euclid(1)))
+    k0, k1 = _space_ranks(x)
+    return AbGroup(k0), AbGroup(k1)
+
+
+def _space_ranks(x):
+    # the free ranks of space_k_groups(x), rule by rule
     if isinstance(x, Product):
-        a0, a1 = space_k_groups(x.a)
-        b0, b1 = space_k_groups(x.b)
-        k0 = a0.free_rank * b0.free_rank + a1.free_rank * b1.free_rank
-        k1 = a0.free_rank * b1.free_rank + a1.free_rank * b0.free_rank
-        return AbGroup(k0), AbGroup(k1)
+        a0, a1 = _space_ranks(x.a)
+        b0, b1 = _space_ranks(x.b)
+        return a0 * b0 + a1 * b1, a0 * b1 + a1 * b0
     if isinstance(x, DisjointUnion):
-        a0, a1 = space_k_groups(x.a)
-        b0, b1 = space_k_groups(x.b)
-        return a0.direct_sum(b0), a1.direct_sum(b1)
+        a0, a1 = _space_ranks(x.a)
+        b0, b1 = _space_ranks(x.b)
+        return a0 + b0, a1 + b1
+    if isinstance(x, Euclid):
+        return (0, 1) if x.n % 2 else (1, 0)
+    if isinstance(x, Point):
+        return 1, 0
+    if isinstance(x, HalfLine):
+        return 0, 1
+    if isinstance(x, Sphere):
+        return (1, 1) if x.n % 2 else (2, 0)
+    if isinstance(x, Punctured):
+        # the ranks of S^{n-1}, Bott-shifted by the factor R
+        return (1, 1) if x.n % 2 == 0 else (0, 2)
     raise UnsupportedExpr(f"unknown space expression {x!r}")
 
 
@@ -368,8 +379,7 @@ class CrossedByRn(CStarDescriptor):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParams("CrossedByRn requires n >= 1")
+        _dimension(self, 1)
         depth, d = 1, self.inner
         while isinstance(d, CrossedByRn):
             depth += 1
@@ -466,7 +476,7 @@ class SixTermSolution:
                 "invariant_factors": {"delta0": list(self.delta0_factors),
                                       "delta1": list(self.delta1_factors)},
             },
-            "consistency": list(self.consistency),
+            "consistency": [dict(c) for c in self.consistency],
         }
 
 
@@ -475,18 +485,24 @@ def six_term_solve(inp):
     groups and connecting maps: K0 = coker(delta1) + ker(delta0) and K1 =
     coker(delta0) + ker(delta1) (the quotients by free subgroups split).
     An expected middle, when supplied, is enforced."""
+    return SixTermSolution(inp, *_solve(inp))
+
+
+def _solve(inp):
+    # six_term_solve's middle groups and the invariant factors of delta0 and
+    # delta1; each kernel is free, so a middle group's torsion is that of its
+    # cokernel: the factors of the other map that are above 1
     for g in (inp.k0_j, inp.k1_j, inp.k0_b, inp.k1_b):
         if not g.is_free:
             raise UnsupportedExpr("six-term solver requires free corner groups")
-    if inp.delta0.rows != inp.k1_j.free_rank or inp.delta0.cols != inp.k0_b.free_rank:
+    d0, d1 = inp.delta0, inp.delta1
+    if d0.rows != inp.k1_j.free_rank or d0.cols != inp.k0_b.free_rank:
         raise InvalidParams("delta0 shape must be rank K1(J) x rank K0(B)")
-    if inp.delta1.rows != inp.k0_j.free_rank or inp.delta1.cols != inp.k1_b.free_rank:
+    if d1.rows != inp.k0_j.free_rank or d1.cols != inp.k1_b.free_rank:
         raise InvalidParams("delta1 shape must be rank K0(J) x rank K1(B)")
-    f0, f1 = _invariant_factors(inp.delta0.entries), _invariant_factors(inp.delta1.entries)
-    ker0, cok0 = _kernel_cokernel(inp.delta0, f0)
-    ker1, cok1 = _kernel_cokernel(inp.delta1, f1)
-    k0_mid = cok1.direct_sum(ker0)
-    k1_mid = cok0.direct_sum(ker1)
+    f0, f1 = _invariant_factors(d0.entries), _invariant_factors(d1.entries)
+    k0_mid = AbGroup(d1.rows - len(f1) + d0.cols - len(f0), tuple(d for d in f1 if d > 1))
+    k1_mid = AbGroup(d0.rows - len(f0) + d1.cols - len(f1), tuple(d for d in f0 if d > 1))
     if inp.expected_middle is not None:
         e0, e1 = inp.expected_middle
         if (k0_mid, k1_mid) != (e0, e1):
@@ -494,7 +510,7 @@ def six_term_solve(inp):
                 f"middle K-groups ({k0_mid}, {k1_mid}) contradict the known "
                 f"middle ({e0}, {e1})"
             )
-    return SixTermSolution(inp, k0_mid, k1_mid, f0, f1)
+    return k0_mid, k1_mid, f0, f1
 
 
 def index_invariant(J, B, delta0, delta1, middle=None):
@@ -512,19 +528,18 @@ def index_invariant(J, B, delta0, delta1, middle=None):
 
 def _ext_class(inp):
     # index_invariant on a six-term input: the solution, with the
-    # torsion-free cokernels that a free middle forces checked and listed
-    sol = six_term_solve(inp)
-    checked = []
-    for name, m, factors in (("delta0", sol.delta0, sol.delta0_factors),
-                             ("delta1", sol.delta1, sol.delta1_factors)):
-        cok = _kernel_cokernel(m, factors)[1]
-        if not cok.is_free:
+    # torsion-free cokernels that a free middle forces checked and listed; a
+    # cokernel is free exactly when every invariant factor of its map is 1
+    k0_mid, k1_mid, f0, f1 = _solve(inp)
+    for name, m, factors in (("delta0", inp.delta0, f0), ("delta1", inp.delta1, f1)):
+        if factors != (1,) * len(factors):
             raise InconsistentInput(
-                f"coker({name}) = {cok} has torsion, but it must embed in a free "
-                "middle K-group by exactness"
+                f"coker({name}) = {_kernel_cokernel(m, factors)[1]} has torsion, but it "
+                "must embed in a free middle K-group by exactness"
             )
-        checked.append({"node": name, "relation": f"coker({name}) torsion-free"})
-    return replace(sol, consistency=tuple(checked))
+    checked = tuple({"node": name, "relation": f"coker({name}) torsion-free"}
+                    for name in ("delta0", "delta1"))
+    return SixTermSolution(inp, k0_mid, k1_mid, f0, f1, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +556,30 @@ MIDDLE_DESCRIPTOR = CrossedByRn(StableFunctions(Product(Euclid(2), Punctured(3))
 DELTA0_DEFAULT = ZMat(2, 1, ((1,), (1,)))
 
 
+def _scenario(b, middle):
+    # the fixed part of a scenario's six-term input: the quotient's groups,
+    # the zero delta1 from K1(B) to K0(J) and the middle to enforce
+    groups = descriptor_k_groups(b)
+    return groups, ZMat.zeros(_J_GROUPS[0].free_rank, groups[1].free_rank), middle
+
+
+_J_GROUPS = descriptor_k_groups(J_DESCRIPTOR)
+_PAPER = _scenario(B_CROSSED, descriptor_k_groups(MIDDLE_DESCRIPTOR))
+_FIBRATION = _scenario(B_FIBRATION, None)
+
+
 def scenario_input(name, delta0=None):
     """Six-term input for scenario "paper" (crossed-product reading of the
     quotient, middle enforced) or "fibration" (printed fibration reading,
-    middle left free).  The two disagree in K1 of the quotient: Z versus 0."""
-    j0, j1 = descriptor_k_groups(J_DESCRIPTOR)
-    if delta0 is None:
-        delta0 = DELTA0_DEFAULT
+    middle left free).  The two disagree in K1 of the quotient: Z versus 0.
+    The groups of the four descriptors above are computed once, at import."""
     if name == "paper":
-        b0, b1 = descriptor_k_groups(B_CROSSED)
-        expected = descriptor_k_groups(MIDDLE_DESCRIPTOR)
+        (b0, b1), delta1, expected = _PAPER
     elif name == "fibration":
-        b0, b1 = descriptor_k_groups(B_FIBRATION)
-        expected = None
+        (b0, b1), delta1, expected = _FIBRATION
     else:
         raise InvalidParams("scenario must be 'paper' or 'fibration'")
-    delta1 = ZMat.zeros(j0.free_rank, b1.free_rank)
-    return SixTermInput(j0, j1, b0, b1, delta0, delta1,
+    if delta0 is None:
+        delta0 = DELTA0_DEFAULT
+    return SixTermInput(*_J_GROUPS, b0, b1, delta0, delta1,
                         scenario=name, expected_middle=expected)

@@ -722,15 +722,16 @@ def test_output_is_deterministic(tmp_path):
 
 
 def test_six_term_middle_can_fail(tmp_path, monkeypatch):
-    # a kernel with one generator too many gives the middle (Z, Z^3): the
+    # kernels with one generator too many give the middle (Z, Z^3): the
     # claim reads failed with the middle it got, and the ledger is whole
-    kernel_cokernel = ktheory._kernel_cokernel
+    solve = ktheory._solve
 
-    def one_more(m, factors):
-        ker, cok = kernel_cokernel(m, factors)
-        return ktheory.AbGroup(ker.free_rank + 1), cok
+    def one_more(inp):
+        k0_mid, k1_mid, f0, f1 = solve(inp)
+        return (ktheory.AbGroup(k0_mid.free_rank + 1), ktheory.AbGroup(k1_mid.free_rank + 1),
+                f0, f1)
 
-    monkeypatch.setattr(ktheory, "_kernel_cokernel", one_more)
+    monkeypatch.setattr(ktheory, "_solve", one_more)
     code, doc = run_json(["verify-claims", "--samples", "10"], tmp_path)
     assert code == 1
     assert doc["summary"]["claims"] == len(doc["claims"]) == 16

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from md53c.catalog import _FAMILIES, ad2_block, build_algebra, default_grid, family_spec
 from md53c.coadjoint import (
     _chart,
+    _rel_ok,
     coadjoint_flow,
     kirillov_form_rank,
     md_property_grid,
@@ -271,6 +272,30 @@ def test_same_leaf_reads_no_point_threshold():
         q = _chart(ad2_block(F1_23), p, 0.0, 345.0)
     assert q[2] == pytest.approx(0.46, rel=0.01) and q[3] == q[4] == 0.0
     assert same_leaf(F1_23, p, q) and same_leaf(F1_23, q, p)
+
+
+def test_rel_ok_never_reads_a_non_finite_difference_as_close():
+    inf, nan = float("inf"), float("nan")
+    for u, v in ((inf, 3.0), (-inf, 3.0), (inf, -3.0), (-inf, 0.0), (inf, inf),
+                 (-inf, -inf), (inf, -inf), (nan, 3.0), (nan, nan), (nan, inf),
+                 (1e308, -1e308), (complex(inf, 0.0), 1.0 + 0.0j)):
+        assert not _rel_ok(u, v, 1e-8) and not _rel_ok(v, u, 1e-8)
+    for u, v in ((3.0, 3.0 + 1e-8), (1e308, 1e308 * (1 + 1e-9)), (0.0, -1e-8),
+                 (2.0 + 1j, 2.0 + 1j)):
+        assert _rel_ok(u, v, 1e-8) and _rel_ok(v, u, 1e-8)
+    stacked = _rel_ok(np.array([inf, 3.0, nan]), np.array([3.0, 3.0, 3.0]), 1e-8)
+    assert stacked.tolist() == [False, True, False]
+
+
+def test_same_leaf_reads_no_overflowed_candidate():
+    # F3(0): the alpha candidate a ~ 977 sends (delta, sigma) of p to inf, and
+    # inf read as close to q's finite values; the invariants x + gamma ln|(delta,
+    # sigma)| of the two points differ
+    spec = family_spec("F3", 0.0)
+    p = np.array([-1.7634, -0.3685, -9.14e-4, -1.5326, -1.0917])
+    q = np.array([-0.8709, -0.3691, -9.14e-4, -1.2397, -0.8830])
+    assert not same_leaf(spec, p, q) and not same_leaf(spec, q, p)
+    assert same_leaf(spec, p, p) and same_leaf(spec, q, q)
 
 
 @pytest.mark.parametrize("phi,reach", [

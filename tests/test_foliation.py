@@ -14,6 +14,7 @@ from md53c.catalog import _FAMILIES, FAMILIES, ad2_block, default_grid, family_s
 from md53c.coadjoint import flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.foliation import (
+    LeafInvariant,
     apply_equivalence,
     equivalence_map,
     fibration_check,
@@ -288,6 +289,18 @@ def test_leaf_invariant_separates():
     w = leaf_invariant("F2", [0.0, 0.0, 1.0, 0.0, 0.0])
     assert not u.approx_eq(w) and not w.approx_eq(u)
     assert not u.approx_eq(leaf_invariant("F2", [0.0, 0.0, 1.0, 0.0, -1.0]))
+
+
+def test_leaf_invariant_never_matches_an_overflowed_one():
+    # c or u at inf was within tol * inf of every finite value
+    inf = float("inf")
+    f1 = LeafInvariant("F1", 3.0, np.array([1.0, 0.0, 0.0]), 0.0)
+    f2 = LeafInvariant("F2", 3.0, 1.0 + 2.0j, 1.0)
+    for finite, c, u in ((f1, inf, f1.u), (f1, -inf, f1.u), (f2, inf, f2.u),
+                         (f2, 3.0, complex(inf, 2.0)), (f2, 3.0, complex(1.0, -inf))):
+        over = LeafInvariant(finite.kind, c, u, finite.eps)
+        assert finite.approx_eq(finite)
+        assert not finite.approx_eq(over) and not over.approx_eq(finite)
 
 
 def test_f1_invariant_is_scale_free_on_a_ray():

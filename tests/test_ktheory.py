@@ -15,6 +15,10 @@ from sympy.matrices.normalforms import invariant_factors
 
 from md53c.errors import InconsistentInput, InvalidParams, UnsupportedExpr
 from md53c.ktheory import (
+    B_CROSSED,
+    B_FIBRATION,
+    J_DESCRIPTOR,
+    MIDDLE_DESCRIPTOR,
     AbGroup,
     CrossedByRn,
     DisjointUnion,
@@ -28,6 +32,7 @@ from md53c.ktheory import (
     Sphere,
     StableFunctions,
     ZMat,
+    _ext_class,
     _invariant_factors,
     descriptor_k_groups,
     hom_kernel_cokernel,
@@ -278,8 +283,14 @@ def test_direct_sum_matches_the_gcd_lcm_chain(xs, ys):
     assert cyclic == AbGroup(0, _old_chain(xs + ys))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, 2.5, "3"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, 2.5, 1.5, "3"])
 def test_one_integer_rule(bad):
+    # a space dimension too: a fractional or non-finite one gave a K-group by
+    # its parity, and Sphere("3") raised TypeError
+    plane = StableFunctions(Euclid(2))
+    for make in (Euclid, Sphere, Punctured, lambda n: CrossedByRn(plane, n)):
+        with pytest.raises(InvalidParams):
+            make(bad)
     with pytest.raises(InvalidParams):
         ZMat(1, 2, ((1, bad),))
     with pytest.raises(InvalidParams):
@@ -300,6 +311,11 @@ def test_integer_values_are_stored_as_plain_ints():
     m = ZMat(2.0, np.int64(1), ((True,), (np.int64(-3),)))
     assert (m.rows, m.cols, m.entries) == (2, 1, ((1,), (-3,)))
     assert all(type(x) is int for x in (m.rows, m.cols, *m.entries[0], *m.entries[1]))
+    plane = StableFunctions(Euclid(2))
+    nodes = (Euclid(np.int64(3)), Sphere(2.0), Punctured(True), CrossedByRn(plane, np.int64(2)))
+    assert [node.n for node in nodes] == [3, 2, 1, 2]
+    assert all(type(node.n) is int for node in nodes)
+    assert Sphere(2.0) == Sphere(2) and hash(Sphere(2.0)) == hash(Sphere(2))
 
 
 def test_abgroup_str():
@@ -363,6 +379,72 @@ def test_kunneth_needs_free_factors():
             assert all(g.is_free for g in space_k_groups(x))
     with pytest.raises(UnsupportedExpr):
         space_k_groups("not a space")
+
+
+def _group_recursion(x):
+    # the AbGroup-valued recursion that space_k_groups ran before it read free
+    # ranks: a group per node, a direct sum per union, a product node per
+    # punctured space
+    if isinstance(x, Point):
+        return AbGroup(1), AbGroup(0)
+    if isinstance(x, Euclid):
+        return (AbGroup(1), AbGroup(0)) if x.n % 2 == 0 else (AbGroup(0), AbGroup(1))
+    if isinstance(x, HalfLine):
+        return AbGroup(0), AbGroup(1)
+    if isinstance(x, Sphere):
+        return (AbGroup(2), AbGroup(0)) if x.n % 2 == 0 else (AbGroup(1), AbGroup(1))
+    if isinstance(x, Punctured):
+        return _group_recursion(Product(Sphere(x.n - 1), Euclid(1)))
+    a0, a1 = _group_recursion(x.a)
+    b0, b1 = _group_recursion(x.b)
+    if isinstance(x, Product):
+        return (AbGroup(a0.free_rank * b0.free_rank + a1.free_rank * b1.free_rank),
+                AbGroup(a0.free_rank * b1.free_rank + a1.free_rank * b0.free_rank))
+    return a0.direct_sum(b0), a1.direct_sum(b1)
+
+
+def _descriptor_recursion(d):
+    if isinstance(d, CrossedByRn):
+        k0, k1 = _descriptor_recursion(d.inner)
+        return (k0, k1) if d.n % 2 == 0 else (k1, k0)
+    return _group_recursion(d.space)
+
+
+_LEAVES = st.one_of(st.builds(Point), st.builds(HalfLine), st.builds(Euclid, st.integers(1, 9)),
+                    st.builds(Sphere, st.integers(0, 9)), st.builds(Punctured, st.integers(1, 9)))
+
+
+def _space_trees(depth):
+    # every space of the seven node kinds whose tree is at most depth deep
+    if depth == 1:
+        return _LEAVES
+    sub = _space_trees(depth - 1)
+    return st.one_of(_LEAVES, st.builds(Product, sub, sub), st.builds(DisjointUnion, sub, sub))
+
+
+@given(_space_trees(4))
+@example(Punctured(1))
+@example(DisjointUnion(Product(Sphere(0), Punctured(4)), Product(HalfLine(), Point())))
+@settings(max_examples=300, deadline=None)
+def test_free_rank_calculus_matches_the_group_recursion(x):
+    assert space_k_groups(x) == _group_recursion(x)
+    assert descriptor_k_groups(Functions(x)) == _group_recursion(x)
+    crossed = CrossedByRn(StableFunctions(x), 1)
+    assert descriptor_k_groups(crossed) == _descriptor_recursion(crossed)
+
+
+def test_constant_descriptor_groups():
+    constants = {J_DESCRIPTOR: (ZERO, Z2), B_CROSSED: (Z, Z), B_FIBRATION: (Z, ZERO),
+                 MIDDLE_DESCRIPTOR: (ZERO, Z2)}
+    for d, groups in constants.items():
+        assert descriptor_k_groups(d) == _descriptor_recursion(d) == groups
+    paper, fibration = scenario_input("paper"), scenario_input("fibration")
+    for inp, b in ((paper, B_CROSSED), (fibration, B_FIBRATION)):
+        assert (inp.k0_j, inp.k1_j) == constants[J_DESCRIPTOR]
+        assert (inp.k0_b, inp.k1_b) == constants[b]
+        assert inp.delta1 == ZMat.zeros(0, inp.k1_b.free_rank)
+    assert paper.expected_middle == constants[MIDDLE_DESCRIPTOR]
+    assert fibration.expected_middle is None
 
 
 def test_descriptor_k_groups():
@@ -489,6 +571,10 @@ def test_index_invariant_rejects_doubled_map():
     )
     with pytest.raises(InconsistentInput):
         index_invariant(j, b, doubled, ZMat.zeros(0, 1), middle=middle)
+    # delta1 is checked too: K1(R) = Z -> K0(point) = Z by 2
+    with pytest.raises(InconsistentInput, match=r"^coker\(delta1\) = Z/2 has torsion"):
+        index_invariant(StableFunctions(Point()), StableFunctions(Euclid(1)), ZMat.zeros(0, 0),
+                        ZMat.from_rows([[2]]))
 
 
 def test_index_invariant_gl_equivalence():
@@ -497,6 +583,45 @@ def test_index_invariant_gl_equivalence():
     rep_a = index_invariant(j, b, ZMat.from_rows([[1], [1]]), ZMat.zeros(0, 1))
     rep_b = index_invariant(j, b, ZMat.from_rows([[1], [0]]), ZMat.zeros(0, 1))
     assert rep_a.delta0_factors == rep_b.delta0_factors == (1,)
+
+
+def test_extension_class_over_the_delta0_box():
+    # "the class is ((1,1)^t, 0) up to basis change", computed: for every
+    # delta0 in [-4, 4]^2 the paper reading accepts exactly the primitive
+    # vectors, the fibration reading also the zero map, and each refusal
+    # says why
+    for a, b in itertools.product(range(-4, 5), repeat=2):
+        g = math.gcd(a, b)
+        delta0 = ZMat(2, 1, ((a,), (b,)))
+        for name, bdesc in (("paper", B_CROSSED), ("fibration", B_FIBRATION)):
+            inp = scenario_input(name, delta0)
+            if g == 1 or (name == "fibration" and g == 0):
+                sol = _ext_class(inp)
+                if name == "paper":
+                    middle = (ZERO, Z2)
+                else:
+                    middle = (ZERO, Z) if g else (Z, Z2)
+                assert sol.delta0_factors == (1,) * g and sol.delta1_factors == ()
+                assert (sol.k0_mid, sol.k1_mid) == middle
+                assert [c["node"] for c in sol.consistency] == ["delta0", "delta1"]
+                via = index_invariant(J_DESCRIPTOR, bdesc, delta0, inp.delta1,
+                                      middle=inp.expected_middle)
+                assert via.to_json() == {**sol.to_json(), "scenario": ""}
+                continue
+            if name == "paper":
+                got = "(Z, Z^3)" if g == 0 else f"(0, Z^2 + Z/{g})"
+                message = f"middle K-groups {got} contradict the known middle (0, Z^2)"
+            else:
+                message = (f"coker(delta0) = Z + Z/{g} has torsion, but it must embed in a "
+                           "free middle K-group by exactness")
+            with pytest.raises(InconsistentInput) as err:
+                _ext_class(inp)
+            assert str(err.value) == message
+    # two solutions, and two payloads of one solution, share no dict
+    sol_a, sol_b = (_ext_class(scenario_input("paper")) for _ in range(2))
+    assert sol_a.consistency[0] is not sol_b.consistency[0]
+    doc_a, doc_b = sol_a.to_json(), sol_a.to_json()
+    assert doc_a == doc_b and doc_a["consistency"][0] is not doc_b["consistency"][0]
 
 
 def test_index_invariant_refuses_torsion_corner():
