@@ -174,57 +174,62 @@ def _eliminate(a, left, right):
     # made on every matrix in left, and each column step as a row step on every
     # matrix in right (V transposed). At step t, the rows and columns before t
     # are zero off the diagonal, so the steps touch a only from (t, t) on.
+    # Step t runs Euclid on column t by row steps, then reduces row t, where a
+    # column step changes only a[t] and right. The pivot is the first entry of
+    # least modulus in column t; its modulus falls from pass to pass, except
+    # after a bring-in or an added row, whose next pass makes it fall.
     r, c = len(a), len(a[0]) if a else 0
-
-    def sub_row(i, j, q, t):
-        a[i][t:] = [x - q * y for x, y in zip(a[i][t:], a[j][t:])]
-        for w in left:
-            w[i] = [x - q * y for x, y in zip(w[i], w[j])]
-
     for t in range(min(r, c)):
+        j = t
         while True:
-            # the first entry of least modulus in row order; no modulus is below 1
-            best = 0
-            for k in range(t, r):
-                row = a[k]
-                for l in range(t, c):
-                    x = abs(row[l])
-                    if x and (not best or x < best):
-                        best, i, j = x, k, l
-                        if x == 1:
-                            break
-                if best == 1:
-                    break
-            if not best:
-                return
-            for w in (a, *left):
-                w[t], w[i] = w[i], w[t]
             if j != t:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
                 for w in right:
                     w[t], w[j] = w[j], w[t]
-            top, p, clean = a[t], a[t][t], True
+                j = t
+            i, p = t, a[t][t]
+            for k in range(t + 1, r):
+                x = a[k][t]
+                if x and (not p or abs(x) < abs(p)):
+                    i, p = k, x
+            if not p:
+                # bring in the first column that is nonzero from row t down
+                j = next((j for j in range(t + 1, c) if any(row[j] for row in a[t:])), None)
+                if j is None:
+                    return
+                continue
+            for w in (a, *left):
+                w[t], w[i] = w[i], w[t]
+            top, clean = a[t][t:], True
             for i in range(t + 1, r):
-                if a[i][t]:
-                    sub_row(i, t, a[i][t] // p, t)
-                    clean = clean and not a[i][t]
-            for j in range(t + 1, c):
-                if top[j]:
-                    q = top[j] // p
-                    for row in a[t:]:
-                        row[j] -= q * row[t]
-                    for w in right:
-                        w[j] = [x - q * y for x, y in zip(w[j], w[t])]
-                    clean = clean and not top[j]
+                row = a[i]
+                if row[t]:
+                    q = row[t] // p
+                    row[t:] = [x - q * y for x, y in zip(row[t:], top)]
+                    for w in left:
+                        w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    clean = clean and not row[t]
             if not clean:
+                continue
+            top = a[t]
+            for k in range(t + 1, c):
+                if top[k]:
+                    q, top[k] = divmod(top[k], p)
+                    for w in right:
+                        w[k] = [x - q * y for x, y in zip(w[k], w[t])]
+                    if top[k] and (j == t or abs(top[k]) < abs(top[j])):
+                        j = k
+            if j != t:
                 continue
             # add the first row that p does not divide; a unit divides every row
             rest = () if p in (1, -1) else range(t + 1, r)
             i = next((i for i in rest if any(x % p for x in a[i][t + 1:])), None)
             if i is None:
                 break
-            sub_row(t, i, -1, t)
+            a[t][t:] = [x + y for x, y in zip(a[t][t:], a[i][t:])]
+            for w in left:
+                w[t] = [x + y for x, y in zip(w[t], w[i])]
         if a[t][t] < 0:
             for w in (a, *left):
                 w[t] = [-x for x in w[t]]

@@ -215,17 +215,10 @@ def test_snf_against_minor_gcd_oracle():
             assert b % a == 0
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
-       st.floats(0.3, 1.0), st.sampled_from([1, 9, 100, 2**70]))
-@example(7, 12, 12, 1.0, 9)
-@example(7, 12, 12, 1.0, 2**70)
-@example(7, 0, 5, 1.0, 9)
-@example(7, 5, 0, 1.0, 9)
-@settings(max_examples=40, deadline=None)
-def test_snf_at_workload_sizes(seed, r, c, density, bound):
-    rng = random.Random(seed)
-    m = ZMat(r, c, [[rng.randint(-bound, bound) if rng.random() < density else 0
-                     for _ in range(c)] for _ in range(r)])
+def _assert_smith_form(m):
+    # D = U m V with U and V unimodular, D in Smith form with sympy's factors,
+    # the factors path agreeing, and the kernel and cokernel read off them
+    r, c = m.rows, m.cols
     d, u, v = smith_normal_form(m)
     assert _product(_product(u, m), v) == d
     assert abs(_bareiss_det(u.entries)) == 1 and abs(_bareiss_det(v.entries)) == 1
@@ -240,6 +233,54 @@ def test_snf_at_workload_sizes(seed, r, c, density, bound):
     assert coker.torsion == tuple(x for x in factors if x > 1)
     flat = [x for row in m.entries for x in row]
     assert tuple(abs(int(x)) for x in invariant_factors(Matrix(r, c, flat)) if x) == factors
+    return d, u, v
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.floats(0.3, 1.0), st.sampled_from([1, 9, 100, 2**70]))
+@example(7, 12, 12, 1.0, 9)
+@example(7, 12, 12, 1.0, 2**70)
+@example(7, 0, 5, 1.0, 9)
+@example(7, 5, 0, 1.0, 9)
+@settings(max_examples=40, deadline=None)
+def test_snf_at_workload_sizes(seed, r, c, density, bound):
+    rng = random.Random(seed)
+    m = ZMat(r, c, [[rng.randint(-bound, bound) if rng.random() < density else 0
+                     for _ in range(c)] for _ in range(r)])
+    _assert_smith_form(m)
+
+
+@pytest.mark.parametrize("m, factors", [
+    # column 0 is zero, so the first pivot is brought in from a later column
+    pytest.param(ZMat.from_rows([[0, 0, 2], [0, 3, 0]]), (1, 6), id="zero-leading-column"),
+    # a remainder left in row t swaps its column into t
+    pytest.param(ZMat.from_rows([[2, 3]]), (1,), id="row-remainder-1x2"),
+    pytest.param(ZMat.from_rows([[4, 6, 9]]), (1,), id="row-remainder-1x3"),
+    # a clean diagonal whose pivot does not divide the rest
+    pytest.param(ZMat.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), (2, 2, 60),
+                 id="divisibility-fix"),
+    pytest.param(ZMat.from_rows([[-3]]), (3,), id="negative-1x1"),
+    pytest.param(ZMat.from_rows([[-4, 0], [0, -6]]), (2, 12), id="negative-diagonal"),
+    pytest.param(ZMat.from_rows([[0, -5], [-10, 0]]), (5, 10), id="negative-antidiagonal"),
+    pytest.param(ZMat.zeros(3, 2), (), id="zero-3x2"),
+    pytest.param(ZMat.zeros(0, 3), (), id="zero-0x3"),
+    pytest.param(ZMat.zeros(3, 0), (), id="zero-3x0"),
+    pytest.param(ZMat.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]), (1,), id="one-in-the-corner"),
+    pytest.param(ZMat.from_rows([[0, 0, 0, 0], [0, 0, 0, 1]]), (1,), id="one-in-the-corner-2x4"),
+])
+def test_snf_branch_fixtures(m, factors):
+    d, _, _ = _assert_smith_form(m)
+    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    assert tuple(x for x in diag if x) == factors
+
+
+def test_snf_transforms_stay_small():
+    # dense 12 x 12 matrices with 70-bit entries: U and V reach 3,835-4,673 bits
+    rng = random.Random(0)
+    for _ in range(3):
+        m = ZMat(12, 12, [[rng.randint(-2**70, 2**70) for _ in range(12)] for _ in range(12)])
+        _, u, v = _assert_smith_form(m)
+        assert max(abs(x).bit_length() for w in (u, v) for row in w.entries for x in row) <= 8000
 
 
 def test_hom_kernel_cokernel():
