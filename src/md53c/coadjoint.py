@@ -108,12 +108,14 @@ def _chart(m, base, b, a):
     triangular and each coupling joins two equal rates, so a coupling adds a
     polynomial factor in a; for family 8, the blocks with a (1, 0) entry, the
     (gamma, delta) pair rotates and scales as a complex number by
-    e^{i phi} = M[0, 0] + i M[1, 0].  The blocks of one call share their zero
-    pattern, as the members of one family do, so it is read off the first.
+    e^{i phi} = M[0, 0] + i M[1, 0].  The blocks of one call share their
+    kind, rotation or triangular, so it is read off the first; a coupling
+    term applies, through a mask, only on the rows whose own block has it,
+    since a zero coupling times an unbounded time is NaN and a zero term
+    would turn -0.0 into 0.0.
     """
     al, g, d, s = base[..., 0], base[..., 2], base[..., 3], base[..., 4]
-    pattern = m.reshape(-1, 3, 3)[0]
-    if pattern[1, 0]:
+    if m.reshape(-1, 3, 3)[0, 1, 0]:
         rot = _rot(m)
         w = g + 1j * d
         w2 = _scale(np.exp(a / rot), w)
@@ -123,10 +125,11 @@ def _chart(m, base, b, a):
         x = al + _scale(_phi(m[..., 0, 0], a), g)
         z = _scale(np.exp(m[..., 0, 0] * a), g)
         t = d
-        if pattern[1, 2]:
-            s = s + m[..., 1, 2] * a * (d + 0.5 * m[..., 0, 1] * a * g)
-        if pattern[0, 1]:
-            t = d + m[..., 0, 1] * a * g
+        m01, m12 = m[..., 0, 1], m[..., 1, 2]
+        if m12.any():
+            s = np.where(m12 != 0.0, s + m12 * a * (d + 0.5 * m01 * a * g), s)
+        if m01.any():
+            t = np.where(m01 != 0.0, d + m01 * a * g, d)
         t = _scale(np.exp(m[..., 1, 1] * a), t)
     out = np.empty(np.broadcast(x, b).shape + (5,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = x, b, z, t
@@ -166,9 +169,10 @@ def orbit_chart(spec, F):
 
 def _leaf_times(m, pq):
     """Candidate flow times a with exp(a M^T) f_p = f_q for the stacked
-    points pq = (p, q) of shape (2, N, 5) under the ad_X2 block m, one column
-    per candidate: NaN in the rows where it is unusable, and columns unusable
-    in every row are left out.
+    points pq = (p, q) of shape (2, N, 5) under the ad_X2 block m, one (3, 3)
+    block or one per row (N, 3, 3) of one kind, one column per candidate:
+    NaN in the rows where it is unusable, and columns unusable in every row
+    are left out.
 
     Each (gamma, delta, sigma) coordinate with a nonzero rate gives
     log(v_q / v_p) / rate where it is nonzero with one sign at both points.
@@ -180,27 +184,31 @@ def _leaf_times(m, pq):
     """
     vp, vq = pq[..., 2:]
     usable = np.sign(vp) * np.sign(vq) > 0.0
-    rates = m.diagonal()
-    if m[1, 0]:
+    rates = np.diagonal(m, axis1=-2, axis2=-1)
+    if m.reshape(-1, 3, 3)[0, 1, 0]:
         # family 8: w = gamma + i delta scales by e^{a cos(phi)} and turns by
         # -a sin(phi), and only sigma has a rate of its own; the angle gives
         # a up to whole turns, and the time from the modulus picks the turn
+        c, sn = m[..., 0, 0], m[..., 1, 0]
         wp, wq = vp[:, 0] + 1j * vp[:, 1], vq[:, 0] + 1j * vq[:, 1]
         ok = (wp != 0.0) & (wq != 0.0)
-        a, turn = np.log(np.abs(wq) / np.abs(wp)) / m[0, 0], -np.angle(wq / wp)
-        turn += 2.0 * np.pi * np.round((a * m[1, 0] - turn) / (2.0 * np.pi))
-        cols = [(ok, a), (ok, turn / m[1, 0])]
+        a, turn = np.log(np.abs(wq) / np.abs(wp)) / c, -np.angle(wq / wp)
+        turn += 2.0 * np.pi * np.round((a * sn - turn) / (2.0 * np.pi))
+        cols = [(ok, a), (ok, turn / sn)]
         rates = rates * [0.0, 0.0, 1.0]
     else:
-        # gamma frozen: alpha moves by -a gamma
-        cols = [] if rates[0] else [(usable[:, 0], (pq[0, :, 0] - pq[1, :, 0]) / vp[:, 0])]
-    cols += zip((usable & (rates != 0.0)).T, np.log(vq / vp).T / rates[:, None])
+        # gamma frozen where its rate is 0: alpha moves by -a gamma
+        cols = [(usable[:, 0] & (rates[..., 0] == 0.0), (pq[0, :, 0] - pq[1, :, 0]) / vp[:, 0])]
+    cols += zip((usable & (rates != 0.0)).T, (np.log(vq / vp) / rates).T)
     return [np.where(use, t, np.nan) for use, t in cols if use.any()]
 
 
 def same_leaf(spec, p, q, tol=1e-8):
     """True when p and q lie on the same coadjoint orbit; for (N, 5) stacks
-    of points, a boolean array with one entry per row.
+    of points, a boolean array with one entry per row.  spec is a FamilySpec,
+    or a list of K FamilySpecs of one block kind (family 8's rotation, or
+    triangular) that decide the stacks' rows in K equal runs, in order: one
+    call for the rows of several members.
 
     A point is a point orbit exactly when its (gamma, delta, sigma) is 0, and
     then its leaf is itself.  Otherwise each candidate flow time of
@@ -213,9 +221,20 @@ def same_leaf(spec, p, q, tol=1e-8):
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.shape[-1:] != (5,) or p.ndim > 2:
         raise InvalidParams("points must have 5 coordinates")
+    m = _row_blocks(spec, len(p.reshape(-1, 5)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _same_leaf(spec, p.reshape(-1, 5), q.reshape(-1, 5), tol)
+        out = _same_leaf(m, p.reshape(-1, 5), q.reshape(-1, 5), tol)
     return bool(out[0]) if p.ndim == 1 else out
+
+
+def _row_blocks(spec, n):
+    # the ad_X2 block of one spec, or that of each of n rows for a list of specs
+    if not isinstance(spec, (list, tuple)):
+        return ad2_block(spec)
+    m = np.array([ad2_block(s) for s in spec]).reshape(-1, 3, 3)
+    if len({bool(r) for r in m[:, 1, 0]}) != 1 or n % len(m):
+        raise InvalidParams("a list of specs must hold one block kind and share the rows equally")
+    return np.repeat(m, n // len(m), axis=0)
 
 
 def _rel_ok(u, v, tol):
@@ -231,12 +250,11 @@ def _close(u, v, tol):
     return _rel_ok(u, v, tol).all(axis=1)
 
 
-def _same_leaf(spec, p, q, tol):
+def _same_leaf(m, p, q, tol):
     pq = np.concatenate((p, q)).reshape(2, -1, 5)
     point = ~pq[..., 2:].any(axis=2)
     decided = point[0] | point[1]
     out = point.all(axis=0) & _close(q, p, tol)
-    m = ad2_block(spec)
     for a in _leaf_times(m, pq):
         if decided.all():
             break
@@ -307,8 +325,10 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
 
     One pass: every member's stream draws the same points and words, so they
     are drawn once; one _flow call, so one mat_exp call, flows every step of
-    every member, _STACK_SAMPLES samples of members at a time, and each member
-    then makes one same_leaf call.  One CheckReport per member, in order."""
+    every member, _STACK_SAMPLES samples of members at a time.  The members
+    of one block kind (family 8's rotation, or triangular) then make one
+    same_leaf call, each member's rows read with its own block: two calls
+    for a grid of every family.  One CheckReport per member, in order."""
     n = int(n)
     if n < 1:
         # a check over no samples would pass vacuously
@@ -326,12 +346,16 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     for lo in range(0, n, size):
         rows, at = slice(lo, lo + size), slice(first[lo], first[min(lo + size, n)])
         ends[:, rows] = _flow(c, start[rows], i[at], t[at], lengths[rows])
-    reports = []
-    for spec, end in zip(grid, ends):
-        reports.append(CheckReport("flow", spec.label(), "closed-form chart", n, int(seed),
-                                   float(tol)))
-        _collect(reports[-1], [("flow", ~same_leaf(spec, start, end, tol),
-                                {"p": start, "q": end})])
+    kinds = {}
+    for k, spec in enumerate(grid):
+        kinds.setdefault(bool(ad2_block(spec)[1, 0]), []).append(k)
+    reports = [CheckReport("flow", spec.label(), "closed-form chart", n, int(seed), float(tol))
+               for spec in grid]
+    for members in kinds.values():
+        ok = same_leaf([grid[k] for k in members], np.tile(start, (len(members), 1)),
+                       ends[members].reshape(-1, 5), tol)
+        for k, row in zip(members, ok.reshape(len(members), n)):
+            _collect(reports[k], [("flow", ~row, {"p": start, "q": ends[k]})])
     return reports
 
 

@@ -153,7 +153,10 @@ def _xlog(v):
 
 
 # h1..h6 straighten the block M on (z, t, s) step by step, each step read
-# off M's pattern, from the first block of the stack as _chart reads it:
+# off M's pattern, row by row: a call may hold the blocks of several
+# families, and each step applies, through a mask, only on the rows whose
+# own block takes it (a step that is an identity on paper, a rate of 1 or a
+# coupling of 0, still moves bits: -0.0, inf and NaN do not pass through it):
 # - a rate step for each diagonal entry other than 1, v -> sgn(v)|v|^{1/rate},
 #   which for z also sets x -> m00 x + z - z', so that x + z is kept;
 # - a coupling step for each nonzero superdiagonal entry c = M[i, i+1],
@@ -161,26 +164,29 @@ def _xlog(v):
 # A coupling only joins two rates equal to 1, so couplings and rate steps
 # touch different coordinates and their order moves no bit.  The forward map
 # runs the couplings, then the rates; the inverse undoes them in reverse.
-# The seams are the rate coordinates and the coupling sources.
+# The seams are the rate coordinates and the coupling sources; a coordinate
+# that is no seam of a row's block reads inf there.
 
 
 def _steps(m):
-    # (rate coordinates, coupling sources) of the blocks m
-    pattern = m.reshape(-1, 3, 3)[0].tolist()
-    return ([k for k in range(3) if pattern[k][k] != 1.0],
-            [k for k in range(2) if pattern[k][k + 1] != 0.0])
+    # (rate coordinates, coupling sources) that some block of m takes
+    m = m.reshape(-1, 3, 3)
+    return ([k for k in range(3) if (m[:, k, k] != 1.0).any()],
+            [k for k in range(2) if m[:, k, k + 1].any()])
 
 
 def _straighten(m, x, y, *v):
     rates, couplings = _steps(m)
     v = list(v)
     for k in couplings:
-        v[k + 1] = v[k + 1] - m[..., k, k + 1] * _xlog(v[k])
+        c = m[..., k, k + 1]
+        v[k + 1] = np.where(c != 0.0, v[k + 1] - c * _xlog(v[k]), v[k + 1])
     for k in rates:
-        vk = _pw(v[k], m[..., k, k])
+        lam = m[..., k, k]
+        vk = _pw(v[k], lam)
         if k == 0:
-            x = m[..., 0, 0] * x + v[0] - vk
-        v[k] = vk
+            x = np.where(lam != 1.0, lam * x + v[0] - vk, x)
+        v[k] = np.where(lam != 1.0, vk, v[k])
     return (x, y, *v)
 
 
@@ -188,18 +194,23 @@ def _unstraighten(m, x, y, *v):
     rates, couplings = _steps(m)
     v = list(v)
     for k in reversed(rates):
-        vk = _pw_inv(v[k], m[..., k, k])
+        lam = m[..., k, k]
+        vk = _pw_inv(v[k], lam)
         if k == 0:
-            x = (x - vk + v[0]) / m[..., 0, 0]
-        v[k] = vk
+            x = np.where(lam != 1.0, (x - vk + v[0]) / lam, x)
+        v[k] = np.where(lam != 1.0, vk, v[k])
     for k in reversed(couplings):
-        v[k + 1] = v[k + 1] + m[..., k, k + 1] * _xlog(v[k])
+        c = m[..., k, k + 1]
+        v[k + 1] = np.where(c != 0.0, v[k + 1] + c * _xlog(v[k]), v[k + 1])
     return (x, y, *v)
 
 
 def _seams(m, *v):
     rates, couplings = _steps(m)
-    return tuple(v[k] for k in sorted({*rates, *couplings}))
+    seam = [m[..., k, k] != 1.0 for k in range(3)]
+    for k in couplings:
+        seam[k] = seam[k] | (m[..., k, k + 1] != 0.0)
+    return tuple(np.where(seam[k], v[k], np.inf) for k in sorted({*rates, *couplings}))
 
 
 def _h7_fwd(m, x, y, z, t, s):
@@ -381,9 +392,10 @@ def _draw_samples(rng, spec, n):
 
 
 def _member_draws(streams, n, seed):
-    """Per (map, report) of streams, which lists them by the key (family, phi)
-    of their draw: the map, the report, and the _chart inputs of the draw,
-    which is made once per key, one key at a time."""
+    """Per (map, report) of streams, which lists them by the key of their
+    draw, their phi (None for families 1..7, which share one draw): the map,
+    the report, and the _chart inputs of the draw, which is made once per
+    key, one key at a time."""
     for members in streams.values():
         chart_in = _draw_samples(np.random.default_rng(seed), members[0][0].source, n)
         for emap, rep in members:
@@ -401,15 +413,16 @@ def _joined(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _map_family(members):
-    """The chart points (p, q, r), their images and the round-trip checks of
-    members of one family, _member_draws items, from one _chart, one
-    forward-map and one inverse-map call on a (member, sample) stack, each
-    member's rows reading its own ad_X2 block: (report, (p, q, r), their
-    images, checks) per member.  The round trip is checked on the chart rows
-    that _roundtrip_safe passes under their member's block: on seeds 0..299
-    each of the 34 mapped sources keeps at least 23 at n = 20, but at n = 3,
-    98 of the 10,200 runs keep none (at n = 1, 23%) and check no round trip."""
+def _map_group(members):
+    """The chart points (p, q, r), their images, their inverse images and the
+    range and round-trip failure masks of members that share a _MAPS entry,
+    _member_draws items, from one _chart, one forward-map and one inverse-map
+    call on a (member, sample) stack, each member's rows reading its own
+    ad_X2 block; each of shape (member, 3, sample, ...).  The round trip is
+    checked on the chart rows that _roundtrip_safe passes under their
+    member's block: on seeds 0..299 each of the 34 mapped sources keeps at
+    least 23 at n = 20, but at n = 3, 98 of the 10,200 runs keep none (at
+    n = 1, 23%) and check no round trip."""
     family = members[0][0].source.family
     fwd, inv, _ = _MAPS[family]
     m = np.array([ad2_block(emap.source) for emap, *_ in members])[:, None]
@@ -426,25 +439,32 @@ def _map_family(members):
     # rows are NaN by design and stay out
     drift = checked & ~(_row_max(np.abs(back - pqr))
                         <= 1e-9 * np.maximum(1.0, _row_max(np.abs(pqr))))
-    rows = [v.reshape(len(members), 3, -1, *v.shape[2:])
+    return [v.reshape(len(members), 3, -1, *v.shape[2:])
             for v in (pqr, images, back, safe & ~fits, drift)]
-    # the checks of p, q and r in turn, each a range then a roundtrip check
-    return [(rep, pt, img, [check for i in range(3) for check in
-                            [("range", off[i], {"p": pt[i], "image": img[i]}),
-                             ("roundtrip", bad[i], {"p": pt[i], "back": bk[i]})]])
-            for (_, rep, _), pt, img, bk, off, bad in zip(members, *rows)]
 
 
 def _classification_stack(target, members, tol):
-    """Test the positive and the negative pairs of members, _map_family items
-    of one target, in one same_leaf call; fill in their reports."""
-    hp, hq, hr = map(_joined, zip(*(images for _, _, images, _ in members)))
+    """Map members, _member_draws items of one target, in one call per _MAPS
+    entry; test their positive and negative pairs in one same_leaf call; fill
+    in the reports of the members with a failing row."""
+    groups = {}
+    for member in members:
+        groups.setdefault(_MAPS[member[0].source.family], []).append(member)
+    reps = [rep for group in groups.values() for _, rep, _ in group]
+    pts, images, back, off, drift = map(_joined, zip(*map(_map_group, groups.values())))
+    hp, hq, hr = (images[:, k].reshape(-1, 5) for k in range(3))
     # same_leaf decides each row alone, so each relation gets its own mask
-    both = same_leaf(target, np.concatenate((hp, hp)), np.concatenate((hq, hr)), tol)
-    positive, negative = (np.split(half, len(members)) for half in np.split(both, 2))
-    for (rep, (p, q, r), _, checks), pos, neg in zip(members, positive, negative):
-        _collect(rep, [("positive", ~pos, {"p": p, "q": q}),
-                       ("negative", neg, {"p": p, "q": r}), *checks])
+    pos, neg = same_leaf(target, np.concatenate((hp, hp)), np.concatenate((hq, hr)),
+                         tol).reshape(2, len(reps), -1)
+    fails = np.hstack((~pos, neg, off.reshape(len(reps), -1), drift.reshape(len(reps), -1)))
+    for i in np.flatnonzero(fails.any(axis=1)):
+        p, q, r = pts[i]
+        # the checks of p, q and r in turn, each a range then a roundtrip check
+        _collect(reps[i], [("positive", ~pos[i], {"p": p, "q": q}),
+                           ("negative", neg[i], {"p": p, "q": r}),
+                           *(check for j, pt in enumerate(pts[i]) for check in
+                             [("range", off[i, j], {"p": pt, "image": images[i, j]}),
+                              ("roundtrip", drift[i, j], {"p": pt, "back": back[i, j]})])])
 
 
 def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
@@ -454,10 +474,11 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
     the branch-safe rows of the same chart points; one source is the grid
     [source].  The samples are drawn as arrays from one seeded stream.
 
-    One pass: the draw reads a source only through its family and phi, so it
-    is made once per (family, phi).  The sources of one target are taken in
-    stacks of _STACK_SAMPLES samples, so memory stays flat.  Within a stack,
-    the sources of one family make one chart, one forward-map and one
+    One pass: the draw reads a source only through phi and whether it is of
+    family 8, so it is made once per phi: one draw serves families 1..7.
+    The sources of one target are taken in stacks of _STACK_SAMPLES samples,
+    so memory stays flat.  Within a stack, the sources of one map kind, one
+    _MAPS entry (h1..h6, h7, h8), make one chart, one forward-map and one
     inverse-map call, each reading every source's parameters from its ad_X2
     block, row by row; the positive and negative same-leaf tests of the
     stack run in one call.  One CheckReport per source, in order.  A
@@ -470,17 +491,13 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
         reports.append(CheckReport("classification", source.label(), emap.target.label(),
                                    int(n), int(seed), float(tol)))
         streams = groups.setdefault(emap.target, {})
-        streams.setdefault((source.family, source.phi), []).append((emap, reports[-1]))
+        streams.setdefault(source.phi, []).append((emap, reports[-1]))
     size = max(1, _STACK_SAMPLES // max(int(n), 1))
     for target, streams in groups.items():
         draws = _member_draws(streams, n, seed)
         while stack := list(itertools.islice(draws, size)):
-            families = {}
-            for member in stack:
-                families.setdefault(member[0].source.family, []).append(member)
-            _classification_stack(target, [item for members in families.values()
-                                           for item in _map_family(members)], tol)
-            del stack, families  # free their samples before the next stack is drawn
+            _classification_stack(target, stack, tol)
+            del stack  # free its samples before the next stack is drawn
     return reports
 
 

@@ -204,6 +204,82 @@ def test_stacked_blocks_match_members(family, seed):
         assert np.array_equal(foliation._equivalence(fn, m, pts), want, equal_nan=True)
 
 
+# every member of families 1..6, the half-plane ones included, with F4 first
+TRIANGULAR = sorted((s for s in GRID if s.family in ("F1", "F2", "F3", "F4", "F5", "F6")),
+                    key=lambda s: s.family != "F4")
+
+
+def _edge_rows(rng, n):
+    # points with exact zeros, -0.0 coordinates, and coordinates from 5e-324
+    # to 1e308, where a step that is an identity on paper still moves bits
+    pts = _zero_patterns(rng, rng.uniform(0.05, 2.0, (n, 5)) * rng.choice([-1.0, 1.0], (n, 5)))
+    pts[::3] *= rng.choice([-0.0, 5e-324, 1e-200, 1.0, 1e200, 5e307], (len(pts[::3]), 5))
+    return pts
+
+
+@pytest.mark.parametrize("order", ["F4-first", "shuffled"])
+def test_mixed_stacks_match_per_block_calls(order):
+    # one call on a stack of the blocks of families 1..6 gives, bit for bit,
+    # what one call per block gives: the straightening maps and their seams,
+    # the triangular chart and same_leaf.  A step applied through an
+    # arithmetic identity (a rate of 1, a coupling of 0) or read off the
+    # first block for every row moves bits of some rows here
+    rng = np.random.default_rng(29)
+    members = list(TRIANGULAR)
+    if order == "shuffled":
+        members = [members[i] for i in rng.permutation(len(members))]
+    k = 40
+    blocks = np.array([ad2_block(s) for s in members])
+    mapped = [i for i, s in enumerate(members) if not s.is_halfplane]
+    pts = np.array([_edge_rows(rng, k) for _ in members])
+    m = blocks[mapped, None]
+    union = sorted({*sum(foliation._steps(m), [])})
+    with np.errstate(all="ignore"):
+        for fn in (foliation._straighten, foliation._unstraighten):
+            got = foliation._equivalence(fn, m, pts[mapped])
+            for j, i in enumerate(mapped):
+                want = foliation._equivalence(fn, blocks[i], pts[i])
+                assert got[j].tobytes() == want.tobytes(), (fn.__name__, members[i].label())
+        got = np.stack(foliation._seams(m, *np.moveaxis(pts[mapped, :, 2:], -1, 0)))
+        for j, i in enumerate(mapped):
+            own = sorted({*sum(foliation._steps(blocks[i]), [])})
+            seams = foliation._seams(blocks[i], *pts[i, :, 2:].T)
+            want = [seams[own.index(c)] if c in own else np.full(k, np.inf) for c in union]
+            assert got[:, j].tobytes() == np.stack(want).tobytes(), members[i].label()
+    # same_leaf pairs: chart points, alpha shifts, point orbits, the frozen
+    # gamma slice of the half-plane members, and the edge rows; rows whose
+    # sigma grows from 1e-300 to 1e300 put an m12 = 0 block at an infinite
+    # candidate time
+    p, q = map(np.array, zip(*(_pairs(rng, s, k) for s in members)))
+    p[:, :10], q[:, :10] = pts[:, :10], _edge_rows(rng, 10)
+    p[:, 10:13, 2:], q[:, 10:13, 2:] = [0.0, -0.0, 1e-300], [0.0, -0.0, 1e300]
+    got = same_leaf(members, p.reshape(-1, 5), q.reshape(-1, 5))
+    want = np.concatenate([same_leaf(s, p_j, q_j) for s, p_j, q_j in zip(members, p, q)])
+    assert got.tobytes() == want.tobytes()
+    # the chart at the candidate times of those pairs, one block per row as
+    # same_leaf reads them, and one per member
+    flat = np.repeat(blocks, k, axis=0)
+    with np.errstate(all="ignore"):
+        times = coadjoint._leaf_times(flat, np.stack((p, q)).reshape(2, -1, 5))
+        assert np.isinf(times).any()
+        for a in times:
+            a = np.where(np.isnan(a), rng.uniform(-1.5, 1.5, a.shape), a)
+            got = coadjoint._chart(flat, p.reshape(-1, 5), q[..., 1].ravel(), a)
+            stacked = coadjoint._chart(blocks[:, None], p, q[..., 1], a.reshape(len(members), k))
+            assert got.tobytes() == stacked.reshape(-1, 5).tobytes()
+            for i, rows in enumerate(got.reshape(len(members), k, 5)):
+                want = coadjoint._chart(blocks[i], p[i], q[i, :, 1], a[i * k:(i + 1) * k])
+                assert rows.tobytes() == want.tobytes(), members[i].label()
+
+
+def test_spec_lists_hold_one_kind_and_equal_runs():
+    p = np.ones((6, 5))
+    for specs in ([], [family_spec("F4"), FAMILY_REPS[-1]], FAMILY_REPS[:4]):
+        with pytest.raises(InvalidParams):
+            same_leaf(specs, p, p)
+    assert same_leaf(FAMILY_REPS[:3], p, p).tolist() == [True] * 6
+
+
 @given(seeds, st.sampled_from(GRID))
 @settings(max_examples=30, deadline=None)
 def test_map_errors_match_rows(seed, spec):
@@ -471,17 +547,18 @@ def test_grid_classification_matches_per_source_loop(broken, kinds, stack, monke
 
 @pytest.mark.parametrize("n", [1, 60, 1500])
 def test_member_draw_equals_the_shared_draw(n):
-    # the grid draws once per (family, phi) and lends that draw to every
-    # member of the key; a member's own draw must be the same, bit for bit,
-    # so a future seam or sampler that reads lambda shows here
+    # the grid draws once per phi (families 1..7 share one draw) and lends
+    # that draw to every member of the key; a member's own draw must be the
+    # same, bit for bit, so a future seam or sampler that reads lambda or the
+    # family shows here
     shared = {}
     for spec in MAPPED:
-        key = (spec.family, spec.phi)
+        key = spec.phi
         first = shared.setdefault(key, (spec, foliation._draw_samples(
             np.random.default_rng(5), spec, n)))[1]
         own = foliation._draw_samples(np.random.default_rng(5), spec, n)
         assert all(np.array_equal(a, b) for a, b in zip(own, first)), spec.label()
-    assert len(shared) == 10
+    assert len(shared) == 4
 
 
 @pytest.mark.parametrize("n", [1, 1500])
@@ -493,7 +570,8 @@ def test_grid_classification_matches_per_source_loop_at_sizes(n):
 
 
 def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
-    # classify maps 34 members drawn from 10 streams, verify-claims 33 from 9
+    # classify maps 34 members drawn from 4 streams, verify-claims 33 from 4:
+    # one for families 1..7 and one per phi of family 8
     draw, grid = foliation._draw_samples, foliation.verify_classification_grid
     calls, keys = [], []
 
@@ -511,15 +589,16 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
     monkeypatch.setattr(float_commands, "verify_classification_grid", counted_grid)
     for cmd in ("classify", "verify-claims"):
         cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
-    assert calls == [(34, 10, 10), (33, 9, 9)]
+    assert calls == [(34, 4, 4), (33, 4, 4)]
 
 
 def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
-    # verify-claims flows its 8 members in one mat_exp call; classify maps its
-    # 34 members with one chart, one forward-map and one inverse-map call per
-    # family and stack: 7 families onto F4 and one onto F8(1, pi/2), in one
-    # stack per target, or one source per stack when a stack holds 5
-    # samples; verify-claims maps the same but F4.  Each stack tests its
+    # verify-claims flows its 8 members in one mat_exp call and tests them in
+    # one same_leaf call per block kind; classify maps its 34 members with one
+    # chart, one forward-map and one inverse-map call per map kind and stack:
+    # h1..h6 and h7 onto F4 and h8 onto F8(1, pi/2), in one stack per target,
+    # or one source per stack when a stack holds 5 samples; verify-claims
+    # maps the same but F4.  Each stack tests its
     # positive and negative pairs in one same_leaf call, and each fibration
     # check its positive, negative and hard-negative pairs in one; F2 adds
     # its rho-image test and the probe of the untwisted projection
@@ -547,7 +626,8 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
     counted(foliation, "_chart")
     counted(foliation, "_equivalence")
     counted(foliation, "same_leaf")
-    recorded("flow_check_grid", "mat_exp")
+    counted(coadjoint, "same_leaf")
+    recorded("flow_check_grid", "mat_exp", "same_leaf")
     recorded("verify_classification_grid", "_chart", "_equivalence", "same_leaf")
     recorded("fibration_check", "same_leaf", key=str)
     fibrations = [("F1", 1), ("F2", 3)]
@@ -555,7 +635,7 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
         cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
     monkeypatch.setattr(foliation, "_STACK_SAMPLES", 5)
     cli.main(["classify", "--samples", "5", "-o", str(tmp_path / "one")])
-    assert calls == [(8, 1), (33, 7, 14, 2), *fibrations, (34, 8, 16, 2), *fibrations,
+    assert calls == [(8, 1, 2), (33, 3, 6, 2), *fibrations, (34, 3, 6, 2), *fibrations,
                      (34, 34, 68, 34), *fibrations]
 
 
@@ -870,6 +950,24 @@ def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatc
         monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
     assert {f["kind"] for f in fibration_check(kind, n=200, seed=3).failures} == broken
     assert (not flow_check_grid(FAMILY_REPS[:1], 200, 3, 1e-8)[0].ok) == bool(broken)
+
+
+@pytest.mark.parametrize("moved", [0, 4, 7], ids=lambda k: FAMILY_REPS[k].label())
+def test_flow_mutation_of_one_member_fails_only_its_report(moved, monkeypatch):
+    # one member's structure constants moved off its ad_X2 block: its flows
+    # leave the leaves of its chart, and the same_leaf call it shares with
+    # the other members of its block kind fails its rows alone
+    structure = coadjoint._structure_grid
+
+    def one_moved(grid):
+        c = structure(grid)
+        c[moved, 1, 4, 4] *= 1.5
+        c[moved, 4, 1, 4] *= 1.5
+        return c
+
+    monkeypatch.setattr(coadjoint, "_structure_grid", one_moved)
+    reports = flow_check_grid(FAMILY_REPS, 60, 1729, 1e-8)
+    assert [rep.ok for rep in reports] == [k != moved for k in range(len(FAMILY_REPS))]
 
 
 def _c_only_approx_eq(self, other, tol=1e-8):
