@@ -205,10 +205,9 @@ def _leaf_times(m, pq):
 
 def same_leaf(spec, p, q, tol=1e-8):
     """True when p and q lie on the same coadjoint orbit; for (N, 5) stacks
-    of points, a boolean array with one entry per row.  spec is a FamilySpec,
-    or a list of K FamilySpecs of one block kind (family 8's rotation, or
-    triangular) that decide the stacks' rows in K equal runs, in order: one
-    call for the rows of several members.
+    of points, a boolean array with one entry per row.  It answers where the
+    flow time between the points is not known: flow_check_grid knows it and
+    reads the chart alone.
 
     A point is a point orbit exactly when its (gamma, delta, sigma) is 0, and
     then its leaf is itself.  Otherwise each candidate flow time of
@@ -221,20 +220,9 @@ def same_leaf(spec, p, q, tol=1e-8):
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.shape[-1:] != (5,) or p.ndim > 2:
         raise InvalidParams("points must have 5 coordinates")
-    m = _row_blocks(spec, len(p.reshape(-1, 5)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _same_leaf(m, p.reshape(-1, 5), q.reshape(-1, 5), tol)
+        out = _same_leaf(ad2_block(spec), p.reshape(-1, 5), q.reshape(-1, 5), tol)
     return bool(out[0]) if p.ndim == 1 else out
-
-
-def _row_blocks(spec, n):
-    # the ad_X2 block of one spec, or that of each of n rows for a list of specs
-    if not isinstance(spec, (list, tuple)):
-        return ad2_block(spec)
-    m = np.array([ad2_block(s) for s in spec]).reshape(-1, 3, 3)
-    if len({bool(r) for r in m[:, 1, 0]}) != 1 or n % len(m):
-        raise InvalidParams("a list of specs must hold one block kind and share the rows equally")
-    return np.repeat(m, n // len(m), axis=0)
 
 
 def _rel_ok(u, v, tol):
@@ -319,16 +307,22 @@ _STACK_SAMPLES = 1024
 def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     """For every member of grid, a list of FamilySpecs (one spec is the grid
     [spec]), flow n random points along random coadjoint flow words of 1..6
-    steps and check that each stays on its leaf as the closed-form chart
-    predicts.  The points, the word lengths, then the directions and times
-    of all steps are drawn as arrays from the seeded stream.
+    steps and check that each lands where the closed-form chart predicts.
+    The points, the word lengths, then the directions and times of all steps
+    are drawn as arrays from the seeded stream.
+
+    X1, X3, X4 and X5 move a point only in beta, which the chart leaves
+    free, and X2 moves the rest without reading beta.  So a flowed point is
+    the chart point of its start at its own beta and at its word's X2 time:
+    minus the sum of the word's X2 step times, as _flow applies
+    exp(-t ad_i).  A sample fails when it is not within tol of that point;
+    no leaf is searched.
 
     One pass: every member's stream draws the same points and words, so they
     are drawn once; one _flow call, so one mat_exp call, flows every step of
-    every member, _STACK_SAMPLES samples of members at a time.  The members
-    of one block kind (family 8's rotation, or triangular) then make one
-    same_leaf call, each member's rows read with its own block: two calls
-    for a grid of every family.  One CheckReport per member, in order."""
+    every member, _STACK_SAMPLES samples of members at a time, and each
+    member then makes one _chart call.  One CheckReport per member, in
+    order."""
     n = int(n)
     if n < 1:
         # a check over no samples would pass vacuously
@@ -346,16 +340,14 @@ def flow_check_grid(grid, n=1000, seed=1729, tol=1e-8):
     for lo in range(0, n, size):
         rows, at = slice(lo, lo + size), slice(first[lo], first[min(lo + size, n)])
         ends[:, rows] = _flow(c, start[rows], i[at], t[at], lengths[rows])
-    kinds = {}
-    for k, spec in enumerate(grid):
-        kinds.setdefault(bool(ad2_block(spec)[1, 0]), []).append(k)
-    reports = [CheckReport("flow", spec.label(), "closed-form chart", n, int(seed), float(tol))
-               for spec in grid]
-    for members in kinds.values():
-        ok = same_leaf([grid[k] for k in members], np.tile(start, (len(members), 1)),
-                       ends[members].reshape(-1, 5), tol)
-        for k, row in zip(members, ok.reshape(len(members), n)):
-            _collect(reports[k], [("flow", ~row, {"p": start, "q": ends[k]})])
+    # each word's chart time
+    a = -np.bincount(np.repeat(np.arange(n), lengths), t * (i == 2), n)
+    reports = []
+    for spec, end in zip(grid, ends):
+        reports.append(CheckReport("flow", spec.label(), "closed-form chart", n, int(seed),
+                                   float(tol)))
+        bad = ~_close(end, _chart(ad2_block(spec), start, end[:, 1], a), tol)
+        _collect(reports[-1], [("flow", bad, {"p": start, "q": end})])
     return reports
 
 

@@ -476,14 +476,14 @@ def verify_classification_grid(sources, n=1000, seed=1729, tol=1e-6):
 
     One pass: the draw reads a source only through phi and whether it is of
     family 8, so it is made once per phi: one draw serves families 1..7.
-    The sources of one target are taken in stacks of _STACK_SAMPLES samples,
-    so memory stays flat.  Within a stack, the sources of one map kind, one
-    _MAPS entry (h1..h6, h7, h8), make one chart, one forward-map and one
-    inverse-map call, each reading every source's parameters from its ad_X2
-    block, row by row; the positive and negative same-leaf tests of the
-    stack run in one call.  One CheckReport per source, in order.  A
-    half-plane source, F3(0) or F5(0), has no map: UnsupportedMap, before
-    anything is drawn."""
+    The sources of one target are taken in stacks of at most _STACK_SAMPLES
+    samples, unless one source has more: then a stack is that one source.
+    Within a stack, the sources of one map kind, one _MAPS entry (h1..h6,
+    h7, h8), make one chart, one forward-map and one inverse-map call, each
+    reading every source's parameters from its ad_X2 block, row by row; the
+    positive and negative same-leaf tests of the stack run in one call.  One
+    CheckReport per source, in order.  A half-plane source, F3(0) or F5(0),
+    has no map: UnsupportedMap, before anything is drawn."""
     reports, groups = [], {}
     for source in sources:
         emap = equivalence_map(source)

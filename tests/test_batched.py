@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from md53c import cli, coadjoint, float_commands, foliation
 from md53c.catalog import ad2_block, build_algebra, default_grid, family_spec
-from md53c.coadjoint import coadjoint_flow, flow_check_grid, orbit_chart, same_leaf
+from md53c.coadjoint import _chart, coadjoint_flow, flow_check_grid, orbit_chart, same_leaf
 from md53c.errors import DomainError, InvalidParams, UnsupportedMap
 from md53c.coadjoint import CheckReport
 from md53c.foliation import (apply_equivalence, equivalence_map, fibration_check, leaf_invariant,
@@ -253,12 +253,13 @@ def test_mixed_stacks_match_per_block_calls(order):
     p, q = map(np.array, zip(*(_pairs(rng, s, k) for s in members)))
     p[:, :10], q[:, :10] = pts[:, :10], _edge_rows(rng, 10)
     p[:, 10:13, 2:], q[:, 10:13, 2:] = [0.0, -0.0, 1e-300], [0.0, -0.0, 1e300]
-    got = same_leaf(members, p.reshape(-1, 5), q.reshape(-1, 5))
+    flat = np.repeat(blocks, k, axis=0)
+    with np.errstate(all="ignore"):
+        got = coadjoint._same_leaf(flat, p.reshape(-1, 5), q.reshape(-1, 5), 1e-8)
     want = np.concatenate([same_leaf(s, p_j, q_j) for s, p_j, q_j in zip(members, p, q)])
     assert got.tobytes() == want.tobytes()
     # the chart at the candidate times of those pairs, one block per row as
-    # same_leaf reads them, and one per member
-    flat = np.repeat(blocks, k, axis=0)
+    # _same_leaf reads them, and one per member
     with np.errstate(all="ignore"):
         times = coadjoint._leaf_times(flat, np.stack((p, q)).reshape(2, -1, 5))
         assert np.isinf(times).any()
@@ -270,14 +271,6 @@ def test_mixed_stacks_match_per_block_calls(order):
             for i, rows in enumerate(got.reshape(len(members), k, 5)):
                 want = coadjoint._chart(blocks[i], p[i], q[i, :, 1], a[i * k:(i + 1) * k])
                 assert rows.tobytes() == want.tobytes(), members[i].label()
-
-
-def test_spec_lists_hold_one_kind_and_equal_runs():
-    p = np.ones((6, 5))
-    for specs in ([], [family_spec("F4"), FAMILY_REPS[-1]], FAMILY_REPS[:4]):
-        with pytest.raises(InvalidParams):
-            same_leaf(specs, p, p)
-    assert same_leaf(FAMILY_REPS[:3], p, p).tolist() == [True] * 6
 
 
 @given(seeds, st.sampled_from(GRID))
@@ -593,9 +586,10 @@ def test_grid_draws_once_per_stream(monkeypatch, tmp_path):
 
 
 def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
-    # verify-claims flows its 8 members in one mat_exp call and tests them in
-    # one same_leaf call per block kind; classify maps its 34 members with one
-    # chart, one forward-map and one inverse-map call per map kind and stack:
+    # verify-claims flows its 8 members in one mat_exp call and tests them
+    # against their charts with no same_leaf call; classify maps its 34
+    # members with one chart, one forward-map and one inverse-map call per
+    # map kind and stack:
     # h1..h6 and h7 onto F4 and h8 onto F8(1, pi/2), in one stack per target,
     # or one source per stack when a stack holds 5 samples; verify-claims
     # maps the same but F4.  Each stack tests its
@@ -635,7 +629,7 @@ def test_grid_checks_call_kernels_once_per_family(monkeypatch, tmp_path):
         cli.main([cmd, "--samples", "5", "-o", str(tmp_path / cmd)])
     monkeypatch.setattr(foliation, "_STACK_SAMPLES", 5)
     cli.main(["classify", "--samples", "5", "-o", str(tmp_path / "one")])
-    assert calls == [(8, 1, 2), (33, 3, 6, 2), *fibrations, (34, 3, 6, 2), *fibrations,
+    assert calls == [(8, 1, 0), (33, 3, 6, 2), *fibrations, (34, 3, 6, 2), *fibrations,
                      (34, 34, 68, 34), *fibrations]
 
 
@@ -915,19 +909,31 @@ def test_batched_fibration_matches_scalar_loop(kind, broken, seed, monkeypatch, 
 def _scalar_flow_failures(spec, n, seed, tol):
     """The one-word-at-a-time flow check, kept as the oracle for
     flow_check_grid: its stream read as (i, t) tuples, the per-step flow, and
-    same_leaf point by point through the coadjoint module, so a patched
-    kernel reaches it."""
+    point by point the chart of the start through the coadjoint module, at
+    the flowed beta and at minus the sum of the word's X2 step times, so a
+    patched kernel reaches it."""
     sc = build_algebra(spec)
     start, words = _tuple_flow_words(np.random.default_rng(seed), n)
-    ends = [_scalar_flow(sc, f, w) for f, w in zip(start, words)]
-    return [{"kind": "flow", "p": list(f), "q": list(g)} for f, g in zip(start, ends)
-            if not coadjoint.same_leaf(spec, f, g, tol=tol)]
+    failures = []
+    for f, w in zip(start, words):
+        g = _scalar_flow(sc, f, w)
+        chart = coadjoint.orbit_chart(spec, f).eval(g[1], -sum(t for i, t in w if i == 2))
+        gap, scale = np.abs(g - chart), np.maximum(1.0, np.maximum(abs(g), abs(chart)))
+        if not (np.isfinite(gap) & (gap <= tol * scale)).all():
+            failures.append({"kind": "flow", "p": list(f), "q": list(g)})
+    return failures
+
+
+def _broken_chart(m, base, b, a):
+    # the true chart point, moved by 1 in alpha in the rows whose base beta
+    # exceeds 1
+    return _chart(m, base, b, a) + np.where(np.asarray(base)[..., 1:2] > 1.0, np.eye(5)[0], 0.0)
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch):
     if broken:
-        monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
+        monkeypatch.setattr(coadjoint, "_chart", _broken_chart)
     want = [_scalar_flow_failures(spec, 40, 1729, 1e-8) for spec in FAMILY_REPS]
     # the whole grid in one _flow call, then in blocks of 7 samples, the last
     # one short, which must give the same bits
@@ -947,16 +953,13 @@ def test_batched_flow_check_matches_scalar_loop(broken, monkeypatch):
 def test_fibration_mutations_caught_on_the_array_stream(kind, broken, monkeypatch):
     if broken:
         _break_kernels(monkeypatch)
-        monkeypatch.setattr(coadjoint, "same_leaf", _broken_same_leaf)
     assert {f["kind"] for f in fibration_check(kind, n=200, seed=3).failures} == broken
-    assert (not flow_check_grid(FAMILY_REPS[:1], 200, 3, 1e-8)[0].ok) == bool(broken)
 
 
 @pytest.mark.parametrize("moved", [0, 4, 7], ids=lambda k: FAMILY_REPS[k].label())
 def test_flow_mutation_of_one_member_fails_only_its_report(moved, monkeypatch):
     # one member's structure constants moved off its ad_X2 block: its flows
-    # leave the leaves of its chart, and the same_leaf call it shares with
-    # the other members of its block kind fails its rows alone
+    # leave the leaves of its chart, and its report alone fails
     structure = coadjoint._structure_grid
 
     def one_moved(grid):
@@ -968,6 +971,26 @@ def test_flow_mutation_of_one_member_fails_only_its_report(moved, monkeypatch):
     monkeypatch.setattr(coadjoint, "_structure_grid", one_moved)
     reports = flow_check_grid(FAMILY_REPS, 60, 1729, 1e-8)
     assert [rep.ok for rep in reports] == [k != moved for k in range(len(FAMILY_REPS))]
+
+
+@pytest.mark.parametrize("doubled", [0, 3, 6, 7], ids=lambda k: FAMILY_REPS[k].label())
+def test_flow_check_reads_the_chart_time(doubled, monkeypatch):
+    # one member's whole ad_X2 doubled: its flows stay on their leaves, but
+    # reach each chart point at twice the word's X2 time, so each word with
+    # an X2 step fails its report and no other
+    structure = coadjoint._structure_grid
+
+    def one_doubled(grid):
+        c = structure(grid)
+        c[doubled, 1] *= 2
+        c[doubled, :, 1] *= 2
+        return c
+
+    monkeypatch.setattr(coadjoint, "_structure_grid", one_doubled)
+    reports = flow_check_grid(FAMILY_REPS, 60, 1729, 1e-8)
+    assert [rep.ok for rep in reports] == [k != doubled for k in range(len(FAMILY_REPS))]
+    words = _tuple_flow_words(np.random.default_rng(1729), 60)[1]
+    assert reports[doubled].failures_total == sum(any(i == 2 for i, _ in w) for w in words)
 
 
 def _c_only_approx_eq(self, other, tol=1e-8):

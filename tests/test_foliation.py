@@ -177,10 +177,13 @@ def _allowed_member(family):
 @given(st.sampled_from(FAMILIES).flatmap(_allowed_member))
 @settings(max_examples=200, deadline=None)
 def test_members_share_their_family_pattern(spec):
-    # the straightening rule and _chart read a stack's pattern off its first
-    # block, so every allowed member must have its first grid member's: the
-    # rate coordinates and coupling sources (for families 1..7; h8 is written
-    # out) and the zeros of the [1, 0], [0, 1] and [1, 2] entries
+    # _chart reads a call's kind, rotation or triangular, off the [1, 0]
+    # entry of its first block, so every allowed member must have its first
+    # grid member's zero there.  The straightening rule and the chart's
+    # coupling terms read each row's own block; the rest pins that a family
+    # keeps one pattern: the rate coordinates and coupling sources (for
+    # families 1..7; h8 is written out) and the zeros of the [0, 1] and
+    # [1, 2] entries
     first = next(s for s in default_grid() if s.family == spec.family)
     m, m0 = ad2_block(spec), ad2_block(first)
     if spec.family != "F8":
