@@ -206,8 +206,11 @@ def _leaf_times(m, pq):
 def same_leaf(spec, p, q, tol=1e-8):
     """True when p and q lie on the same coadjoint orbit; for (N, 5) stacks
     of points, a boolean array with one entry per row.  It answers where the
-    flow time between the points is not known: flow_check_grid knows it and
-    reads the chart alone.
+    flow time between the points is not known.  No subcommand asks that:
+    the flow check, orbit --word and the classification's positive pairs
+    know their time and read the chart alone, and the classification's
+    negative pairs and the fibration checks read the targets' complete
+    leaf invariants.
 
     A point is a point orbit exactly when its (gamma, delta, sigma) is 0, and
     then its leaf is itself.  Otherwise each candidate flow time of
@@ -235,7 +238,7 @@ def _rel_ok(u, v, tol):
 
 def _close(u, v, tol):
     # each row of u within tol of that of v
-    return _rel_ok(u, v, tol).all(axis=1)
+    return _rel_ok(u, v, tol).all(axis=-1)
 
 
 def _same_leaf(m, p, q, tol):

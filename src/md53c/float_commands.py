@@ -17,10 +17,10 @@ import numpy as np
 
 from .catalog import (_FAMILIES, _REPRESENTATIVE, _SPELLING, _structure_grid, ad2_block,
                       build_algebra, default_grid, family_spec, jordan_signature_grid)
-from .coadjoint import (coadjoint_flow, flow_check_grid, kirillov_form_rank, md_property_grid,
-                        orbit_chart, same_leaf)
+from .coadjoint import (_close, coadjoint_flow, flow_check_grid, kirillov_form_rank,
+                        md_property_grid, orbit_chart)
 from .errors import DomainError, InconsistentInput, InvalidParams
-from .foliation import fibration_check, verify_classification_grid
+from .foliation import fibration_check, leaf_invariant, verify_classification_grid
 from .ktheory import (B_CROSSED, J_DESCRIPTOR, MIDDLE_DESCRIPTOR, AbGroup, Euclid, Product,
                       Punctured, Sphere, ZMat, _ext_class, descriptor_k_groups, index_invariant,
                       scenario_input, space_k_groups)
@@ -131,15 +131,17 @@ def cmd_orbit(config, args):
         word = _parse_word(args.word)
         flowed = coadjoint_flow(build_algebra(spec), point, word)
         # a flow keeps the orbit, so a plane orbit flowed to (gamma, delta,
-        # sigma) = 0 has underflowed, and same_leaf would read a point orbit
+        # sigma) = 0 has underflowed to what reads as a point orbit
         if chart.dim == 2 and not flowed[2:].any():
             raise DomainError("the flow underflowed (gamma, delta, sigma) of a point on a "
-                              "plane orbit to 0, so same_leaf cannot decide whether the "
-                              "points share a leaf")
+                              "plane orbit to 0, a point orbit, so whether the flowed point "
+                              "stays on the leaf cannot be decided")
         payload["flow_word"] = [[i, t] for i, t in word]
         payload["flowed"] = [float(v) for v in flowed]
-        payload["flowed_same_leaf"] = bool(
-            same_leaf(spec, point, flowed, tol=config.tol_leaf))
+        # the flowed point is the chart point of point at its own beta and at
+        # the word's X2 time, as in flow_check_grid
+        at = chart.eval(flowed[1], -sum(t for i, t in word if i == 2))
+        payload["flowed_same_leaf"] = bool(_close(flowed, at, config.tol_leaf))
     if args.eval_at is not None:
         b, a = _parse_reals(args.eval_at, 2, "--eval")
         payload["chart_eval"] = {"b": b, "a": a,
@@ -244,8 +246,9 @@ def cmd_verify_claims(config, args):
     # the printed rotation-family orbit frees the wrong coordinate
     spec8 = _REPRESENTATIVE["F8"]
     p8 = np.array([0.4, 0.0, 1.0, 0.0, 1.0])
-    alpha_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[0], tol=config.tol_leaf))
-    beta_shift = bool(same_leaf(spec8, p8, p8 + np.eye(5)[1], tol=config.tol_leaf))
+    # read by F8(1, pi/2)'s complete leaf invariant
+    alpha_shift, beta_shift = (leaf_invariant("F2", p8).approx_eq(
+        leaf_invariant("F2", p8 + np.eye(5)[k]), config.tol_leaf) for k in (0, 1))
     sc8 = build_algebra(spec8)
     _, rank_sigma = kirillov_form_rank(sc8, np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
     ok = (not alpha_shift) and beta_shift and rank_sigma == 2

@@ -57,6 +57,32 @@ def test_orbit_payload(tmp_path):
     assert doc["chart_eval"]["point"] == pytest.approx([-0.5, 5.0, 4.0, 0.0, 0.0])
 
 
+def test_no_subcommand_searches_for_a_leaf(tmp_path, monkeypatch):
+    # classify, verify-claims and orbit --word read the chart at a known
+    # time or a complete leaf invariant: with the leaf search made to raise,
+    # each writes the same bytes, and neither float module binds same_leaf
+    from md53c import float_commands
+
+    runs = [["classify", "--samples", "20", "--seed", "3"],
+            ["verify-claims", "--samples", "20", "--seed", "3"],
+            ["orbit", "--family", "F8", "--lambda", "2", "--phi", "0.5",
+             "--point", "1,0,1,0.3,0.2", "--word", "2:0.7,4:0.3,2:-1.5,1:2"]]
+
+    def written(name):
+        out = [tmp_path / f"{name}{k}.json" for k in range(len(runs))]
+        assert [main([*args, "-o", str(o)]) for args, o in zip(runs, out)] == [0, 0, 0]
+        return [o.read_bytes() for o in out]
+
+    want = written("free")
+
+    def no_search(*args):
+        raise AssertionError("a subcommand searched for a leaf")
+
+    monkeypatch.setattr(coadjoint, "_same_leaf", no_search)
+    assert written("patched") == want
+    assert not hasattr(foliation, "same_leaf") and not hasattr(float_commands, "same_leaf")
+
+
 def test_orbit_usage_errors(capsys):
     assert main(["orbit", "--family", "F1", "--lambda1", "2", "--lambda2", "3",
                  "--point", "1,2"]) == 2
@@ -165,8 +191,8 @@ def _inf_past(forward):
 def test_classify_counts_failures_past_the_cap(tmp_path, monkeypatch):
     # F2's forward map overflows on a large share of samples: each F2
     # record lists 50 failures and counts every one, and so does the summary
-    fwd, inv, seams = foliation._MAPS["F2"]
-    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv, seams))
+    fwd, inv = foliation._MAPS["F2"]
+    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv))
     code, doc = run_json(["classify", "--samples", "300"], tmp_path)
     assert code == 1
     bad = [c for c in doc["checks"] if not c["ok"]]
@@ -179,8 +205,8 @@ def test_non_finite_failure_fields_are_markers(tmp_path, monkeypatch):
     # a range failure's image can hold inf or NaN: the payload writes the
     # markers "inf", "-inf" and "nan" and the run exits 1, where it used to
     # fail on the whole payload with exit 2
-    fwd, inv, seams = foliation._MAPS["F2"]
-    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv, seams))
+    fwd, inv = foliation._MAPS["F2"]
+    monkeypatch.setitem(foliation._MAPS, "F2", (_inf_past(fwd), inv))
     code, doc = run_json(["classify", "--samples", "20"], tmp_path)
     assert code == 1
     failures = [f for c in doc["checks"] for f in c["failures"]]
@@ -659,7 +685,8 @@ def test_orbit_underflow_is_an_error(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err == (
         "error: the flow underflowed (gamma, delta, sigma) of a point on a plane orbit "
-        "to 0, so same_leaf cannot decide whether the points share a leaf\n")
+        "to 0, a point orbit, so whether the flowed point stays on the leaf cannot be "
+        "decided\n")
 
 
 _F1_23_AT_1 = ["--family", "F1", "--lambda1", "2", "--lambda2", "3", "--point", "1,0,1,0,0"]
@@ -675,9 +702,10 @@ _F1_23_AT_1 = ["--family", "F1", "--lambda1", "2", "--lambda2", "3", "--point", 
 def test_orbit_flow_guard_asks_what_same_leaf_needs(args, gamma, tmp_path):
     # F1(2, 3) scales gamma by e^{-2t}: from (1, 0, 1, 0, 0) the flowed point
     # stays on the plane orbit, with gamma = 1.52e-8, 2.06e-9 or 3.78e-11 at
-    # alpha near 1.5; on F1(-2, 3) gamma = 7e-10 grows to 0.339.  same_leaf
+    # alpha near 1.5; on F1(-2, 3) gamma = 7e-10 grows to 0.339.  The guard
     # reads a point orbit only where (gamma, delta, sigma) is exactly 0, so
-    # however small gamma gets it decides, and the flow keeps the leaf
+    # however small gamma gets the flowed point is compared with its chart
+    # point, and the flow keeps the leaf
     code, doc = run_json(["orbit", *args], tmp_path)
     assert code == 0 and doc["orbit_dim"] == 2 and doc["flowed_same_leaf"] is True
     assert doc["flowed"][2] == pytest.approx(gamma, rel=0.01)
